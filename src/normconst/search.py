@@ -143,6 +143,8 @@ def parse_strategy(text: str) -> Strategy:
             key, eq, val = item.partition("=")
             if not eq or not re.fullmatch(r"-?\d+", val.strip()):
                 raise ValueError(f"invalid strategy parameter: {item!r}")
+            if key.strip() in fields:
+                raise ValueError(f"repeated strategy parameter {key.strip()!r} in {text!r}")
             fields[key.strip()] = int(val)
     if head == "exact":
         if fields:
@@ -166,9 +168,9 @@ def parse_strategy(text: str) -> Strategy:
         strat = MultiStartStrategy(starts=fields.get("starts", DEFAULT_STARTS),
                                    steps=fields.get("steps", DEFAULT_STEPS),
                                    seed=fields.get("seed", DEFAULT_SEED))
-        if strat.starts < 1 or strat.steps < 1:
+        if strat.starts < 1 or strat.steps < 1 or strat.seed < 0:
             raise ValueError(f"multistart parameters out of range in {text!r}: "
-                             "need starts >= 1, steps >= 1")
+                             "need starts >= 1, steps >= 1, seed >= 0")
         return strat
     raise ValueError(f"unknown strategy: {text!r}")
 
@@ -210,38 +212,77 @@ def _improves(value: float, witness, best_value, best_witness) -> bool:
     return witness < best_witness
 
 
-def _golden_max(fun: Callable[[float], tuple[float, object]], lo: float, hi: float,
-                iters: int):
+def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[object]]],
+                lo: float, hi: float, iters: int, lookahead: int = 1):
     """Golden-section ascent on [lo, hi]; returns the best evaluated sample.
 
-    ``fun`` maps a coordinate to (value, payload); NaN values are treated
-    as minus infinity.  Only evaluated feasible samples are ever returned,
-    which preserves the engines' lower-bound semantics.
+    ``fun`` maps a list of coordinates to (values, payloads); NaN values are
+    treated as minus infinity.  Only evaluated feasible samples are ever
+    returned, which preserves the engines' lower-bound semantics.
+
+    Each call of ``fun`` carries every point the search could probe while at
+    most ``lookahead - 1`` of its comparisons are undecided: the 2^lookahead - 1
+    candidates of the next ``lookahead`` iterations, or, on the first call,
+    the two interior points and the 2^lookahead - 2 candidates of the
+    ``lookahead - 1`` iterations after them.  The probes on the path the
+    comparisons take are then accepted in the sequential order, so the
+    result does not depend on ``lookahead``; at 1 every call holds exactly
+    the points a one-probe-at-a-time loop evaluates.
     """
+    if lookahead < 1:
+        raise ValueError("lookahead must be at least 1")
     best_v, best_x, best_p = None, None, None
 
-    def probe(x: float):
+    def probe(x: float, v: float, payload):
         nonlocal best_v, best_x, best_p
-        v, payload = fun(x)
+        v = float(v)
         if not math.isfinite(v):
             return -math.inf
         if best_v is None or v > best_v or (v == best_v and x < best_x):
             best_v, best_x, best_p = v, x, payload
         return v
 
+    def branches(a, b, c, d, fc, fd, it, undecided, xs):
+        # Candidate probes of iterations it, it+1, ...: {fc >= fd: (index in
+        # xs, next bracket, branches after it)}; fc / fd are None until known.
+        if it == iters:
+            return {}
+        if fc is None or fd is None:
+            if undecided == lookahead - 1:
+                return {}
+            outcomes, undecided = (True, False), undecided + 1
+        else:
+            outcomes = (fc >= fd,)
+        tree = {}
+        for left in outcomes:
+            if left:
+                x = d - _INV_PHI * (d - a)
+                nxt, known = (a, d, x, c), (None, fc)
+            else:
+                x = c + _INV_PHI * (b - c)
+                nxt, known = (c, b, d, x), (fd, None)
+            xs.append(x)
+            tree[left] = (len(xs) - 1, nxt,
+                          branches(*nxt, *known, it + 1, undecided, xs))
+        return tree
+
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = probe(c), probe(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = probe(d)
+    fc = fd = None
+    it = 0
+    while fc is None or it < iters:
+        xs = [c, d] if fc is None else []
+        tree = branches(a, b, c, d, fc, fd, it, 0, xs)
+        values, payloads = fun(xs)
+        if fc is None:
+            fc, fd = probe(c, values[0], payloads[0]), probe(d, values[1], payloads[1])
+        while tree:
+            left = fc >= fd
+            i, (a, b, c, d), tree = tree[left]
+            v = probe(xs[i], values[i], payloads[i])
+            fc, fd = (v, fc) if left else (fd, v)
+            it += 1
     return best_v, best_x, best_p
 
 
@@ -335,10 +376,13 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
         for ci in range(len(params)):
             h = widths[ci] * shrink
 
-            def fun(x: float, ci=ci):
-                trial = params.copy()
-                trial[ci] = x
-                return eval_params(trial)
+            def fun(xs: list[float], ci=ci):
+                out = []
+                for x in xs:
+                    trial = params.copy()
+                    trial[ci] = x
+                    out.append(eval_params(trial))
+                return [v for v, _ in out], [w for _, w in out]
 
             v, x, payload = _golden_max(fun, params[ci] - h, params[ci] + h, _GOLDEN_ITERS)
             evaluations += _GOLDEN_ITERS + 2
@@ -499,8 +543,8 @@ def t_sweep(g: Callable[[float], float], lo: float, hi: float, grid: int = 33,
     a = max(lo, best_t - cell)
     b = min(hi, best_t + cell)
 
-    def fun(t: float):
-        return float(g(t)), t
+    def fun(ts: list[float]):
+        return [float(g(t)) for t in ts], ts
 
     v, x, _ = _golden_max(fun, a, b, refine_iters)
     if v is not None and (v > best_v or (v == best_v and x < best_t)):

@@ -109,7 +109,7 @@ def lp_space(q: float, dim: int) -> NormedSpace:
 
 
 def weighted_lp_space(q: float, weights: Sequence[float]) -> NormedSpace:
-    """Weighted p-norm (sum_i w_i |v_i|^q)^(1/q); max_i w_i |v_i| for q=inf."""
+    """Weighted p-norm (sum_i (w_i |v_i|)^q)^(1/q); max_i w_i |v_i| for q=inf."""
     q = float(q)
     _check_exponent(q)
     w = tuple(float(x) for x in weights)
@@ -329,6 +329,8 @@ def parse_space(text: str) -> NormedSpace:
         key, eq, val = item.partition("=")
         if not eq:
             raise SpaceError(f"invalid space parameter: {item!r}")
+        if key.strip() in params:
+            raise SpaceError(f"repeated space parameter {key.strip()!r} in {text!r}")
         params[key.strip()] = val.strip()
     allowed = {"lp": {"q", "dim"}, "wlp": {"q", "dim", "w"}}[kind]
     unknown = set(params) - allowed

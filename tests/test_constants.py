@@ -167,6 +167,26 @@ def test_cnj_l3_at_p3_is_one():
     assert est.meta["t_star"] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_cnj_runs_each_offset_once(monkeypatch):
+    # the estimate at t_star is the one the sweep computed, not a rerun
+    calls = []
+    gamma_p = nc.constants.gamma_p
+
+    def counted(space, p, t, strategy=None):
+        est = gamma_p(space, p, t, strategy)
+        calls.append((t, est))
+        return est
+
+    monkeypatch.setattr(nc.constants, "gamma_p", counted)
+    est = nc.cnj_p(HEX, p=2.0, strategy="exact", t_grid=9, t_refine=5)
+    ts = [t for t, _ in calls]
+    assert len(ts) == len(set(ts)) == 9 + 5 + 2
+    at_best = dict(calls)[est.meta["t_star"]]
+    assert est.witness == at_best.witness
+    assert est.meta["inner_value"] == at_best.value
+    assert est.evaluations == sum(e.evaluations for _, e in calls)
+
+
 def test_cnj_modes_agree():
     for sp in (L1, HEX):
         a = nc.cnj_p(sp, p=2.0, strategy="exact", mode="gamma")
@@ -220,6 +240,33 @@ def test_schaffer_and_product():
         assert j == pytest.approx(jwant, abs=1e-6)
         assert j * s == pytest.approx(2.0, abs=1e-4)
         assert 1.0 - 1e-9 <= s <= math.sqrt(2.0) + 1e-9
+
+
+def _sequential_golden(fun, lo, hi, iters, lookahead=1):
+    # the golden loop one probe at a time, each probe a one-row call of the
+    # batched probe; lookahead is ignored
+    from test_search import _golden_reference
+
+    def one(x):
+        values, payloads = fun([x])
+        return float(values[0]), payloads[0]
+
+    return _golden_reference(one, lo, hi, iters)[0]
+
+
+@pytest.mark.parametrize("strat", [FAST, HEXFAST], ids=["fast", "hexfast"])
+def test_unit_iso_lookahead_is_bit_identical(monkeypatch, strat):
+    batched = {}
+    for sp in (L1, L2, L3, HEX):
+        batched[sp] = (nc.james(sp, strategy=strat), nc.schaffer(sp, strategy=strat))
+    monkeypatch.setattr(nc.constants, "_golden_max", _sequential_golden)
+    for sp, (j, s) in batched.items():
+        j0, s0 = nc.james(sp, strategy=strat), nc.schaffer(sp, strategy=strat)
+        for got, want in ((j, j0), (s, s0)):
+            assert (got.value, got.witness, got.evaluations) == (
+                want.value, want.witness, want.evaluations)
+            assert repr(got.meta) == repr(want.meta)
+        assert "iso_form_value" in j.meta and "iso_form_witness" in j.meta
 
 
 def test_rho_closed_forms():

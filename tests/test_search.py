@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normconst.search import (
+    _INV_PHI,
     Estimate,
     ExactStrategy,
     Grid2DStrategy,
@@ -19,6 +20,7 @@ from normconst.search import (
     sup_pairs_nd,
     sup_vertex_pairs,
     t_sweep,
+    _golden_max,
 )
 from normconst.spaces import Region, lp_space, regular_polygon_space
 
@@ -167,7 +169,9 @@ def test_strategy_descriptor_roundtrip(strat):
 
 def test_parse_strategy_errors():
     for bad in ("warp", "grid2d:res=abc", "grid2d:bogus=3",
-                "multistart:starts=0", "exact:x=1", ""):
+                "multistart:starts=0", "exact:x=1", "",
+                "multistart:seed=-1", "multistart:seed=3,seed=4",
+                "grid2d:res=64,res=128"):
         with pytest.raises(ValueError):
             parse_strategy(bad)
 
@@ -191,3 +195,100 @@ def test_multistart_always_within_bound(seed):
     est = sup_pairs_nd(L1, batch_objective(evb), Region.SPHERE,
                        starts=4, steps=60, seed=seed)
     assert est.value <= 1.0 + 1e-12
+
+
+# ------------------------------------------------- golden section with lookahead
+
+def _golden_reference(fun, lo, hi, iters):
+    """The one-probe-at-a-time golden loop; ``fun(x) -> (value, payload)``."""
+    best_v, best_x, best_p = None, None, None
+    probes = []
+
+    def probe(x):
+        nonlocal best_v, best_x, best_p
+        probes.append(x)
+        v, payload = fun(x)
+        if not math.isfinite(v):
+            return -math.inf
+        if best_v is None or v > best_v or (v == best_v and x < best_x):
+            best_v, best_x, best_p = v, x, payload
+        return v
+
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = probe(c), probe(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = probe(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = probe(d)
+    return (best_v, best_x, best_p), probes
+
+
+@st.composite
+def _probe_functions(draw):
+    """Bumpy functions with NaN gaps and quantized plateaus, plus a bracket."""
+    bumps = draw(st.lists(st.tuples(st.floats(-2, 2), st.floats(0.05, 2),
+                                    st.floats(-1, 3)), min_size=1, max_size=5))
+    gaps = draw(st.lists(st.tuples(st.floats(-2, 2), st.floats(0, 0.8)), max_size=3))
+    step = draw(st.sampled_from([0.0, 0.05, 0.5, 4.0]))
+
+    def f(x):
+        if any(g <= x <= g + w for g, w in gaps):
+            return math.nan
+        v = sum(h * math.exp(-((x - m) / s) ** 2) for m, s, h in bumps)
+        return math.floor(v / step) * step if step else v
+
+    lo = draw(st.floats(-2, 1.5))
+    hi = lo + draw(st.floats(1e-3, 2.5))
+    return f, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(_probe_functions(), st.integers(1, 6), st.integers(0, 14))
+def test_golden_lookahead_matches_sequential(case, lookahead, iters):
+    f, lo, hi = case
+    want, path = _golden_reference(lambda x: (f(x), ("at", x)), lo, hi, iters)
+    batches = []
+
+    def fun(xs):
+        batches.append(list(xs))
+        return [f(x) for x in xs], [("at", x) for x in xs]
+
+    assert _golden_max(fun, lo, hi, iters, lookahead=lookahead) == want
+    # the first batch holds the interior pair and the next lookahead - 1
+    # sequential probes, each later batch the next lookahead probes, in order
+    assert len(path) == iters + 2
+    cuts = list(range(lookahead + 1, len(path), lookahead)) + [len(path)]
+    assert len(batches) == len(cuts)
+    start = 0
+    for i, (xs, end) in enumerate(zip(batches, cuts)):
+        assert len(xs) <= (2 ** lookahead if i == 0 else 2 ** lookahead - 1)
+        pos = 0
+        for x in path[start:end]:
+            pos += xs[pos:].index(x) + 1
+        start = end
+    if lookahead == 1:
+        assert [x for xs in batches for x in xs] == path
+
+
+def test_golden_lookahead_batch_counts():
+    # 12 iterations: the first call holds the interior pair and the first
+    # lookahead - 1 iterations, each later call the next lookahead iterations
+    calls = []
+
+    def fun(xs):
+        calls.append(len(xs))
+        return [-abs(x - 0.3) for x in xs], list(xs)
+
+    for lookahead, sizes in ((1, [2] + [1] * 12), (4, [16, 15, 15, 1]), (5, [32, 31, 7])):
+        calls.clear()
+        _golden_max(fun, 0.0, 1.0, 12, lookahead=lookahead)
+        assert calls == sizes
+    with pytest.raises(ValueError):
+        _golden_max(fun, 0.0, 1.0, 12, lookahead=0)

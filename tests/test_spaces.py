@@ -179,7 +179,8 @@ def test_descriptor_roundtrip(sp):
 
 def test_parse_space_errors():
     for bad in ("nope:q=2", "lp:q=2", "lp:q=2,dim=2,extra=1",
-                "lp:q=abc,dim=2", "poly2d:v=(1,0)", ""):
+                "lp:q=abc,dim=2", "poly2d:v=(1,0)", "",
+                "lp:q=2,dim=2,dim=3", "lp:q=2,q=3,dim=2", "wlp:q=2,dim=2,w=1;2,w=1;3"):
         with pytest.raises((SpaceError, ValueError)):
             parse_space(bad)
 
