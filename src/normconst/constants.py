@@ -59,7 +59,12 @@ def _check_t(t: float, lo: float = 0.0, hi: float = 1.0, strict_lo: bool = False
 def resolve_strategy(strategy, space: NormedSpace, seed: int = DEFAULT_SEED) -> Strategy:
     """Normalize a strategy argument (None, selector string, or instance)."""
     if strategy is None:
-        strat: Strategy = Grid2DStrategy() if space.dim == 2 else MultiStartStrategy(seed=seed)
+        if space.dim == 2:
+            strat: Strategy = Grid2DStrategy()
+        elif seed < 0:
+            raise ValueError(f"multistart seed out of range: need seed >= 0, got {seed}")
+        else:
+            strat = MultiStartStrategy(seed=seed)
     elif isinstance(strategy, str):
         strat = parse_strategy(strategy)
     elif isinstance(strategy, (ExactStrategy, Grid2DStrategy, MultiStartStrategy)):
@@ -498,10 +503,12 @@ def schaffer(space: NormedSpace, strategy=None) -> Estimate:
 
     An infimum: the estimate is an upper bound of the true value (the
     mirror image of the suprema semantics).  ``meta['two_over_james']``
-    records 2/J for the product identity J * S = 2.
+    records 2/J for the product identity J * S = 2, with J the min-form
+    supremum that :func:`james` reports; ``evaluations`` counts the
+    infimum's samples plus that supremum's.
     """
     strat = resolve_strategy(strategy, space)
     value, witness, evals = _unit_iso_extremum(space, "inf", strat)
-    j = james(space, strat)
+    j = _run_sup(space, _min_form_objective(space), Region.SPHERE, strat)
     meta = {"sense": "inf", "two_over_james": 2.0 / j.value}
     return Estimate(value, witness, j.strategy, False, evals + j.evaluations, meta)

@@ -147,6 +147,10 @@ def _iso_partner_rows(space: NormedSpace, X1: np.ndarray, W: np.ndarray,
     Walks the arc phi -> normalize(cos(phi) X1 + sin(phi) W) from X1 (defect
     +2) to -X1 (defect -2) and bisects the sign change.  W rows must not be
     parallel to X1 rows.
+
+    ``iters`` caps the bisection.  It stops earlier once no row's midpoint
+    moves: from then on every iteration would recompute the same midpoints
+    and partners, so the result has the same bits as running all ``iters``.
     """
     n = X1.shape[0]
     lo = np.full(n, 1e-9)
@@ -154,13 +158,16 @@ def _iso_partner_rows(space: NormedSpace, X1: np.ndarray, W: np.ndarray,
     mid = 0.5 * (lo + hi)
     C = X1
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
         C = np.cos(mid)[:, None] * X1 + np.sin(mid)[:, None] * W
         C = C / space.norm_rows(C)[:, None]
         g = space.norm_rows(X1 + C) - space.norm_rows(X1 - C)
         take = g > 0.0
         lo = np.where(take, mid, lo)
         hi = np.where(take, hi, mid)
+        nxt = 0.5 * (lo + hi)
+        if np.array_equal(nxt, mid):
+            break
+        mid = nxt
     return C
 
 

@@ -303,6 +303,12 @@ def _grid_axes_2d(space: NormedSpace, region: Region, resolution: int, radial: i
     return P, params
 
 
+def _lex_first(P: np.ndarray, idxs: np.ndarray):
+    """The index in ``idxs`` of the lexicographically smallest row of the 2-column
+    ``P``; among equal rows the first one, since ``lexsort`` is stable."""
+    return idxs[np.lexsort((P[idxs, 1], P[idxs, 0]))[0]]
+
+
 def _point_2d(space: NormedSpace, region: Region, params: Sequence[float]) -> np.ndarray:
     theta = params[0]
     row = np.array([[math.cos(theta), math.sin(theta)]])
@@ -346,7 +352,7 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
             continue
         vmax = vals[finite].max()
         idxs = np.flatnonzero(finite & (vals == vmax))
-        j = idxs[0] if idxs.size == 1 else min(idxs, key=lambda k: tuple(P2[k]))
+        j = idxs[0] if idxs.size == 1 else _lex_first(P2, idxs)
         w = _as_witness(P1[i], P2[j])
         if _improves(float(vmax), w, best_v, best_w):
             best_v, best_w = float(vmax), w
@@ -356,7 +362,6 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
         raise ValueError("objective returned no finite value on the grid")
 
     k1 = par1.shape[1]
-    cell = {0: TWO_PI / resolution}
     widths = []
     for reg in (reg1, reg2):
         widths.append(TWO_PI / resolution)

@@ -85,6 +85,14 @@ def test_compute_usage_errors(capsys):
         assert token in err
 
 
+def test_compute_rejects_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "compute", "--space", "lp:q=3,dim=3",
+                             "--constant", "gamma_p", "--p", "2", "--t", "0.5",
+                             "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "seed >= 0" in err and "non-negative integer" not in err
+
+
 def test_unknown_constant_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--space", "lp:q=1,dim=2", "--constant", "nope"])

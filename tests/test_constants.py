@@ -242,6 +242,32 @@ def test_schaffer_and_product():
         assert 1.0 - 1e-9 <= s <= math.sqrt(2.0) + 1e-9
 
 
+def _schaffer_reference(space, strat):
+    # the infimum plus James's min-form supremum, run apart
+    from normconst.constants import (_min_form_objective, _run_sup,
+                                     _unit_iso_extremum)
+
+    value, witness, evals = _unit_iso_extremum(space, "inf", strat)
+    j = _run_sup(space, _min_form_objective(space), nc.Region.SPHERE, strat)
+    return value, witness, j, evals
+
+
+@pytest.mark.parametrize("sp, strat", [
+    (L2, FAST), (HEX, FAST),
+    (nc.lp_space(3, 3), MultiStartStrategy(starts=8, steps=40, seed=3)),
+], ids=["l2", "hex", "l3d3"])
+def test_schaffer_matches_reference(sp, strat):
+    s = nc.schaffer(sp, strategy=strat)
+    value, witness, j, evals = _schaffer_reference(sp, strat)
+    assert (s.value, s.witness, s.strategy) == (value, witness, j.strategy)
+    assert repr(s.meta) == repr({"sense": "inf", "two_over_james": 2.0 / j.value})
+    assert s.evaluations == evals + j.evaluations
+    # the same J that james reports
+    assert s.meta["two_over_james"] == 2.0 / nc.james(sp, strategy=strat).value
+    with pytest.raises(ValueError):
+        nc.schaffer(sp, strategy="exact")
+
+
 def _sequential_golden(fun, lo, hi, iters, lookahead=1):
     # the golden loop one probe at a time, each probe a one-row call of the
     # batched probe; lookahead is ignored
@@ -350,6 +376,10 @@ def test_exact_strategy_rejections():
         nc.nu_p(L1, p=2.0, strategy="exact")  # non-convex ratio
     with pytest.raises(ValueError):
         nc.james(L1, strategy="exact")  # min form
+    for sp in (L1, HEX):
+        # the infimum runs first and rejects a vertex strategy
+        with pytest.raises(ValueError, match="need a search strategy"):
+            nc.schaffer(sp, strategy="exact")
 
 
 def test_resolve_strategy_defaults():
@@ -359,6 +389,8 @@ def test_resolve_strategy_defaults():
     assert isinstance(s3, MultiStartStrategy) and s3.seed == 9
     assert nc.resolve_strategy("grid2d:res=64", L2) == Grid2DStrategy(
         resolution=64)
+    with pytest.raises(ValueError, match=r"seed >= 0"):
+        nc.resolve_strategy(None, nc.lp_space(3, 3), seed=-1)
 
 
 # ------------------------------------------------------------ property tests

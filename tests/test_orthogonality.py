@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from normconst.orthogonality import (
+    _iso_partner_rows,
     is_isosceles,
     iso_complete,
     iso_defect,
     pair_from_sphere,
     unit_iso_partner,
 )
-from normconst.spaces import lp_space, norm, regular_polygon_space, unit_vector
+from normconst.spaces import (lp_space, norm, parse_space, regular_polygon_space,
+                              unit_vector)
 
 L1 = lp_space(1, 2)
 L2 = lp_space(2, 2)
@@ -116,3 +118,57 @@ def test_random_iso_pairs_stay_iso_under_negation():
         assert is_isosceles(L1, x1, y, tol=1e-7)
         assert is_isosceles(L1, tuple(-c for c in x1),
                             tuple(-c for c in y), tol=1e-7)
+
+
+def _partner_rows_full(space, X1, W, iters=70):
+    # the partner bisection without the fixed-point stop: all iters run
+    n = X1.shape[0]
+    lo = np.full(n, 1e-9)
+    hi = np.full(n, math.pi - 1e-9)
+    C = X1
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        C = np.cos(mid)[:, None] * X1 + np.sin(mid)[:, None] * W
+        C = C / space.norm_rows(C)[:, None]
+        g = space.norm_rows(X1 + C) - space.norm_rows(X1 - C)
+        take = g > 0.0
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    return C
+
+
+class _CountingSpace:
+    def __init__(self, space):
+        self.space = space
+        self.calls = 0
+
+    def norm_rows(self, V):
+        self.calls += 1
+        return self.space.norm_rows(V)
+
+
+def _partner_cases():
+    for dim in range(2, 9):
+        for q in (1, 2, 3, math.inf):
+            yield lp_space(q, dim)
+    yield parse_space("wlp:q=3,dim=2,w=1;2")
+    yield HEX
+
+
+@pytest.mark.parametrize("iters", [0, 10, 40, 70, 100])
+def test_iso_partner_fixed_point_stop_is_bit_identical(iters):
+    rng = np.random.default_rng(11)
+    for space in _partner_cases():
+        Z = rng.standard_normal((64, space.dim))
+        X1 = Z / space.norm_rows(Z)[:, None]
+        W = rng.standard_normal((64, space.dim))
+        counting = _CountingSpace(space)
+        got = _iso_partner_rows(counting, X1, W, iters)
+        want = _partner_rows_full(space, X1, W, iters)
+        assert got.tobytes() == want.tobytes(), (str(space), iters)
+        # three norm_rows calls per bisection step: the stop never fires
+        # below the fixed point and always fires before 70
+        if iters <= 40:
+            assert counting.calls == 3 * iters, (str(space), iters)
+        else:
+            assert counting.calls < 3 * 70, (str(space), iters)

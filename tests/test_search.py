@@ -20,12 +20,17 @@ from normconst.search import (
     sup_pairs_nd,
     sup_vertex_pairs,
     t_sweep,
+    _as_witness,
     _golden_max,
+    _grid_axes_2d,
+    _improves,
+    _lex_first,
 )
 from normconst.spaces import Region, lp_space, regular_polygon_space
 
 L1 = lp_space(1, 2)
 L2 = lp_space(2, 2)
+LINF = lp_space(math.inf, 2)
 HEX = regular_polygon_space(6)
 
 
@@ -292,3 +297,64 @@ def test_golden_lookahead_batch_counts():
         assert calls == sizes
     with pytest.raises(ValueError):
         _golden_max(fun, 0.0, 1.0, 12, lookahead=0)
+
+
+# ------------------------------------------------------ grid-scan tie-break
+
+
+def _tie_objectives():
+    # piecewise-linear norms and quantized values tie on many grid rows
+    def min_form(space):
+        return lambda X1, X2: np.minimum(space.norm_rows(X1 + X2),
+                                         space.norm_rows(X1 - X2))
+
+    def quantized(space):
+        return lambda X1, X2: np.round(space.norm_rows(X1 + X2), 2)
+
+    def shortest(space):
+        # maximal on the radius-0 ring, whose rows are all zero
+        return lambda X1, X2: -space.norm_rows(X2)
+
+    for space in (L1, LINF, HEX):
+        for make in (min_form, quantized):
+            yield space, make(space), Region.SPHERE
+        yield space, quantized(space), (Region.SPHERE, Region.BALL)
+        yield space, shortest(space), (Region.SPHERE, Region.BALL)
+
+
+def _scan_old_rule(space, evb, region, resolution, radial):
+    # the grid scan with the per-row tie-break as a python min over tuples;
+    # also checks _lex_first against that rule on every tied row
+    r1, r2 = (region, region) if isinstance(region, Region) else region
+    P1, _ = _grid_axes_2d(space, r1, resolution, radial)
+    P2, _ = _grid_axes_2d(space, r2, resolution, radial)
+    best_v = best_w = None
+    ties = 0
+    for i in range(P1.shape[0]):
+        vals = evb(np.broadcast_to(P1[i], P2.shape), P2)
+        vmax = vals.max()
+        idxs = np.flatnonzero(vals == vmax)
+        j = min(idxs, key=lambda k: tuple(P2[k]))
+        if idxs.size > 1:
+            ties += 1
+            assert _lex_first(P2, idxs) == j
+        w = _as_witness(P1[i], P2[j])
+        if _improves(float(vmax), w, best_v, best_w):
+            best_v, best_w = float(vmax), w
+    return best_v, best_w, ties
+
+
+def test_grid_tie_break_matches_tuple_min():
+    for space, evb, region in _tie_objectives():
+        want_v, want_w, ties = _scan_old_rule(space, evb, region, 96, 5)
+        assert ties > 0
+        est = sup_pairs_2d(space, batch_objective(evb), region, resolution=96,
+                           refine_iters=0, radial=5)
+        assert (est.value, est.witness) == (want_v, want_w)
+
+
+def test_lex_first_keeps_first_of_equal_rows():
+    P = np.array([[0.0, 1.0], [-0.0, 0.0], [0.0, 0.0], [0.0, -0.0], [-1.0, 5.0]])
+    assert _lex_first(P, np.array([0, 1, 2, 3])) == 1
+    assert _lex_first(P, np.array([2, 3, 0])) == 2
+    assert _lex_first(P, np.arange(5)) == 4
