@@ -108,19 +108,11 @@ def _collect_params(args, needed: tuple[str, ...]) -> dict:
     return {k: given[k] for k in needed}
 
 
-def _run_constant(space, constant: str, params: dict, strategy):
-    fn = getattr(cns, constant)
-    result = fn(space, strategy=strategy, **params)
-    if isinstance(result, Estimate):
-        return result
-    return result  # smoothness_quotient returns a bare float
-
-
 def _cmd_compute(args) -> int:
     space = parse_space(args.space)
     params = _collect_params(args, CONSTANT_PARAMS[args.constant])
     strat = resolve_strategy(args.strategy, space, seed=args.seed)
-    result = _run_constant(space, args.constant, params, strat)
+    result = getattr(cns, args.constant)(space, strategy=strat, **params)
     strat_text = strategy_descriptor(strat)
     if isinstance(result, Estimate):
         payload = {"space": descriptor(space), "constant": args.constant,
@@ -188,7 +180,7 @@ def _cmd_sweep(args) -> int:
     for value in grid:
         params = dict(given)
         params[var] = value
-        result = _run_constant(space, args.constant, params, strat)
+        result = getattr(cns, args.constant)(space, strategy=strat, **params)
         if isinstance(result, Estimate):
             rows.append({var: value, "value": result.value,
                          "witness1": _witness_field(result.witness[0]),
@@ -269,34 +261,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt_default="json", fmt_choices=("json", "csv")):
-        p.add_argument("--strategy", default=None,
-                       help="exact | grid2d:res=..,refine=.. | "
-                            "multistart:starts=..,steps=..,seed=..")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--format", choices=fmt_choices, default=fmt_default)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    def scalars(p):
+    def constant_args(p):
+        p.add_argument("--space", required=True)
+        p.add_argument("--constant", required=True, choices=CONSTANT_IDS)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--p", type=float, default=None)
         p.add_argument("--q", type=float, default=None)
         p.add_argument("--t", type=float, default=None)
+        p.add_argument("--strategy", default=None,
+                       help="exact | grid2d:res=..,refine=.. | "
+                            "multistart:starts=..,steps=..,seed=..")
 
     pc = sub.add_parser("compute", help="compute one constant on one space")
-    pc.add_argument("--space", required=True)
-    pc.add_argument("--constant", required=True, choices=CONSTANT_IDS)
-    scalars(pc)
+    constant_args(pc)
     common(pc)
     pc.set_defaults(fn=_cmd_compute)
 
     ps = sub.add_parser("sweep", help="sweep alpha or t over a grid")
-    ps.add_argument("--space", required=True)
-    ps.add_argument("--constant", required=True, choices=CONSTANT_IDS)
+    constant_args(ps)
     ps.add_argument("--alpha-grid", dest="alpha_grid", default=None,
                     metavar="START:STOP:STEP")
     ps.add_argument("--t-grid", dest="t_grid", default=None,
                     metavar="START:STOP:STEP")
-    scalars(ps)
     common(ps)
     ps.set_defaults(fn=_cmd_sweep)
 

@@ -191,13 +191,7 @@ def _region_pair(region) -> tuple[Region, Region]:
 def _batch(f: Objective) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     if f.eval_batch is not None:
         return f.eval_batch
-    fn = f.eval
-
-    def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        return np.array([fn(tuple(map(float, a)), tuple(map(float, b)))
-                         for a, b in zip(X1, X2)], dtype=float)
-
-    return evb
+    return scalar_objective(f.eval).eval_batch
 
 
 def _as_witness(x1: np.ndarray, x2: np.ndarray) -> tuple[Vector, Vector]:

@@ -12,21 +12,17 @@ path.  Slack policy:
   (every "estimate <= closed-form bound" direction) get no statistical
   slack at all, only a 1e-9 rounding guard.
 
-Checks run concurrently; results are sorted by (check_id, space, params),
-so the report is independent of scheduling.  ``BG_THREADS`` caps the worker
-count without affecting any reported value.
+Results are sorted by (check_id, space, params), so the report does not
+depend on the order in which the catalog runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,7 +112,6 @@ class _Context:
         self.profile = profile
         self.seed = seed
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     def grid_strategy(self) -> Strategy:
         p = self.profile
@@ -135,13 +130,10 @@ class _Context:
                  **params) -> Estimate:
         key = (name, descriptor(space), strategy_descriptor(strat),
                tuple(sorted(params.items())))
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        est = getattr(cns, name)(space, strategy=strat, **params)
-        with self._lock:
-            return self._cache.setdefault(key, est)
+        est = self._cache.get(key)
+        if est is None:
+            est = self._cache[key] = getattr(cns, name)(space, strategy=strat, **params)
+        return est
 
     def check_seed(self, check_id: str, space: NormedSpace) -> int:
         tag = f"{self.seed}:{check_id}:{descriptor(space)}"
@@ -615,35 +607,26 @@ def _run_one(ctx: _Context, check_id: str, space: NormedSpace,
                        slack_used=float(slack_used), runtime_ms=elapsed)
 
 
+def _context(profile: str | Profile, seed: int) -> _Context:
+    """Run context for a profile (name or ``Profile``) and a seed >= 0."""
+    if isinstance(profile, str):
+        if profile not in PROFILES:
+            raise ValueError(f"unknown profile {profile!r}; choose from "
+                             f"{sorted(PROFILES)}")
+        profile = PROFILES[profile]
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed out of range: need seed >= 0, got {seed}")
+    return _Context(profile, seed)
+
+
 def run_check(check_id: str, space: NormedSpace, params: dict,
               seed: int = 7, profile: str | Profile = "fast") -> CheckResult:
     """Run a single catalog check; raises on unknown ids or bad params."""
     if check_id not in CHECKS:
         known = ", ".join(sorted(CHECKS))
         raise ValueError(f"unknown check_id {check_id!r}; known checks: {known}")
-    if isinstance(profile, str):
-        if profile not in PROFILES:
-            raise ValueError(f"unknown profile {profile!r}; choose from "
-                             f"{sorted(PROFILES)}")
-        prof = PROFILES[profile]
-    else:
-        prof = profile
-    ctx = _Context(prof, int(seed))
-    return _run_one(ctx, check_id, space, dict(params))
-
-
-def _worker_count() -> int:
-    workers = min(os.cpu_count() or 1, 8)
-    raw = os.environ.get("BG_THREADS")
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"BG_THREADS must be a positive integer, got {raw!r}")
-        if cap < 1:
-            raise ValueError(f"BG_THREADS must be a positive integer, got {raw!r}")
-        workers = min(workers, cap)
-    return workers
+    return _run_one(_context(profile, seed), check_id, space, dict(params))
 
 
 def run_suite(spaces: Sequence[NormedSpace], seed: int = 7,
@@ -652,14 +635,7 @@ def run_suite(spaces: Sequence[NormedSpace], seed: int = 7,
     spaces = list(spaces)
     if not spaces:
         raise ValueError("run_suite needs a nonempty space list")
-    if isinstance(profile, str):
-        if profile not in PROFILES:
-            raise ValueError(f"unknown profile {profile!r}; choose from "
-                             f"{sorted(PROFILES)}")
-        prof = PROFILES[profile]
-    else:
-        prof = profile
-    ctx = _Context(prof, int(seed))
+    ctx = _context(profile, seed)
 
     tasks = []
     for space in spaces:
@@ -667,28 +643,18 @@ def run_suite(spaces: Sequence[NormedSpace], seed: int = 7,
             for params in param_gen(ctx, space):
                 tasks.append((check_id, space, params))
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _run_one(ctx, *t), tasks))
-    else:
-        results = [_run_one(ctx, *t) for t in tasks]
+    results = [_run_one(ctx, *t) for t in tasks]
 
     results.sort(key=lambda r: (r.check_id, r.space,
                                 json.dumps(r.params, sort_keys=True)))
     passed = sum(1 for r in results if r.passed)
     summary = {"passed": passed, "failed": len(results) - passed,
                "total": len(results)}
-    config = {"resolution": prof.resolution, "refine": prof.refine,
-              "radial": prof.radial, "starts": prof.starts,
-              "steps": prof.steps, "t_grid": prof.t_grid,
-              "t_refine": prof.t_refine, "lemma_pairs": prof.lemma_pairs,
-              "psi_samples": prof.psi_samples,
-              "ball_resolution": prof.ball_resolution,
-              "ball_radial": prof.ball_radial,
-              "alpha_grid": list(ALPHA_GRID), "p_grid": list(P_GRID),
-              "q_grid": list(Q_GRID)}
-    return SuiteReport(seed=int(seed), profile=prof.name, config=config,
+    config = asdict(ctx.profile)
+    del config["name"]
+    config.update(alpha_grid=list(ALPHA_GRID), p_grid=list(P_GRID),
+                  q_grid=list(Q_GRID))
+    return SuiteReport(seed=ctx.seed, profile=ctx.profile.name, config=config,
                        checks=tuple(results), summary=summary)
 
 

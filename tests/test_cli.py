@@ -192,6 +192,20 @@ def test_verify_unknown_profile_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_rejects_negative_seed(capsys):
+    code, _, err = run_cli(capsys, "verify", "--space", "lp:q=3,dim=3",
+                           "--seed", "-1")
+    assert code == 2
+    assert "need seed >= 0" in err and "non-negative integer" not in err
+
+
+def test_verify_has_no_strategy_option(capsys):
+    # verify takes each check's strategy from the profile
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--strategy", "exact"])
+    assert exc.value.code == 2
+
+
 # -------------------------------------------------------------------- spaces
 
 def test_spaces_list_text(capsys):

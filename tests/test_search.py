@@ -12,6 +12,7 @@ from normconst.search import (
     ExactStrategy,
     Grid2DStrategy,
     MultiStartStrategy,
+    Objective,
     batch_objective,
     parse_strategy,
     scalar_objective,
@@ -123,10 +124,18 @@ def test_multistart_dim3():
 
 
 def test_scalar_objective_wrapper():
-    obj = scalar_objective(lambda a, b: -abs(a[0] - b[0]))
+    def fn(a, b):
+        return -abs(a[0] - b[0])
+    obj = scalar_objective(fn)
     est = sup_pairs_2d(L2, obj, Region.SPHERE, resolution=16, refine_iters=2)
     assert est.value <= 0.0
     assert est.value == pytest.approx(0.0, abs=1e-6)
+    # an Objective without eval_batch runs through the same row loop
+    bare = Objective(eval=fn)
+    assert sup_pairs_2d(L2, bare, Region.SPHERE, resolution=16,
+                        refine_iters=2) == est
+    assert (sup_pairs_nd(HEX, bare, Region.SPHERE, starts=4, steps=20, seed=3)
+            == sup_pairs_nd(HEX, obj, Region.SPHERE, starts=4, steps=20, seed=3))
 
 
 def test_nan_objective_values_are_skipped():

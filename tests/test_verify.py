@@ -1,4 +1,4 @@
-"""Check catalog plumbing: single checks, reports, serialization, workers."""
+"""Check catalog plumbing: single checks, reports, serialization."""
 
 import json
 
@@ -9,7 +9,6 @@ from normconst.verify import (
     CheckResult,
     PROFILES,
     Profile,
-    _worker_count,
     default_suite_spaces,
     report_json,
     run_check,
@@ -66,6 +65,19 @@ def test_run_suite_validation():
         run_suite([L1], profile="warp")
 
 
+def test_negative_seed_rejected_before_any_check(monkeypatch):
+    import normconst.verify as verify_mod
+
+    def no_check(*args):
+        raise AssertionError("a check ran")
+    monkeypatch.setattr(verify_mod, "_run_one", no_check)
+    with pytest.raises(ValueError, match="need seed >= 0"):
+        run_check("sphere_ball_equal", lp_space(3, 3), {"p": 2.0, "t": 0.5},
+                  seed=-1, profile=MINI)
+    with pytest.raises(ValueError, match="need seed >= 0"):
+        run_suite([lp_space(3, 3)], seed=-1, profile="fast")
+
+
 def test_single_space_mini_suite_passes():
     rep = run_suite([L2], seed=5, profile=MINI)
     assert rep.summary["failed"] == 0
@@ -92,30 +104,6 @@ def test_report_roundtrip_and_timing():
 
 def test_report_json_deterministic_mini():
     a = report_json(run_suite([L1], seed=9, profile=MINI))
-    b = report_json(run_suite([L1], seed=9, profile=MINI))
-    assert a == b
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("BG_THREADS", raising=False)
-    base = _worker_count()
-    assert base >= 1
-    monkeypatch.setenv("BG_THREADS", "1")
-    assert _worker_count() == 1
-    monkeypatch.setenv("BG_THREADS", "64")
-    assert _worker_count() == base  # cap never raises the count
-    monkeypatch.setenv("BG_THREADS", "abc")
-    with pytest.raises(ValueError, match="BG_THREADS"):
-        _worker_count()
-    monkeypatch.setenv("BG_THREADS", "0")
-    with pytest.raises(ValueError, match="BG_THREADS"):
-        _worker_count()
-
-
-def test_bg_threads_does_not_change_bytes(monkeypatch):
-    monkeypatch.setenv("BG_THREADS", "1")
-    a = report_json(run_suite([L1], seed=9, profile=MINI))
-    monkeypatch.setenv("BG_THREADS", "8")
     b = report_json(run_suite([L1], seed=9, profile=MINI))
     assert a == b
 
