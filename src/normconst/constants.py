@@ -22,8 +22,9 @@ import numpy as np
 from .orthogonality import SUM_NORM_FLOOR, _iso_partner_rows
 from .search import (DEFAULT_SEED, _GOLDEN_ITERS, Estimate, ExactStrategy,
                      Grid2DStrategy, MultiStartStrategy, Objective, Strategy,
-                     _golden_max, _improves, batch_objective, parse_strategy,
-                     sup_pairs_2d, sup_pairs_nd, sup_vertex_pairs, t_sweep)
+                     _WitnessRows, _golden_max, _improves, batch_objective,
+                     parse_strategy, sup_pairs_2d, sup_pairs_nd, sup_vertex_pairs,
+                     t_sweep)
 from .spaces import (TWO_PI, NormedSpace, Region, SpaceError,
                      supports_extreme_points)
 
@@ -371,8 +372,9 @@ def _unit_iso_eval_rows(space: NormedSpace, Zraw: np.ndarray):
 
 
 # Lookahead of the golden refinement in _unit_iso_extremum's grid branch.  At
-# 5 a 12-iteration pass takes three partner bisections, of 32, 31 and 7 rows,
-# instead of 14 single-row ones; 3, 4 and 6 measured slower.
+# 5 a 12-iteration pass takes three partner bisections, of at most 32, 31 and
+# 7 rows (points two branches share are sent once), instead of 14 single-row
+# ones; 3, 4 and 6 measured slower.
 _ISO_LOOKAHEAD = 5
 
 
@@ -418,9 +420,7 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
             wrows = np.array([[-math.sin(t), math.cos(t)] for t in thetas])
             wrows = wrows / space.norm_rows(wrows)[:, None]
             c = _iso_partner_rows(space, x1, wrows)
-            vals = sign * space.norm_rows(x1 + c)
-            return vals, [(tuple(float(x) for x in a), tuple(float(x) for x in b))
-                          for a, b in zip(x1, c)]
+            return sign * space.norm_rows(x1 + c), _WitnessRows(x1, c)
 
         cell = TWO_PI / res
         for rnd in range(refine):

@@ -43,6 +43,14 @@ DEFAULT_SEED = 7
 # Golden-section iterations per refinement pass.
 _GOLDEN_ITERS = 12
 
+# Objective rows per call of sup_pairs_2d's grid scan.  Larger blocks are no
+# faster and raise peak memory (compute-2d workload: peak RSS 37 MB at 4096
+# rows, 74 MB at 262144).
+_SCAN_BLOCK = 4096
+
+# Lookahead of sup_pairs_2d's golden refinement (see _golden_max).
+_GRID_LOOKAHEAD = 4
+
 
 @dataclass(frozen=True)
 class Objective:
@@ -206,13 +214,27 @@ def _improves(value: float, witness, best_value, best_witness) -> bool:
     return witness < best_witness
 
 
+class _WitnessRows(Sequence):
+    """Witness pairs of matching rows of two arrays, each built when indexed."""
+
+    def __init__(self, X1: np.ndarray, X2: np.ndarray):
+        self.X1, self.X2 = X1, X2
+
+    def __len__(self) -> int:
+        return len(self.X1)
+
+    def __getitem__(self, i):
+        return _as_witness(self.X1[i], self.X2[i])
+
+
 def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[object]]],
                 lo: float, hi: float, iters: int, lookahead: int = 1):
     """Golden-section ascent on [lo, hi]; returns the best evaluated sample.
 
     ``fun`` maps a list of coordinates to (values, payloads); NaN values are
     treated as minus infinity.  Only evaluated feasible samples are ever
-    returned, which preserves the engines' lower-bound semantics.
+    returned, which preserves the engines' lower-bound semantics.  Only the
+    returned sample's payload is read, so ``payloads`` may be a lazy sequence.
 
     Each call of ``fun`` carries every point the search could probe while at
     most ``lookahead - 1`` of its comparisons are undecided: the 2^lookahead - 1
@@ -221,24 +243,33 @@ def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[obj
     ``lookahead - 1`` iterations after them.  The probes on the path the
     comparisons take are then accepted in the sequential order, so the
     result does not depend on ``lookahead``; at 1 every call holds exactly
-    the points a one-probe-at-a-time loop evaluates.
+    the points a one-probe-at-a-time loop evaluates.  No point is sent to
+    ``fun`` twice in one run: a candidate that an earlier call already
+    evaluated (golden brackets can reach one float by two routes) reuses
+    that value and payload.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be at least 1")
-    best_v, best_x, best_p = None, None, None
+    best_v, best_x, best_at = None, None, None
+    # x -> (values, payloads, index) of every point fun has evaluated.  Keys
+    # compare by value: a golden point is a sum or difference of bracket
+    # points, so it is -0.0 only when every point of the run is.
+    seen = {}
 
-    def probe(x: float, v: float, payload):
-        nonlocal best_v, best_x, best_p
-        v = float(v)
+    def probe(x: float):
+        nonlocal best_v, best_x, best_at
+        values, payloads, i = seen[x]
+        v = float(values[i])
         if not math.isfinite(v):
             return -math.inf
         if best_v is None or v > best_v or (v == best_v and x < best_x):
-            best_v, best_x, best_p = v, x, payload
+            best_v, best_x, best_at = v, x, (payloads, i)
         return v
 
-    def branches(a, b, c, d, fc, fd, it, undecided, xs):
-        # Candidate probes of iterations it, it+1, ...: {fc >= fd: (index in
-        # xs, next bracket, branches after it)}; fc / fd are None until known.
+    def branches(a, b, c, d, fc, fd, it, undecided, new):
+        # Candidate probes of iterations it, it+1, ...: {fc >= fd: (point,
+        # next bracket, branches after it)}; fc / fd are None until known.
+        # Points not yet evaluated are collected in the ordered dict ``new``.
         if it == iters:
             return {}
         if fc is None or fd is None:
@@ -255,9 +286,12 @@ def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[obj
             else:
                 x = c + _INV_PHI * (b - c)
                 nxt, known = (c, b, d, x), (fd, None)
-            xs.append(x)
-            tree[left] = (len(xs) - 1, nxt,
-                          branches(*nxt, *known, it + 1, undecided, xs))
+            if x not in seen:
+                new[x] = None
+            # a child's comparison is undecided: it returns {} at these limits
+            deeper = it + 1 < iters and undecided < lookahead - 1
+            tree[left] = (x, nxt,
+                          branches(*nxt, *known, it + 1, undecided, new) if deeper else {})
         return tree
 
     a, b = lo, hi
@@ -266,18 +300,25 @@ def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[obj
     fc = fd = None
     it = 0
     while fc is None or it < iters:
-        xs = [c, d] if fc is None else []
-        tree = branches(a, b, c, d, fc, fd, it, 0, xs)
-        values, payloads = fun(xs)
+        new = dict.fromkeys([c, d]) if fc is None else {}
+        tree = branches(a, b, c, d, fc, fd, it, 0, new)
+        if new:
+            xs = list(new)
+            values, payloads = fun(xs)
+            for i, x in enumerate(xs):
+                seen[x] = (values, payloads, i)
         if fc is None:
-            fc, fd = probe(c, values[0], payloads[0]), probe(d, values[1], payloads[1])
+            fc, fd = probe(c), probe(d)
         while tree:
             left = fc >= fd
-            i, (a, b, c, d), tree = tree[left]
-            v = probe(xs[i], values[i], payloads[i])
+            x, (a, b, c, d), tree = tree[left]
+            v = probe(x)
             fc, fd = (v, fc) if left else (fd, v)
             it += 1
-    return best_v, best_x, best_p
+    if best_at is None:
+        return None, None, None
+    payloads, i = best_at
+    return best_v, best_x, payloads[i]
 
 
 # ---------------------------------------------------------------------------
@@ -297,20 +338,55 @@ def _grid_axes_2d(space: NormedSpace, region: Region, resolution: int, radial: i
     return P, params
 
 
-def _lex_first(P: np.ndarray, idxs: np.ndarray):
-    """The index in ``idxs`` of the lexicographically smallest row of the 2-column
-    ``P``; among equal rows the first one, since ``lexsort`` is stable."""
-    return idxs[np.lexsort((P[idxs, 1], P[idxs, 0]))[0]]
+def _lex_first(K: np.ndarray) -> int:
+    """The index of the lexicographically smallest row of the key array ``K``;
+    among equal rows the first one, since ``lexsort`` is stable."""
+    return int(np.lexsort(K.T[::-1])[0])
 
 
-def _point_2d(space: NormedSpace, region: Region, params: Sequence[float]) -> np.ndarray:
-    theta = params[0]
-    row = np.array([[math.cos(theta), math.sin(theta)]])
-    row = row / space.norm_rows(row)[:, None]
+def _points_2d(space: NormedSpace, region: Region, params: np.ndarray) -> np.ndarray:
+    """Points for rows of parameters: (angle,) on the sphere, (angle, radius)
+    in the ball, the radius clamped to [0, 1].  Every row is computed as on
+    its own (``math.cos`` / ``math.sin``, a row-wise norm), so the bits do
+    not depend on the other rows."""
+    rows = np.array([[math.cos(t), math.sin(t)] for t in params[:, 0]])
+    rows = rows / space.norm_rows(rows)[:, None]
     if region is Region.BALL:
-        r = min(max(params[1], 0.0), 1.0)
-        row = row * r
-    return row[0]
+        rows = rows * np.array([min(max(r, 0.0), 1.0) for r in params[:, 1]])[:, None]
+    return rows
+
+
+def _scan_2d(fb, P1: np.ndarray, P2: np.ndarray):
+    """Grid maximum over all pairs (P1[i], P2[j]): (value, witness, i, j), or
+    None if no value is finite.
+
+    Blocks of whole P1 rows are evaluated against all of P2, at most
+    ``_SCAN_BLOCK`` objective rows per call.  The result is the one a
+    row-by-row loop gives: the largest finite value, the lexicographically
+    smallest witness among its pairs, the first (i, j) among equal witnesses,
+    and the value as the winning row's own maximum (its sign, when it is
+    zero, depends on the reduction).
+    """
+    n2 = P2.shape[0]
+    step = max(1, _SCAN_BLOCK // n2)
+    best = None
+    for i0 in range(0, P1.shape[0], step):
+        X1 = np.repeat(P1[i0:i0 + step], n2, axis=0)
+        X2 = np.tile(P2, (X1.shape[0] // n2, 1))
+        vals = np.concatenate([fb(X1[k:k + _SCAN_BLOCK], X2[k:k + _SCAN_BLOCK])
+                               for k in range(0, X1.shape[0], _SCAN_BLOCK)])
+        vals = vals.reshape(-1, n2)
+        finite = np.isfinite(vals)
+        if not finite.any():
+            continue
+        ii, jj = np.nonzero(finite & (vals == vals[finite].max()))
+        k = 0 if ii.size == 1 else _lex_first(np.hstack([P1[i0 + ii], P2[jj]]))
+        i, j = i0 + ii[k], jj[k]
+        v = float(vals[ii[k]][finite[ii[k]]].max())
+        w = _as_witness(P1[i], P2[j])
+        if best is None or _improves(v, w, best[0], best[1]):
+            best = (v, w, i, j)
+    return best
 
 
 def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEFAULT_RESOLUTION,
@@ -333,57 +409,46 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
     P1, par1 = _grid_axes_2d(space, reg1, resolution, radial)
     P2, par2 = _grid_axes_2d(space, reg2, resolution, radial)
 
-    evaluations = 0
-    best_v = None
-    best_w = None
-    best_par = None
-    for i in range(P1.shape[0]):
-        X1 = np.broadcast_to(P1[i], P2.shape)
-        vals = fb(X1, P2)
-        evaluations += P2.shape[0]
-        finite = np.isfinite(vals)
-        if not finite.any():
-            continue
-        vmax = vals[finite].max()
-        idxs = np.flatnonzero(finite & (vals == vmax))
-        j = idxs[0] if idxs.size == 1 else _lex_first(P2, idxs)
-        w = _as_witness(P1[i], P2[j])
-        if _improves(float(vmax), w, best_v, best_w):
-            best_v, best_w = float(vmax), w
-            best_par = np.concatenate([par1[i], par2[j]])
-
-    if best_v is None:
+    scan = _scan_2d(fb, P1, P2)
+    if scan is None:
         raise ValueError("objective returned no finite value on the grid")
+    best_v, best_w, i, j = scan
+    evaluations = P1.shape[0] * P2.shape[0]
 
+    regs = (reg1, reg2)
     k1 = par1.shape[1]
     widths = []
-    for reg in (reg1, reg2):
+    for reg in regs:
         widths.append(TWO_PI / resolution)
         if reg is Region.BALL:
             widths.append(1.0 / (radial - 1))
 
-    params = best_par.astype(float).copy()
+    params = np.concatenate([par1[i], par2[j]]).astype(float)
 
-    def eval_params(p: np.ndarray):
-        x1 = _point_2d(space, reg1, p[:k1])
-        x2 = _point_2d(space, reg2, p[k1:])
-        v = float(fb(x1[None, :], x2[None, :])[0])
-        return v, _as_witness(x1, x2)
+    def probe_rows(ci: int):
+        # fun for _golden_max over coordinate ci: one array of candidate rows
+        # for the moving variable, the other variable's point repeated
+        moving = 0 if ci < k1 else 1
+        own = slice(0, k1) if moving == 0 else slice(k1, None)
+        other = slice(k1, None) if moving == 0 else slice(0, k1)
+        fixed = _points_2d(space, regs[1 - moving], params[None, other])
+
+        def fun(xs: list[float]):
+            trial = np.repeat(params[None, own], len(xs), axis=0)
+            trial[:, ci - own.start] = xs
+            R = _points_2d(space, regs[moving], trial)
+            F = np.repeat(fixed, len(xs), axis=0)
+            X1, X2 = (R, F) if moving == 0 else (F, R)
+            return fb(X1, X2), _WitnessRows(X1, X2)
+
+        return fun
 
     for rnd in range(refine_iters):
         shrink = 0.6 ** rnd
         for ci in range(len(params)):
             h = widths[ci] * shrink
-
-            def fun(xs: list[float], ci=ci):
-                out = []
-                for x in xs:
-                    trial = params.copy()
-                    trial[ci] = x
-                    out.append(eval_params(trial))
-                return [v for v, _ in out], [w for _, w in out]
-
-            v, x, payload = _golden_max(fun, params[ci] - h, params[ci] + h, _GOLDEN_ITERS)
+            v, x, payload = _golden_max(probe_rows(ci), params[ci] - h, params[ci] + h,
+                                        _GOLDEN_ITERS, lookahead=_GRID_LOOKAHEAD)
             evaluations += _GOLDEN_ITERS + 2
             if v is not None and _improves(v, payload, best_v, best_w):
                 best_v, best_w = v, payload

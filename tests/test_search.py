@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from normconst.search import (
+    _GOLDEN_ITERS,
     _INV_PHI,
+    _SCAN_BLOCK,
     Estimate,
     ExactStrategy,
     Grid2DStrategy,
@@ -27,7 +29,7 @@ from normconst.search import (
     _improves,
     _lex_first,
 )
-from normconst.spaces import Region, lp_space, regular_polygon_space
+from normconst.spaces import Region, lp_space, parse_space, regular_polygon_space
 
 L1 = lp_space(1, 2)
 L2 = lp_space(2, 2)
@@ -263,8 +265,15 @@ def _probe_functions(draw):
     return f, lo, hi
 
 
+def _bump(x):
+    return -abs(x - 0.9)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_probe_functions(), st.integers(1, 6), st.integers(0, 14))
+# the third iteration's probe equals an off-path candidate of the first batch
+@example((_bump, 0.5625, 1.1875), 3, 3)
+@example((_bump, 0.5625, 1.1875), 3, 12)
 def test_golden_lookahead_matches_sequential(case, lookahead, iters):
     f, lo, hi = case
     want, path = _golden_reference(lambda x: (f(x), ("at", x)), lo, hi, iters)
@@ -275,32 +284,62 @@ def test_golden_lookahead_matches_sequential(case, lookahead, iters):
         return [f(x) for x in xs], [("at", x) for x in xs]
 
     assert _golden_max(fun, lo, hi, iters, lookahead=lookahead) == want
+    sent = [x for xs in batches for x in xs]
+    assert len(sent) == len(set(sent))  # no point is evaluated twice
     # the first batch holds the interior pair and the next lookahead - 1
-    # sequential probes, each later batch the next lookahead probes, in order
+    # sequential probes, each later batch the next lookahead probes, less
+    # those an earlier batch already evaluated; a stretch that needs no new
+    # point makes no call.  (A point that two branches of one batch reach is
+    # sent once, at the first branch's place, so the order within a batch
+    # need not follow the path.)
     assert len(path) == iters + 2
     cuts = list(range(lookahead + 1, len(path), lookahead)) + [len(path)]
-    assert len(batches) == len(cuts)
+    calls = iter(enumerate(batches))
+    done = set()
     start = 0
-    for i, (xs, end) in enumerate(zip(batches, cuts)):
-        assert len(xs) <= (2 ** lookahead if i == 0 else 2 ** lookahead - 1)
-        pos = 0
-        for x in path[start:end]:
-            pos += xs[pos:].index(x) + 1
+    for end in cuts:
+        stretch = set(path[start:end]) - done
         start = end
+        if not stretch:
+            continue
+        i, xs = next(calls)
+        assert len(xs) <= (2 ** lookahead if i == 0 else 2 ** lookahead - 1)
+        assert stretch <= set(xs)
+        done.update(xs)
+    assert next(calls, None) is None
     if lookahead == 1:
-        assert [x for xs in batches for x in xs] == path
+        assert sent == list(dict.fromkeys(path))
+
+
+def test_golden_reuses_a_point_reached_twice():
+    # at lookahead 3 the third iteration's probe (the one-probe loop's fifth
+    # point) is an off-path candidate of the first call, so no second call
+    # is made
+    want, path = _golden_reference(lambda x: (_bump(x), x), 0.5625, 1.1875, 3)
+    calls = []
+
+    def fun(xs):
+        calls.append(list(xs))
+        return [_bump(x) for x in xs], list(xs)
+
+    assert _golden_max(fun, 0.5625, 1.1875, 3, lookahead=3) == want
+    assert [len(xs) for xs in calls] == [8]
+    assert path[-1] in calls[0] and path[-1] not in path[:-1]
 
 
 def test_golden_lookahead_batch_counts():
     # 12 iterations: the first call holds the interior pair and the first
-    # lookahead - 1 iterations, each later call the next lookahead iterations
+    # lookahead - 1 iterations, each later call the next lookahead iterations.
+    # Golden brackets reach some floats by two routes; each is sent once, so
+    # the candidate trees of 16, 15, 15, 1 (lookahead 4) and 32, 31, 7
+    # (lookahead 5) points need fewer rows.
     calls = []
 
     def fun(xs):
         calls.append(len(xs))
         return [-abs(x - 0.3) for x in xs], list(xs)
 
-    for lookahead, sizes in ((1, [2] + [1] * 12), (4, [16, 15, 15, 1]), (5, [32, 31, 7])):
+    for lookahead, sizes in ((1, [2] + [1] * 12), (4, [15, 12, 13, 1]), (5, [26, 25, 7])):
         calls.clear()
         _golden_max(fun, 0.0, 1.0, 12, lookahead=lookahead)
         assert calls == sizes
@@ -346,7 +385,7 @@ def _scan_old_rule(space, evb, region, resolution, radial):
         j = min(idxs, key=lambda k: tuple(P2[k]))
         if idxs.size > 1:
             ties += 1
-            assert _lex_first(P2, idxs) == j
+            assert idxs[_lex_first(P2[idxs])] == j
         w = _as_witness(P1[i], P2[j])
         if _improves(float(vmax), w, best_v, best_w):
             best_v, best_w = float(vmax), w
@@ -364,6 +403,119 @@ def test_grid_tie_break_matches_tuple_min():
 
 def test_lex_first_keeps_first_of_equal_rows():
     P = np.array([[0.0, 1.0], [-0.0, 0.0], [0.0, 0.0], [0.0, -0.0], [-1.0, 5.0]])
-    assert _lex_first(P, np.array([0, 1, 2, 3])) == 1
-    assert _lex_first(P, np.array([2, 3, 0])) == 2
-    assert _lex_first(P, np.arange(5)) == 4
+    assert _lex_first(P[[0, 1, 2, 3]]) == 1
+    assert _lex_first(P[[2, 3, 0]]) == 0
+    assert _lex_first(P) == 4
+    # four key columns: the first pair decides, then the second
+    K = np.hstack([P[[1, 2, 3, 0]], P[[0, 3, 1, 2]]])
+    assert _lex_first(K) == 1
+
+
+# ------------------------------------------ block scan and batched refinement
+
+
+def _point_2d(space, region, params):
+    theta = params[0]
+    row = np.array([[math.cos(theta), math.sin(theta)]])
+    row = row / space.norm_rows(row)[:, None]
+    if region is Region.BALL:
+        row = row * min(max(params[1], 0.0), 1.0)
+    return row[0]
+
+
+def _sup_pairs_2d_reference(space, evb, region, resolution, refine_iters, radial):
+    """The grid engine one P1 row and one golden probe at a time."""
+    r1, r2 = (region, region) if isinstance(region, Region) else region
+    P1, par1 = _grid_axes_2d(space, r1, resolution, radial)
+    P2, par2 = _grid_axes_2d(space, r2, resolution, radial)
+    best_v = best_w = best_par = None
+    for i in range(P1.shape[0]):
+        vals = evb(np.broadcast_to(P1[i], P2.shape), P2)
+        finite = np.isfinite(vals)
+        if not finite.any():
+            continue
+        vmax = vals[finite].max()
+        idxs = np.flatnonzero(finite & (vals == vmax))
+        j = min(idxs, key=lambda k: tuple(P2[k]))
+        w = _as_witness(P1[i], P2[j])
+        if _improves(float(vmax), w, best_v, best_w):
+            best_v, best_w = float(vmax), w
+            best_par = np.concatenate([par1[i], par2[j]])
+    evaluations = P1.shape[0] * P2.shape[0]
+    k1 = par1.shape[1]
+    widths = []
+    for reg in (r1, r2):
+        widths.append(2.0 * math.pi / resolution)
+        if reg is Region.BALL:
+            widths.append(1.0 / (radial - 1))
+    params = best_par.astype(float).copy()
+
+    def at(ci, x):
+        trial = params.copy()
+        trial[ci] = x
+        x1 = _point_2d(space, r1, trial[:k1])
+        x2 = _point_2d(space, r2, trial[k1:])
+        return float(evb(x1[None, :], x2[None, :])[0]), _as_witness(x1, x2)
+
+    for rnd in range(refine_iters):
+        for ci in range(len(params)):
+            h = widths[ci] * 0.6 ** rnd
+            (v, x, payload), _ = _golden_reference(lambda x: at(ci, x), params[ci] - h,
+                                                   params[ci] + h, _GOLDEN_ITERS)
+            evaluations += _GOLDEN_ITERS + 2
+            if v is not None and _improves(v, payload, best_v, best_w):
+                best_v, best_w = v, payload
+                params[ci] = x
+    return Estimate(value=best_v, witness=best_w, strategy="Grid2D", exact=False,
+                    evaluations=evaluations)
+
+
+_ENGINE_SPACES = (L1, LINF, L2, lp_space(3, 2), parse_space("wlp:q=3,dim=2,w=1;2"), HEX)
+
+
+def _engine_objective(kind, space):
+    if kind == "min_form":
+        return lambda X1, X2: np.minimum(space.norm_rows(X1 + X2),
+                                         space.norm_rows(X1 - X2))
+    if kind == "quantized":
+        return lambda X1, X2: np.round(space.norm_rows(X1 + 0.5 * X2), 1)
+    if kind == "nan_gapped":
+        def evb(X1, X2):
+            out = space.norm_rows(X1 - 2.0 * X2)
+            return np.where(X1[:, 1] * X2[:, 0] > 0.1, np.nan, out)
+        return evb
+    # maximal where x2 = 0, the radius-0 ring of a ball grid, at +0.0 or
+    # -0.0 with the sign of x2's first coordinate
+    return lambda X1, X2: 0.0 * X2[:, 0] - space.norm_rows(X2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_ENGINE_SPACES),
+       st.sampled_from([Region.SPHERE, (Region.SPHERE, Region.BALL), Region.BALL]),
+       st.sampled_from(["min_form", "quantized", "nan_gapped", "radius_0"]),
+       st.integers(8, 64), st.integers(0, 3), st.integers(2, 5))
+def test_block_scan_and_batched_refine_are_bit_identical(space, region, kind, res,
+                                                         refine, radial):
+    evb = _engine_objective(kind, space)
+    want = _sup_pairs_2d_reference(space, evb, region, res, refine, radial)
+    got = sup_pairs_2d(space, batch_objective(evb), region, resolution=res,
+                       refine_iters=refine, radial=radial)
+    # repr keeps the sign of zero, which == does not
+    assert repr(got) == repr(want)
+
+
+def test_scan_calls_stay_within_the_block():
+    # sphere x ball at the default resolution: 1024 x 9216 pairs, in calls of
+    # at most _SCAN_BLOCK rows that cover every pair once
+    sizes = []
+    nu = batch_objective(lambda X1, X2: (L1.norm_rows(X1 + X2) ** 2 + L1.norm_rows(X1 - X2) ** 2)
+                         / (L1.norm_rows(X1) ** 2 + L1.norm_rows(X2) ** 2))
+
+    def counted(X1, X2):
+        sizes.append(X1.shape[0])
+        return nu.eval_batch(X1, X2)
+
+    sup_pairs_2d(L1, batch_objective(counted), (Region.SPHERE, Region.BALL),
+                 resolution=1024, refine_iters=0, radial=9)
+    assert max(sizes) <= _SCAN_BLOCK
+    assert sum(sizes) == 1024 * 1024 * 9
