@@ -244,9 +244,9 @@ def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[obj
     comparisons take are then accepted in the sequential order, so the
     result does not depend on ``lookahead``; at 1 every call holds exactly
     the points a one-probe-at-a-time loop evaluates.  No point is sent to
-    ``fun`` twice in one run: a candidate that an earlier call already
-    evaluated (golden brackets can reach one float by two routes) reuses
-    that value and payload.
+    ``fun`` twice in one run: golden brackets can reach one float by two
+    routes, and a candidate that two branches share, or that an earlier
+    call evaluated, is sent once and its value and payload reused.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be at least 1")
