@@ -16,15 +16,16 @@ underlying identity, not a shared code path.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .orthogonality import SUM_NORM_FLOOR, _iso_partner_rows
-from .search import (DEFAULT_SEED, _GOLDEN_ITERS, Estimate, ExactStrategy,
-                     Grid2DStrategy, MultiStartStrategy, Objective, Strategy,
-                     _WitnessRows, _golden_max, _improves, batch_objective,
-                     parse_strategy, sup_pairs_2d, sup_pairs_nd, sup_vertex_pairs,
-                     t_sweep)
+from .search import (DEFAULT_SEED, Estimate, ExactStrategy, Grid2DStrategy,
+                     MultiStartStrategy, Objective, Strategy, _ascend, _best_row,
+                     _grid_axes_2d, _points_2d, _refine, _start_draws, _WitnessRows,
+                     batch_objective, parse_strategy, sup_pairs_2d, sup_pairs_nd,
+                     sup_vertex_pairs, t_sweep)
 from .spaces import (TWO_PI, NormedSpace, Region, SpaceError,
                      supports_extreme_points)
 
@@ -90,16 +91,21 @@ def _run_sup(space: NormedSpace, obj: Objective, region, strat: Strategy) -> Est
 # objective builders
 
 
+def _two_sided(space: NormedSpace, t: float, combine, convex_flag: bool,
+               name: str) -> Objective:
+    """The objective combine(||x1 + t x2||, ||x1 - t x2||)."""
+
+    def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
+        return combine(space.norm_rows(X1 + t * X2), space.norm_rows(X1 - t * X2))
+
+    return batch_objective(evb, convex_flag=convex_flag, name=name)
+
+
 def gamma_objective(space: NormedSpace, p: float, t: float) -> Objective:
     """(||x1 + t x2||^p + ||x1 - t x2||^p) / 2^(p-1), jointly convex."""
     scale = 2.0 ** (p - 1.0)
-
-    def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        na = space.norm_rows(X1 + t * X2)
-        nb = space.norm_rows(X1 - t * X2)
-        return (na ** p + nb ** p) / scale
-
-    return batch_objective(evb, convex_flag=True, name=f"gamma_p(p={p},t={t})")
+    return _two_sided(space, t, lambda a, b: (a ** p + b ** p) / scale, True,
+                      f"gamma_p(p={p},t={t})")
 
 
 def _scaled(obj: Objective, factor: float, name: str) -> Objective:
@@ -111,6 +117,29 @@ def _scaled(obj: Objective, factor: float, name: str) -> Objective:
     return batch_objective(scaled, convex_flag=obj.convex_flag, name=name)
 
 
+def _half_sum_ratio(space: NormedSpace, a: float, b: float, p: float, scale: float,
+                    name: str) -> Objective:
+    """(||a x1 + b x2||^p + ||b x1 + a x2||^p) / (scale ||x1 + x2||^p) on the
+    isosceles pair (x1, x2) = (u1 + u2, u1 - u2) of the arguments (u1, u2).
+
+    Every norm is evaluated directly; rows whose ||x1 + x2|| is at most
+    ``SUM_NORM_FLOOR`` are NaN.
+    """
+
+    def evb(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
+        X1 = U1 + U2
+        X2 = U1 - U2
+        s = space.norm_rows(X1 + X2)
+        na = space.norm_rows(a * X1 + b * X2)
+        nb = space.norm_rows(b * X1 + a * X2)
+        out = np.full(s.shape, np.nan)
+        ok = s > SUM_NORM_FLOOR
+        out[ok] = (na[ok] ** p + nb[ok] ** p) / (scale * s[ok] ** p)
+        return out
+
+    return batch_objective(evb, convex_flag=True, name=name)
+
+
 def cinj_iso_objective(space: NormedSpace, alpha: float, p: float) -> Objective:
     """The NJ-type ratio on the isosceles pair spanned by two unit vectors.
 
@@ -119,55 +148,29 @@ def cinj_iso_objective(space: NormedSpace, alpha: float, p: float) -> Objective:
     denominator ||sum|| is the constant 2, so the restriction coincides with
     a jointly convex function and vertex enumeration attains its supremum.
     """
-    beta = 1.0 - alpha
-
-    def evb(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
-        X1 = U1 + U2
-        X2 = U1 - U2
-        s = space.norm_rows(X1 + X2)
-        na = space.norm_rows(alpha * X1 + beta * X2)
-        nb = space.norm_rows(beta * X1 + alpha * X2)
-        out = np.full(s.shape, np.nan)
-        ok = s > SUM_NORM_FLOOR
-        out[ok] = (na[ok] ** p + nb[ok] ** p) / s[ok] ** p
-        return out
-
-    return batch_objective(evb, convex_flag=True, name=f"cinj_iso(alpha={alpha},p={p})")
+    return _half_sum_ratio(space, alpha, 1.0 - alpha, p, 1.0,
+                           f"cinj_iso(alpha={alpha},p={p})")
 
 
 def _min_form_objective(space: NormedSpace) -> Objective:
-    def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        return np.minimum(space.norm_rows(X1 + X2), space.norm_rows(X1 - X2))
-
-    return batch_objective(evb, convex_flag=False, name="james_min_form")
+    return _two_sided(space, 1.0, np.minimum, False, "james_min_form")
 
 
 def _rho_objective(space: NormedSpace, t: float) -> Objective:
-    def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        return (space.norm_rows(X1 + t * X2) + space.norm_rows(X1 - t * X2)) / 2.0 - 1.0
-
-    return batch_objective(evb, convex_flag=True, name=f"rho(t={t})")
+    return _two_sided(space, t, lambda a, b: (a + b) / 2.0 - 1.0, True, f"rho(t={t})")
 
 
 def _cnj_modified_objective(space: NormedSpace, p: float) -> Objective:
     scale = 2.0 ** p
-
-    def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        return (space.norm_rows(X1 + X2) ** p + space.norm_rows(X1 - X2) ** p) / scale
-
-    return batch_objective(evb, convex_flag=True, name=f"cnj_modified_p(p={p})")
+    return _two_sided(space, 1.0, lambda a, b: (a ** p + b ** p) / scale, True,
+                      f"cnj_modified_p(p={p})")
 
 
 def _jxp_objective(space: NormedSpace, p: float, t: float) -> Objective:
     inv_p = 1.0 / p
-
-    def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        na = space.norm_rows(X1 + t * X2)
-        nb = space.norm_rows(X1 - t * X2)
-        # increasing transform of a convex objective; vertex enumeration stays exact
-        return ((na ** p + nb ** p) / 2.0) ** inv_p
-
-    return batch_objective(evb, convex_flag=True, name=f"jxp(p={p},t={t})")
+    # increasing transform of a convex objective; vertex enumeration stays exact
+    return _two_sided(space, t, lambda a, b: ((a ** p + b ** p) / 2.0) ** inv_p, True,
+                      f"jxp(p={p},t={t})")
 
 
 def _nu_objective(space: NormedSpace, p: float) -> Objective:
@@ -183,18 +186,7 @@ def _nu_objective(space: NormedSpace, p: float) -> Objective:
 
 
 def _omega_objective(space: NormedSpace) -> Objective:
-    def evb(U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
-        X1 = U1 + U2
-        X2 = U1 - U2
-        s = space.norm_rows(X1 + X2)
-        a = space.norm_rows(X1 + 2.0 * X2)
-        b = space.norm_rows(2.0 * X1 + X2)
-        out = np.full(s.shape, np.nan)
-        ok = s > SUM_NORM_FLOOR
-        out[ok] = (a[ok] ** 2 + b[ok] ** 2) / (5.0 * s[ok] ** 2)
-        return out
-
-    return batch_objective(evb, convex_flag=True, name="omega_prime")
+    return _half_sum_ratio(space, 1.0, 2.0, 2.0, 5.0, "omega_prime")
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +213,7 @@ def cinj_iso(space: NormedSpace, alpha: float, p: float, strategy=None) -> Estim
     est = _run_sup(space, cinj_iso_objective(space, alpha, p), Region.SPHERE, strat)
     u1, u2 = est.witness
     pair = (tuple(a + b for a, b in zip(u1, u2)), tuple(a - b for a, b in zip(u1, u2)))
-    meta = dict(est.meta)
-    meta["iso_pair"] = pair
-    return Estimate(est.value, est.witness, est.strategy, est.exact, est.evaluations, meta)
+    return replace(est, meta={**est.meta, "iso_pair": pair})
 
 
 def cinj_via_gamma(space: NormedSpace, alpha: float, p: float, strategy=None) -> Estimate:
@@ -234,9 +224,7 @@ def cinj_via_gamma(space: NormedSpace, alpha: float, p: float, strategy=None) ->
     strat = resolve_strategy(strategy, space)
     obj = _scaled(gamma_objective(space, p, t), 0.5, name=f"cinj_via_gamma(alpha={alpha},p={p})")
     est = _run_sup(space, obj, Region.SPHERE, strat)
-    meta = dict(est.meta)
-    meta.update(route="via_gamma", t=t)
-    return Estimate(est.value, est.witness, est.strategy, est.exact, est.evaluations, meta)
+    return replace(est, meta={**est.meta, "route": "via_gamma", "t": t})
 
 
 def cnj_p(space: NormedSpace, p: float, strategy=None, t_grid: int = 33,
@@ -266,10 +254,10 @@ def cnj_p(space: NormedSpace, p: float, strategy=None, t_grid: int = 33,
 
     t_star, value = t_sweep(g, 0.0, 1.0, grid=t_grid, refine_iters=t_refine)
     at_best = inner[t_star]
-    meta = dict(at_best.meta)
-    meta.update(t_star=t_star, mode=mode, inner_value=at_best.value)
-    evaluations = sum(est.evaluations for est in inner.values())
-    return Estimate(value, at_best.witness, at_best.strategy, False, evaluations, meta)
+    return replace(at_best, value=value, exact=False,
+                   evaluations=sum(est.evaluations for est in inner.values()),
+                   meta={**at_best.meta, "t_star": t_star, "mode": mode,
+                         "inner_value": at_best.value})
 
 
 def cnj_modified_p(space: NormedSpace, p: float, strategy=None) -> Estimate:
@@ -281,9 +269,7 @@ def cnj_modified_p(space: NormedSpace, p: float, strategy=None) -> Estimate:
     p = _check_p(p)
     strat = resolve_strategy(strategy, space)
     est = _run_sup(space, _cnj_modified_objective(space, p), Region.SPHERE, strat)
-    meta = dict(est.meta)
-    meta["definition"] = "inferred"
-    return Estimate(est.value, est.witness, est.strategy, est.exact, est.evaluations, meta)
+    return replace(est, meta={**est.meta, "definition": "inferred"})
 
 
 def rho(space: NormedSpace, t: float, strategy=None) -> Estimate:
@@ -313,9 +299,8 @@ def nu_p(space: NormedSpace, p: float, strategy=None) -> Estimate:
     if isinstance(strat, ExactStrategy):
         raise ValueError("nu_p is a non-convex ratio; exact enumeration is not available")
     est = _run_sup(space, _nu_objective(space, p), (Region.SPHERE, Region.BALL), strat)
-    meta = dict(est.meta)
-    meta["reduction"] = "x1 on sphere, x2 in ball, swap-symmetric"
-    return Estimate(est.value, est.witness, est.strategy, est.exact, est.evaluations, meta)
+    return replace(est, meta={**est.meta,
+                              "reduction": "x1 on sphere, x2 in ball, swap-symmetric"})
 
 
 def omega_prime(space: NormedSpace, strategy=None) -> Estimate:
@@ -323,10 +308,8 @@ def omega_prime(space: NormedSpace, strategy=None) -> Estimate:
     strat = resolve_strategy(strategy, space)
     est = _run_sup(space, _omega_objective(space), Region.SPHERE, strat)
     gam = gamma_p(space, 2.0, 1.0 / 3.0, strat)
-    meta = dict(est.meta)
-    meta["gamma_identity"] = 0.9 * gam.value
-    return Estimate(est.value, est.witness, est.strategy, est.exact,
-                    est.evaluations + gam.evaluations, meta)
+    return replace(est, evaluations=est.evaluations + gam.evaluations,
+                   meta={**est.meta, "gamma_identity": 0.9 * gam.value})
 
 
 def smoothness_quotient(space: NormedSpace, p: float, alpha: float, strategy=None) -> float:
@@ -344,20 +327,20 @@ def smoothness_quotient(space: NormedSpace, p: float, alpha: float, strategy=Non
 # constants constrained to unit-norm isosceles pairs
 
 
-def _unit_iso_eval_rows(space: NormedSpace, Zraw: np.ndarray):
-    """Map raw (n, 2, dim) parameters to unit isosceles pairs and their sum norms.
+def _unit_iso_pairs(space: NormedSpace, Zraw: np.ndarray):
+    """Map raw (n, 2, dim) parameters to unit isosceles pairs.
 
     Row layout: Zraw[:, 0] is the raw direction of x1, Zraw[:, 1] the raw
     arc direction; the partner is found by bisection along the great-circle
-    arc between x1 and -x1.  Degenerate rows come back as NaN.
+    arc between x1 and -x1.  Returns (Zraw, x1 rows, partner rows, feasible
+    mask), as ``_ascend``'s lift does; degenerate rows are infeasible.
     """
     X1raw = Zraw[:, 0, :]
     Wraw = Zraw[:, 1, :]
     n1 = space.norm_rows(X1raw)
     e1 = np.sqrt((X1raw * X1raw).sum(axis=-1))
     ok = (n1 > 0.0) & (e1 > 0.0)
-    safe_n1 = np.where(ok, n1, 1.0)
-    X1 = X1raw / safe_n1[:, None]
+    X1 = X1raw / np.where(ok, n1, 1.0)[:, None]
     E = X1raw / np.where(ok, e1, 1.0)[:, None]
     Wc = Wraw - ((Wraw * E).sum(axis=-1))[:, None] * E
     wres = np.sqrt((Wc * Wc).sum(axis=-1))
@@ -365,10 +348,7 @@ def _unit_iso_eval_rows(space: NormedSpace, Zraw: np.ndarray):
     ok = ok & (wres > 1e-12 * np.maximum(wref, 1.0))
     nw = space.norm_rows(Wc)
     W = Wc / np.where(ok & (nw > 0.0), nw, 1.0)[:, None]
-    C = _iso_partner_rows(space, X1, W)
-    vals = space.norm_rows(X1 + C)
-    vals = np.where(ok, vals, np.nan)
-    return vals, X1, C
+    return Zraw, X1, _iso_partner_rows(space, X1, W), ok
 
 
 # Lookahead of the golden refinement in _unit_iso_extremum's grid branch.  At
@@ -384,99 +364,45 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
     Returns (value, witness, evaluations).  ``sense`` is "sup" or "inf";
     infima run the negated objective, so the result is an upper bound of
     the true infimum (mirror image of the engines' lower-bound semantics).
+    The search runs on the engines' own loops: the grid scan's reduction and
+    golden refinement over x1's angle, or the multi-start ascent.
     """
     sign = 1.0 if sense == "sup" else -1.0
     if isinstance(strat, ExactStrategy):
         raise ValueError("unit isosceles extrema need a search strategy (grid2d or multistart)")
 
+    def fb(X1: np.ndarray, C: np.ndarray) -> np.ndarray:
+        return sign * space.norm_rows(X1 + C)
+
     if isinstance(strat, Grid2DStrategy):
         if space.dim != 2:
             raise SpaceError("grid2d strategy needs a 2-dimensional space")
-        res, refine = strat.resolution, strat.refine
-        thetas = np.arange(res) * (TWO_PI / res)
-        D = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        X1 = D / space.norm_rows(D)[:, None]
-        DW = np.stack([-np.sin(thetas), np.cos(thetas)], axis=1)
-        W = DW / space.norm_rows(DW)[:, None]
-        C = _iso_partner_rows(space, X1, W)
-        vals = sign * space.norm_rows(X1 + C)
-        evaluations = res
-        best_v = None
-        best_w = None
-        best_theta = None
-        for i in range(res):
-            if not math.isfinite(vals[i]):
-                continue
-            w = (tuple(float(x) for x in X1[i]), tuple(float(x) for x in C[i]))
-            if _improves(float(vals[i]), w, best_v, best_w):
-                best_v, best_w, best_theta = float(vals[i]), w, float(thetas[i])
-        if best_v is None:
+
+        def pairs(thetas: list[float]):
+            # golden probe: x1 at each angle and its partner along the arc
+            # towards the quarter-turned direction, one bisection for all rows
+            x1 = _points_2d(space, Region.SPHERE, np.array(thetas)[:, None])
+            w = np.array([[-math.sin(t), math.cos(t)] for t in thetas])
+            c = _iso_partner_rows(space, x1, w / space.norm_rows(w)[:, None])
+            return fb(x1, c), _WitnessRows(x1, c)
+
+        X1, params = _grid_axes_2d(space, Region.SPHERE, strat.resolution, 2)
+        DW = np.stack([-np.sin(params[:, 0]), np.cos(params[:, 0])], axis=1)
+        C = _iso_partner_rows(space, X1, DW / space.norm_rows(DW)[:, None])
+        best = _best_row(fb(X1, C), X1, C)
+        if best is None:
             raise ValueError("no feasible isosceles pair found on the grid")
+        value, witness, i = best
+        value, witness, refined = _refine(
+            value, witness, params[i].copy(), [TWO_PI / strat.resolution],
+            lambda ci: pairs, strat.refine, _ISO_LOOKAHEAD)
+        return sign * value, witness, strat.resolution + refined
 
-        def fun(thetas: list[float]):
-            # one partner bisection for every candidate probe of the batch
-            rows = np.array([[math.cos(t), math.sin(t)] for t in thetas])
-            x1 = rows / space.norm_rows(rows)[:, None]
-            wrows = np.array([[-math.sin(t), math.cos(t)] for t in thetas])
-            wrows = wrows / space.norm_rows(wrows)[:, None]
-            c = _iso_partner_rows(space, x1, wrows)
-            return sign * space.norm_rows(x1 + c), _WitnessRows(x1, c)
-
-        cell = TWO_PI / res
-        for rnd in range(refine):
-            h = cell * (0.6 ** rnd)
-            v, x, payload = _golden_max(fun, best_theta - h, best_theta + h, _GOLDEN_ITERS,
-                                        lookahead=_ISO_LOOKAHEAD)
-            evaluations += _GOLDEN_ITERS + 2
-            if v is not None and _improves(v, payload, best_v, best_w):
-                best_v, best_w, best_theta = v, payload, x
-        return sign * best_v, best_w, evaluations
-
-    starts, steps, seed = strat.starts, strat.steps, strat.seed
-    d = space.dim
-    children = np.random.SeedSequence(seed).spawn(starts)
-    Z = np.empty((starts, 2, d))
-    for i, ss in enumerate(children):
-        rng = np.random.default_rng(ss)
-        Z[i] = rng.standard_normal((2, d))
-    vals, X1, C = _unit_iso_eval_rows(space, Z)
-    vals = np.where(np.isfinite(vals), sign * vals, -np.inf)
-    evaluations = starts
-    h = np.full(starts, 0.5)
-    stall = np.zeros(starts, dtype=int)
-    ncoord = 2 * d
-    bestX1, bestC = X1.copy(), C.copy()
-    for it in range(steps):
-        v, c = divmod(it % ncoord, d)
-        improved = np.zeros(starts, dtype=bool)
-        for sgn in (1.0, -1.0):
-            cand = Z.copy()
-            cand[:, v, c] += sgn * h
-            cv, cX1, cC = _unit_iso_eval_rows(space, cand)
-            evaluations += starts
-            cv = np.where(np.isfinite(cv), sign * cv, -np.inf)
-            adv = cv > vals
-            if adv.any():
-                Z[adv] = cand[adv]
-                vals[adv] = cv[adv]
-                bestX1[adv] = cX1[adv]
-                bestC[adv] = cC[adv]
-                improved |= adv
-        stall = np.where(improved, 0, stall + 1)
-        shrink = stall >= ncoord
-        h = np.where(shrink, h * 0.6, h)
-        stall = np.where(shrink, 0, stall)
-    best_v = None
-    best_w = None
-    for i in range(starts):
-        if not math.isfinite(vals[i]):
-            continue
-        w = (tuple(float(x) for x in bestX1[i]), tuple(float(x) for x in bestC[i]))
-        if _improves(float(vals[i]), w, best_v, best_w):
-            best_v, best_w = float(vals[i]), w
-    if best_v is None:
+    Z, _ = _start_draws(strat.seed, strat.starts, space.dim)
+    best, evaluations = _ascend(fb, Z, lambda Z, v: _unit_iso_pairs(space, Z), strat.steps)
+    if best is None:
         raise ValueError("no feasible isosceles pair found from any start")
-    return sign * best_v, best_w, evaluations
+    return sign * best[0], best[1], evaluations
 
 
 def james(space: NormedSpace, strategy=None) -> Estimate:
@@ -492,10 +418,8 @@ def james(space: NormedSpace, strategy=None) -> Estimate:
                          "use grid2d or multistart for james")
     est = _run_sup(space, _min_form_objective(space), Region.SPHERE, strat)
     iso_v, iso_w, ev2 = _unit_iso_extremum(space, "sup", strat)
-    meta = dict(est.meta)
-    meta.update(iso_form_value=iso_v, iso_form_witness=iso_w)
-    return Estimate(est.value, est.witness, est.strategy, False,
-                    est.evaluations + ev2, meta)
+    return replace(est, exact=False, evaluations=est.evaluations + ev2,
+                   meta={**est.meta, "iso_form_value": iso_v, "iso_form_witness": iso_w})
 
 
 def schaffer(space: NormedSpace, strategy=None) -> Estimate:

@@ -17,6 +17,14 @@ supremum over the sphere and the ball alike.
 Objectives may mark points as out of scope by returning NaN; engines skip
 those.  Batch evaluation (``eval_batch`` on ``(n, dim)`` row arrays) is the
 hot path; the scalar ``eval`` must agree with it on single rows.
+
+The engines, and the unit-isosceles extremum in ``constants``, share one
+copy of each search loop: ``_best_row`` (the max-value / lexicographic-
+witness reduction), ``_golden_max`` and ``_refine`` (batched golden-section
+search and the coordinate-wise refinement built on it), and
+``_start_draws`` with ``_ascend`` (per-start seed streams and the
+multi-start pattern ascent, parametrized by a lift from parameters to
+pairs).
 """
 
 from __future__ import annotations
@@ -206,12 +214,26 @@ def _as_witness(x1: np.ndarray, x2: np.ndarray) -> tuple[Vector, Vector]:
     return tuple(float(t) for t in x1), tuple(float(t) for t in x2)
 
 
-def _improves(value: float, witness, best_value, best_witness) -> bool:
-    if best_value is None:
-        return True
-    if value != best_value:
-        return value > best_value
-    return witness < best_witness
+def _lex_first(K: np.ndarray) -> int:
+    """The index of the lexicographically smallest row of the key array ``K``;
+    among equal rows the first one, since ``lexsort`` is stable."""
+    return int(np.lexsort(K.T[::-1])[0])
+
+
+def _best_row(vals: np.ndarray, X1: np.ndarray, X2: np.ndarray):
+    """The best of the candidate pairs (X1[k], X2[k]) valued ``vals[k]``:
+    (value, witness, k), or None if no value is finite.
+
+    The largest finite value wins, then the lexicographically smallest
+    witness among its rows (zeros of either sign compare equal), then the
+    first of equal witnesses; ``value`` is the winning row's own.
+    """
+    finite = np.isfinite(vals)
+    if not finite.any():
+        return None
+    idx = np.flatnonzero(finite & (vals == vals[finite].max()))
+    k = int(idx[0] if idx.size == 1 else idx[_lex_first(np.hstack([X1[idx], X2[idx]]))])
+    return float(vals[k]), _as_witness(X1[k], X2[k]), k
 
 
 class _WitnessRows(Sequence):
@@ -321,6 +343,30 @@ def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[obj
     return best_v, best_x, payloads[i]
 
 
+def _refine(best_v: float, best_w, params: np.ndarray, widths: Sequence[float],
+            probe: Callable[[int], Callable], rounds: int, lookahead: int):
+    """Coordinate-wise golden refinement around a scanned maximum.
+
+    Each round runs one ``_golden_max`` pass per coordinate ``ci`` on
+    ``params[ci] ± widths[ci] * 0.6**round`` with ``probe(ci)`` as its
+    function, which reads ``params`` as they are updated in place.  A sample
+    replaces the best only with a larger value, or an equal one and a
+    smaller witness.  Returns (value, witness, evaluations).
+    """
+    evaluations = 0
+    for rnd in range(rounds):
+        shrink = 0.6 ** rnd
+        for ci in range(len(params)):
+            h = widths[ci] * shrink
+            v, x, w = _golden_max(probe(ci), params[ci] - h, params[ci] + h,
+                                  _GOLDEN_ITERS, lookahead=lookahead)
+            evaluations += _GOLDEN_ITERS + 2
+            if v is not None and (v > best_v or (v == best_v and w < best_w)):
+                best_v, best_w = v, w
+                params[ci] = x
+    return best_v, best_w, evaluations
+
+
 # ---------------------------------------------------------------------------
 # 2D angular grid engine
 
@@ -336,12 +382,6 @@ def _grid_axes_2d(space: NormedSpace, region: Region, resolution: int, radial: i
     P = (radii[:, None, None] * U[None, :, :]).reshape(-1, 2)
     params = np.stack([np.tile(thetas, radial), np.repeat(radii, resolution)], axis=1)
     return P, params
-
-
-def _lex_first(K: np.ndarray) -> int:
-    """The index of the lexicographically smallest row of the key array ``K``;
-    among equal rows the first one, since ``lexsort`` is stable."""
-    return int(np.lexsort(K.T[::-1])[0])
 
 
 def _points_2d(space: NormedSpace, region: Region, params: np.ndarray) -> np.ndarray:
@@ -369,24 +409,22 @@ def _scan_2d(fb, P1: np.ndarray, P2: np.ndarray):
     """
     n2 = P2.shape[0]
     step = max(1, _SCAN_BLOCK // n2)
-    best = None
+    winners = []    # (value, i, j) of each block's best pair
     for i0 in range(0, P1.shape[0], step):
         X1 = np.repeat(P1[i0:i0 + step], n2, axis=0)
         X2 = np.tile(P2, (X1.shape[0] // n2, 1))
         vals = np.concatenate([fb(X1[k:k + _SCAN_BLOCK], X2[k:k + _SCAN_BLOCK])
                                for k in range(0, X1.shape[0], _SCAN_BLOCK)])
-        vals = vals.reshape(-1, n2)
-        finite = np.isfinite(vals)
-        if not finite.any():
-            continue
-        ii, jj = np.nonzero(finite & (vals == vals[finite].max()))
-        k = 0 if ii.size == 1 else _lex_first(np.hstack([P1[i0 + ii], P2[jj]]))
-        i, j = i0 + ii[k], jj[k]
-        v = float(vals[ii[k]][finite[ii[k]]].max())
-        w = _as_witness(P1[i], P2[j])
-        if best is None or _improves(v, w, best[0], best[1]):
-            best = (v, w, i, j)
-    return best
+        best = _best_row(vals, X1, X2)
+        if best is not None:
+            i, j = divmod(best[2], n2)
+            row = vals[i * n2:(i + 1) * n2]
+            winners.append((float(row[np.isfinite(row)].max()), i0 + i, j))
+    if not winners:
+        return None
+    vs, ii, jj = (np.array(col) for col in zip(*winners))
+    v, w, k = _best_row(vs, P1[ii], P2[jj])
+    return v, w, ii[k], jj[k]
 
 
 def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEFAULT_RESOLUTION,
@@ -413,7 +451,6 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
     if scan is None:
         raise ValueError("objective returned no finite value on the grid")
     best_v, best_w, i, j = scan
-    evaluations = P1.shape[0] * P2.shape[0]
 
     regs = (reg1, reg2)
     k1 = par1.shape[1]
@@ -443,23 +480,64 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
 
         return fun
 
-    for rnd in range(refine_iters):
-        shrink = 0.6 ** rnd
-        for ci in range(len(params)):
-            h = widths[ci] * shrink
-            v, x, payload = _golden_max(probe_rows(ci), params[ci] - h, params[ci] + h,
-                                        _GOLDEN_ITERS, lookahead=_GRID_LOOKAHEAD)
-            evaluations += _GOLDEN_ITERS + 2
-            if v is not None and _improves(v, payload, best_v, best_w):
-                best_v, best_w = v, payload
-                params[ci] = x
-
+    best_v, best_w, refined = _refine(best_v, best_w, params, widths, probe_rows,
+                                      refine_iters, _GRID_LOOKAHEAD)
     return Estimate(value=best_v, witness=best_w, strategy="Grid2D", exact=False,
-                    evaluations=evaluations)
+                    evaluations=P1.shape[0] * P2.shape[0] + refined)
 
 
 # ---------------------------------------------------------------------------
 # multi-start pattern ascent (any dimension)
+
+
+def _start_draws(seed: int, starts: int, d: int):
+    """Standard normal draws of shape (starts, 2, d), one seed stream per
+    start (so enlarging ``starts`` keeps earlier starts' draws unchanged),
+    and each start's generator, positioned after its draw."""
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(starts)]
+    return np.stack([rng.standard_normal((2, d)) for rng in rngs]), rngs
+
+
+def _ascend(fb, Z: np.ndarray, lift, steps: int):
+    """``sup_pairs_nd``'s ascent of ``fb`` on parameters Z of shape (starts, 2, d).
+
+    ``lift(Z, v)`` maps parameters whose variable ``v`` moved (None at the
+    start) to (parameters kept, x1 rows, x2 rows, feasible mask); it may
+    write into Z, a fresh copy for every move.  Returns (``_best_row`` of
+    the final pairs, evaluations).
+    """
+    starts, _, d = Z.shape
+    Z, X1, X2, ok = lift(Z, None)
+    vals = fb(X1, X2)
+    vals = np.where(ok & np.isfinite(vals), vals, -np.inf)
+    X1, X2 = X1.copy(), X2.copy()
+    evaluations = starts
+    h = np.full(starts, 0.5)
+    stall = np.zeros(starts, dtype=int)
+    ncoord = 2 * d
+
+    for it in range(steps):
+        v, c = divmod(it % ncoord, d)
+        improved = np.zeros(starts, dtype=bool)
+        for sgn in (1.0, -1.0):
+            cand = Z.copy()
+            cand[:, v, c] += sgn * h
+            cand, C1, C2, ok = lift(cand, v)
+            cv = fb(C1, C2)
+            evaluations += starts
+            cv = np.where(ok & np.isfinite(cv), cv, -np.inf)
+            adv = cv > vals
+            if adv.any():
+                Z[adv] = cand[adv]
+                vals[adv] = cv[adv]
+                X1[adv] = C1[adv]
+                X2[adv] = C2[adv]
+                improved |= adv
+        stall = np.where(improved, 0, stall + 1)
+        shrink = stall >= ncoord
+        h = np.where(shrink, h * 0.6, h)
+        stall = np.where(shrink, 0, stall)
+    return _best_row(vals, X1, X2), evaluations
 
 
 def sup_pairs_nd(space: NormedSpace, f: Objective, region, starts: int = DEFAULT_STARTS,
@@ -476,15 +554,10 @@ def sup_pairs_nd(space: NormedSpace, f: Objective, region, starts: int = DEFAULT
     if starts < 1 or steps < 1:
         raise ValueError("starts and steps must be positive")
     d = space.dim
-    reg1, reg2 = _region_pair(region)
-    regs = (reg1, reg2)
-    fb = _batch(f)
+    regs = _region_pair(region)
 
-    children = np.random.SeedSequence(seed).spawn(starts)
-    Z = np.empty((starts, 2, d))
-    for i, ss in enumerate(children):
-        rng = np.random.default_rng(ss)
-        zi = rng.standard_normal((2, d))
+    Z, rngs = _start_draws(seed, starts, d)
+    for zi, rng in zip(Z, rngs):
         radii = rng.random(2)
         for v in range(2):
             nv = float(space.norm_rows(zi[v].reshape(1, -1))[0])
@@ -495,55 +568,23 @@ def sup_pairs_nd(space: NormedSpace, f: Objective, region, starts: int = DEFAULT
             zi[v] /= nv
             if regs[v] is Region.BALL:
                 zi[v] *= radii[v] ** (1.0 / d)
-        Z[i] = zi
 
-    vals = fb(Z[:, 0, :], Z[:, 1, :])
-    evaluations = starts
-    vals = np.where(np.isfinite(vals), vals, -np.inf)
-    h = np.full(starts, 0.5)
-    stall = np.zeros(starts, dtype=int)
-    ncoord = 2 * d
-
-    for it in range(steps):
-        v, c = divmod(it % ncoord, d)
-        improved = np.zeros(starts, dtype=bool)
-        for sgn in (1.0, -1.0):
-            cand = Z.copy()
-            cand[:, v, c] += sgn * h
-            Vv = cand[:, v, :]
-            nv = space.norm_rows(Vv)
+    def lift(Z: np.ndarray, v):
+        # back onto the sphere (rows of norm 0 are infeasible) or into the ball
+        ok = np.ones(starts, dtype=bool)
+        if v is not None:
+            nv = space.norm_rows(Z[:, v, :])
             if regs[v] is Region.SPHERE:
                 ok = nv > 0.0
-                safe = np.where(ok, nv, 1.0)
-                cand[:, v, :] = Vv / safe[:, None]
+                Z[:, v, :] /= np.where(ok, nv, 1.0)[:, None]
             else:
-                ok = np.ones(starts, dtype=bool)
-                scale = np.maximum(nv, 1.0)
-                cand[:, v, :] = Vv / scale[:, None]
-            cv = fb(cand[:, 0, :], cand[:, 1, :])
-            evaluations += starts
-            cv = np.where(ok & np.isfinite(cv), cv, -np.inf)
-            adv = cv > vals
-            if adv.any():
-                Z[adv] = cand[adv]
-                vals[adv] = cv[adv]
-                improved |= adv
-        stall = np.where(improved, 0, stall + 1)
-        shrink = stall >= ncoord
-        h = np.where(shrink, h * 0.6, h)
-        stall = np.where(shrink, 0, stall)
+                Z[:, v, :] /= np.maximum(nv, 1.0)[:, None]
+        return Z, Z[:, 0, :], Z[:, 1, :], ok
 
-    best_v = None
-    best_w = None
-    for i in range(starts):
-        if not math.isfinite(vals[i]):
-            continue
-        w = _as_witness(Z[i, 0], Z[i, 1])
-        if _improves(float(vals[i]), w, best_v, best_w):
-            best_v, best_w = float(vals[i]), w
-    if best_v is None:
+    best, evaluations = _ascend(_batch(f), Z, lift, steps)
+    if best is None:
         raise ValueError("objective returned no finite value at any start")
-    return Estimate(value=best_v, witness=best_w, strategy="MultiStart", exact=False,
+    return Estimate(value=best[0], witness=best[1], strategy="MultiStart", exact=False,
                     evaluations=evaluations)
 
 
@@ -565,18 +606,10 @@ def sup_vertex_pairs(space: NormedSpace, f: Objective) -> Estimate:
     n = E.shape[0]
     X1 = np.repeat(E, n, axis=0)
     X2 = np.tile(E, (n, 1))
-    vals = _batch(f)(X1, X2)
-    finite = np.isfinite(vals)
-    if not finite.any():
+    best = _best_row(_batch(f)(X1, X2), X1, X2)
+    if best is None:
         raise ValueError("objective returned no finite value at extreme points")
-    best_v = None
-    best_w = None
-    vmax = vals[finite].max()
-    for k in np.flatnonzero(finite & (vals == vmax)):
-        w = _as_witness(X1[k], X2[k])
-        if _improves(float(vals[k]), w, best_v, best_w):
-            best_v, best_w = float(vals[k]), w
-    return Estimate(value=best_v, witness=best_w, strategy="VertexExact", exact=True,
+    return Estimate(value=best[0], witness=best[1], strategy="VertexExact", exact=True,
                     evaluations=n * n)
 
 

@@ -364,15 +364,19 @@ def _closed_form_l1_linf(space) -> bool:
     return space.kind == "lp" and space.q in (1.0, math.inf)
 
 
+def _closed_form_values(estimate: float, expected: float, tol: float):
+    """Check result of an estimate against its closed form within ``tol``."""
+    diff = abs(estimate - expected)
+    values = {"estimate": estimate, "closed_form": expected, "declared_slack": tol}
+    return values, diff <= tol, diff
+
+
 def _check_example_l1(ctx: _Context, space, params):
     alpha, p = float(params["alpha"]), float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
     est = ctx.estimate("cinj_iso", space, strat, alpha=alpha, p=p)
-    expected = 2.0 * (1.0 - alpha) ** p
     tol = ROUNDING_GUARD if _is_exact(strat) else SEARCH_SLACK
-    diff = abs(est.value - expected)
-    values = {"estimate": est.value, "closed_form": expected, "declared_slack": tol}
-    return values, diff <= tol, diff
+    return _closed_form_values(est.value, 2.0 * (1.0 - alpha) ** p, tol)
 
 
 _check_example_linf = _check_example_l1
@@ -382,11 +386,8 @@ def _check_example_lp(ctx: _Context, space, params):
     alpha, p = float(params["alpha"]), float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
     est = ctx.estimate("cinj_iso", space, strat, alpha=alpha, p=p)
-    expected = (1.0 - alpha) ** p + alpha ** p
     tol = ROUNDING_GUARD if _is_exact(strat) else SEARCH_SLACK
-    diff = abs(est.value - expected)
-    values = {"estimate": est.value, "closed_form": expected, "declared_slack": tol}
-    return values, diff <= tol, diff
+    return _closed_form_values(est.value, (1.0 - alpha) ** p + alpha ** p, tol)
 
 
 def _check_example_cnj_p(ctx: _Context, space, params):
@@ -405,22 +406,14 @@ def _check_remark_alpha_half(ctx: _Context, space, params):
     p = float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
     est = ctx.estimate("cinj_iso", space, strat, alpha=0.5, p=p)
-    expected = 2.0 ** (1.0 - p)
-    diff = abs(est.value - expected)
-    values = {"estimate": est.value, "closed_form": expected,
-              "declared_slack": ROUNDING_GUARD}
-    return values, diff <= ROUNDING_GUARD, diff
+    return _closed_form_values(est.value, 2.0 ** (1.0 - p), ROUNDING_GUARD)
 
 
 def _check_remark_gamma_zero(ctx: _Context, space, params):
     p = float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
     est = ctx.estimate("gamma_p", space, strat, p=p, t=0.0)
-    expected = 2.0 ** (2.0 - p)
-    diff = abs(est.value - expected)
-    values = {"estimate": est.value, "closed_form": expected,
-              "declared_slack": ROUNDING_GUARD}
-    return values, diff <= ROUNDING_GUARD, diff
+    return _closed_form_values(est.value, 2.0 ** (2.0 - p), ROUNDING_GUARD)
 
 
 def _james_estimate(ctx: _Context, space) -> float:

@@ -285,7 +285,8 @@ def test_unit_iso_lookahead_is_bit_identical(monkeypatch, strat):
     batched = {}
     for sp in (L1, L2, L3, HEX):
         batched[sp] = (nc.james(sp, strategy=strat), nc.schaffer(sp, strategy=strat))
-    monkeypatch.setattr(nc.constants, "_golden_max", _sequential_golden)
+    # the min-form supremum's grid refinement runs on the same loop
+    monkeypatch.setattr(nc.search, "_golden_max", _sequential_golden)
     for sp, (j, s) in batched.items():
         j0, s0 = nc.james(sp, strategy=strat), nc.schaffer(sp, strategy=strat)
         for got, want in ((j, j0), (s, s0)):

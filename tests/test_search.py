@@ -24,9 +24,9 @@ from normconst.search import (
     sup_vertex_pairs,
     t_sweep,
     _as_witness,
+    _best_row,
     _golden_max,
     _grid_axes_2d,
-    _improves,
     _lex_first,
 )
 from normconst.spaces import Region, lp_space, parse_space, regular_polygon_space
@@ -35,6 +35,17 @@ L1 = lp_space(1, 2)
 L2 = lp_space(2, 2)
 LINF = lp_space(math.inf, 2)
 HEX = regular_polygon_space(6)
+
+
+def _improves(value, witness, best_value, best_witness):
+    # the reduction rule as a one-candidate-at-a-time comparison: a larger
+    # value wins, an equal one (zeros of either sign compare equal) only
+    # with a smaller witness
+    if best_value is None:
+        return True
+    if value != best_value:
+        return value > best_value
+    return witness < best_witness
 
 
 def _sum_sq():
@@ -409,6 +420,54 @@ def test_lex_first_keeps_first_of_equal_rows():
     # four key columns: the first pair decides, then the second
     K = np.hstack([P[[1, 2, 3, 0]], P[[0, 3, 1, 2]]])
     assert _lex_first(K) == 1
+
+
+def _best_row_loop(vals, X1, X2):
+    best = None
+    for k, v in enumerate(vals):
+        if not math.isfinite(v):
+            continue
+        w = _as_witness(X1[k], X2[k])
+        if best is None or _improves(float(v), w, best[0], best[1]):
+            best = (float(v), w, k)
+    return best
+
+
+def test_best_row_matches_improves_loop():
+    z, inf, nan = 0.0, math.inf, math.nan
+    P = np.array([[0.0, 1.0], [-0.0, 0.0], [0.0, 0.0], [0.0, -0.0], [-1.0, 5.0], [0.0, 1.0]])
+    cases = [
+        ([1.0, 2.0, 2.0, 1.0, nan, 2.0], P, P[::-1]),
+        # zeros of either sign tie; the witness decides and the row keeps its sign
+        ([-z, z, -z, z, -inf, nan], P, P),
+        ([z, -z, z, -z, z, -z], P[::-1], P),
+        # equal witnesses: the first row wins
+        ([3.0, 3.0, 1.0, 3.0, 3.0, inf], P[[1, 2, 3, 1, 2, 3]], P[[2, 1, 3, 3, 2, 1]]),
+        ([nan, -inf, 7.0, nan, inf, -inf], P, P),
+        ([-inf, -inf, -2.0, -2.0, -2.0, -2.0], P, P[[5, 4, 3, 2, 1, 0]]),
+    ]
+    for vals, X1, X2 in cases:
+        vals = np.array(vals)
+        got = _best_row(vals, X1, X2)
+        assert repr(got) == repr(_best_row_loop(vals, X1, X2))
+    for vals in ([nan, inf, -inf], [inf], [nan]):
+        vals = np.array(vals)
+        assert _best_row(vals, P[:len(vals)], P[:len(vals)]) is None
+        assert _best_row_loop(vals, P[:len(vals)], P[:len(vals)]) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                min_size=1, max_size=12),
+       st.integers(0, 2 ** 32 - 1))
+def test_best_row_matches_improves_loop_on_random_ties(vals, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct coordinates, signed zeros among them, so witnesses tie too
+    coords = np.array([-1.0, -0.0, 0.0, 1.0])
+    X1 = coords[rng.integers(0, 4, (len(vals), 2))]
+    X2 = coords[rng.integers(0, 4, (len(vals), 2))]
+    vals = np.array(vals)
+    assert repr(_best_row(vals, X1, X2)) == repr(_best_row_loop(vals, X1, X2))
 
 
 # ------------------------------------------ block scan and batched refinement

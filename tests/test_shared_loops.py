@@ -1,0 +1,284 @@
+"""The unit-isosceles extremum and the multi-start engine on the shared loops.
+
+``_unit_iso_extremum`` and ``sup_pairs_nd`` run on ``search``'s one copy of
+the reduction (``_best_row``), the golden refinement (``_refine``) and the
+multi-start ascent (``_ascend``).  The references below are those functions
+as they were written before that fold, each with its own copy of the loops;
+the ``repr`` of value, witness and evaluations must match bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from normconst.constants import (_ISO_LOOKAHEAD, _iso_partner_rows, _min_form_objective,
+                                 _nu_objective, _unit_iso_extremum, _unit_iso_pairs,
+                                 gamma_objective)
+from normconst.search import (_GOLDEN_ITERS, Grid2DStrategy, MultiStartStrategy,
+                              _WitnessRows, _as_witness, _ascend, _batch, _golden_max,
+                              _region_pair, batch_objective, sup_pairs_nd)
+from normconst.spaces import TWO_PI, Region, lp_space, parse_space, regular_polygon_space
+from test_search import _improves
+
+
+def _unit_iso_eval_rows(space, Zraw):
+    X1raw = Zraw[:, 0, :]
+    Wraw = Zraw[:, 1, :]
+    n1 = space.norm_rows(X1raw)
+    e1 = np.sqrt((X1raw * X1raw).sum(axis=-1))
+    ok = (n1 > 0.0) & (e1 > 0.0)
+    safe_n1 = np.where(ok, n1, 1.0)
+    X1 = X1raw / safe_n1[:, None]
+    E = X1raw / np.where(ok, e1, 1.0)[:, None]
+    Wc = Wraw - ((Wraw * E).sum(axis=-1))[:, None] * E
+    wres = np.sqrt((Wc * Wc).sum(axis=-1))
+    wref = np.sqrt((Wraw * Wraw).sum(axis=-1))
+    ok = ok & (wres > 1e-12 * np.maximum(wref, 1.0))
+    nw = space.norm_rows(Wc)
+    W = Wc / np.where(ok & (nw > 0.0), nw, 1.0)[:, None]
+    C = _iso_partner_rows(space, X1, W)
+    vals = space.norm_rows(X1 + C)
+    vals = np.where(ok, vals, np.nan)
+    return vals, X1, C
+
+
+def _unit_iso_extremum_reference(space, sense, strat):
+    sign = 1.0 if sense == "sup" else -1.0
+    if isinstance(strat, Grid2DStrategy):
+        res, refine = strat.resolution, strat.refine
+        thetas = np.arange(res) * (TWO_PI / res)
+        D = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        X1 = D / space.norm_rows(D)[:, None]
+        DW = np.stack([-np.sin(thetas), np.cos(thetas)], axis=1)
+        W = DW / space.norm_rows(DW)[:, None]
+        C = _iso_partner_rows(space, X1, W)
+        vals = sign * space.norm_rows(X1 + C)
+        evaluations = res
+        best_v = None
+        best_w = None
+        best_theta = None
+        for i in range(res):
+            if not math.isfinite(vals[i]):
+                continue
+            w = (tuple(float(x) for x in X1[i]), tuple(float(x) for x in C[i]))
+            if _improves(float(vals[i]), w, best_v, best_w):
+                best_v, best_w, best_theta = float(vals[i]), w, float(thetas[i])
+
+        def fun(thetas):
+            rows = np.array([[math.cos(t), math.sin(t)] for t in thetas])
+            x1 = rows / space.norm_rows(rows)[:, None]
+            wrows = np.array([[-math.sin(t), math.cos(t)] for t in thetas])
+            wrows = wrows / space.norm_rows(wrows)[:, None]
+            c = _iso_partner_rows(space, x1, wrows)
+            return sign * space.norm_rows(x1 + c), _WitnessRows(x1, c)
+
+        cell = TWO_PI / res
+        for rnd in range(refine):
+            h = cell * (0.6 ** rnd)
+            v, x, payload = _golden_max(fun, best_theta - h, best_theta + h, _GOLDEN_ITERS,
+                                        lookahead=_ISO_LOOKAHEAD)
+            evaluations += _GOLDEN_ITERS + 2
+            if v is not None and _improves(v, payload, best_v, best_w):
+                best_v, best_w, best_theta = v, payload, x
+        return sign * best_v, best_w, evaluations
+
+    starts, steps, seed = strat.starts, strat.steps, strat.seed
+    d = space.dim
+    children = np.random.SeedSequence(seed).spawn(starts)
+    Z = np.empty((starts, 2, d))
+    for i, ss in enumerate(children):
+        rng = np.random.default_rng(ss)
+        Z[i] = rng.standard_normal((2, d))
+    vals, X1, C = _unit_iso_eval_rows(space, Z)
+    vals = np.where(np.isfinite(vals), sign * vals, -np.inf)
+    evaluations = starts
+    h = np.full(starts, 0.5)
+    stall = np.zeros(starts, dtype=int)
+    ncoord = 2 * d
+    bestX1, bestC = X1.copy(), C.copy()
+    for it in range(steps):
+        v, c = divmod(it % ncoord, d)
+        improved = np.zeros(starts, dtype=bool)
+        for sgn in (1.0, -1.0):
+            cand = Z.copy()
+            cand[:, v, c] += sgn * h
+            cv, cX1, cC = _unit_iso_eval_rows(space, cand)
+            evaluations += starts
+            cv = np.where(np.isfinite(cv), sign * cv, -np.inf)
+            adv = cv > vals
+            if adv.any():
+                Z[adv] = cand[adv]
+                vals[adv] = cv[adv]
+                bestX1[adv] = cX1[adv]
+                bestC[adv] = cC[adv]
+                improved |= adv
+        stall = np.where(improved, 0, stall + 1)
+        shrink = stall >= ncoord
+        h = np.where(shrink, h * 0.6, h)
+        stall = np.where(shrink, 0, stall)
+    best_v = None
+    best_w = None
+    for i in range(starts):
+        if not math.isfinite(vals[i]):
+            continue
+        w = (tuple(float(x) for x in bestX1[i]), tuple(float(x) for x in bestC[i]))
+        if _improves(float(vals[i]), w, best_v, best_w):
+            best_v, best_w = float(vals[i]), w
+    return sign * best_v, best_w, evaluations
+
+
+def _sup_pairs_nd_reference(space, f, region, starts, steps, seed):
+    d = space.dim
+    reg1, reg2 = _region_pair(region)
+    regs = (reg1, reg2)
+    fb = _batch(f)
+
+    children = np.random.SeedSequence(seed).spawn(starts)
+    Z = np.empty((starts, 2, d))
+    for i, ss in enumerate(children):
+        rng = np.random.default_rng(ss)
+        zi = rng.standard_normal((2, d))
+        radii = rng.random(2)
+        for v in range(2):
+            nv = float(space.norm_rows(zi[v].reshape(1, -1))[0])
+            if nv == 0.0:
+                zi[v] = 0.0
+                zi[v][0] = 1.0
+                nv = float(space.norm_rows(zi[v].reshape(1, -1))[0])
+            zi[v] /= nv
+            if regs[v] is Region.BALL:
+                zi[v] *= radii[v] ** (1.0 / d)
+        Z[i] = zi
+
+    vals = fb(Z[:, 0, :], Z[:, 1, :])
+    evaluations = starts
+    vals = np.where(np.isfinite(vals), vals, -np.inf)
+    h = np.full(starts, 0.5)
+    stall = np.zeros(starts, dtype=int)
+    ncoord = 2 * d
+
+    for it in range(steps):
+        v, c = divmod(it % ncoord, d)
+        improved = np.zeros(starts, dtype=bool)
+        for sgn in (1.0, -1.0):
+            cand = Z.copy()
+            cand[:, v, c] += sgn * h
+            Vv = cand[:, v, :]
+            nv = space.norm_rows(Vv)
+            if regs[v] is Region.SPHERE:
+                ok = nv > 0.0
+                safe = np.where(ok, nv, 1.0)
+                cand[:, v, :] = Vv / safe[:, None]
+            else:
+                ok = np.ones(starts, dtype=bool)
+                scale = np.maximum(nv, 1.0)
+                cand[:, v, :] = Vv / scale[:, None]
+            cv = fb(cand[:, 0, :], cand[:, 1, :])
+            evaluations += starts
+            cv = np.where(ok & np.isfinite(cv), cv, -np.inf)
+            adv = cv > vals
+            if adv.any():
+                Z[adv] = cand[adv]
+                vals[adv] = cv[adv]
+                improved |= adv
+        stall = np.where(improved, 0, stall + 1)
+        shrink = stall >= ncoord
+        h = np.where(shrink, h * 0.6, h)
+        stall = np.where(shrink, 0, stall)
+
+    best_v = None
+    best_w = None
+    for i in range(starts):
+        if not math.isfinite(vals[i]):
+            continue
+        w = _as_witness(Z[i, 0], Z[i, 1])
+        if _improves(float(vals[i]), w, best_v, best_w):
+            best_v, best_w = float(vals[i]), w
+    return best_v, best_w, evaluations
+
+
+_GRID_SPACES = {
+    "l1": lp_space(1, 2),
+    "l2": lp_space(2, 2),
+    "l3": lp_space(3, 2),
+    "hex": regular_polygon_space(6),
+    "wl3": parse_space("wlp:q=3,dim=2,w=1;2"),
+}
+
+
+@pytest.mark.parametrize("sense", ["sup", "inf"])
+@pytest.mark.parametrize("name", sorted(_GRID_SPACES))
+@pytest.mark.parametrize("res, refine", [(96, 4), (40, 2)])
+def test_unit_iso_grid_matches_reference(name, sense, res, refine):
+    space = _GRID_SPACES[name]
+    strat = Grid2DStrategy(resolution=res, refine=refine)
+    got = _unit_iso_extremum(space, sense, strat)
+    assert repr(got) == repr(_unit_iso_extremum_reference(space, sense, strat))
+
+
+@pytest.mark.parametrize("sense", ["sup", "inf"])
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_unit_iso_multistart_matches_reference(dim, sense, seed):
+    space = lp_space(3, dim)
+    strat = MultiStartStrategy(starts=6, steps=3 * 2 * dim, seed=seed)
+    got = _unit_iso_extremum(space, sense, strat)
+    assert repr(got) == repr(_unit_iso_extremum_reference(space, sense, strat))
+
+
+def _nan_gapped(space):
+    obj = gamma_objective(space, 2.0, 0.5)
+
+    def evb(X1, X2):
+        return np.where(X1[:, 0] * X2[:, 1] > 0.2, np.nan, obj.eval_batch(X1, X2))
+    return batch_objective(evb)
+
+
+@pytest.mark.parametrize("space", [lp_space(3, 3), lp_space(1, 3), lp_space(math.inf, 4)],
+                         ids=["l3d3", "l1d3", "linfd4"])
+@pytest.mark.parametrize("kind, region", [
+    ("gamma", Region.SPHERE),
+    ("gamma", Region.BALL),
+    ("nu", (Region.SPHERE, Region.BALL)),
+    ("min_form", Region.SPHERE),
+    ("nan_gapped", (Region.BALL, Region.SPHERE)),
+])
+def test_sup_pairs_nd_matches_reference(space, kind, region):
+    obj = {"gamma": lambda: gamma_objective(space, 3.0, 0.7),
+           "nu": lambda: _nu_objective(space, 2.0),
+           "min_form": lambda: _min_form_objective(space),
+           "nan_gapped": lambda: _nan_gapped(space)}[kind]()
+    got = sup_pairs_nd(space, obj, region, starts=8, steps=40, seed=5)
+    want = _sup_pairs_nd_reference(space, obj, region, 8, 40, 5)
+    assert repr((got.value, got.witness, got.evaluations)) == repr(want)
+
+
+def test_unit_iso_pairs_marks_the_rows_the_reference_left_nan():
+    space = lp_space(3, 3)
+    rng = np.random.default_rng(4)
+    Z = rng.standard_normal((12, 2, 3))
+    Z[1, 0] = 0.0                       # x1 direction zero
+    Z[2, 1] = 2.5 * Z[2, 0]             # arc direction parallel to x1
+    Z[3, 1] = 0.0                       # arc direction zero
+    Z[4, 1] = -Z[4, 0]
+    vals, X1, C = _unit_iso_eval_rows(space, Z)
+    kept, got1, gotC, ok = _unit_iso_pairs(space, Z)
+    assert kept is Z
+    assert list(~ok) == list(np.isnan(vals)) == [False] + [True] * 4 + [False] * 7
+    np.testing.assert_array_equal(got1, X1)
+    np.testing.assert_array_equal(gotC, C)
+
+
+def test_ascend_never_keeps_an_infeasible_move():
+    # fb rewards x1's first coordinate, which the lift caps at 0.3 by marking
+    # every move past it infeasible
+    Z = np.zeros((5, 2, 2))
+    Z[:, 1, 1] = np.arange(5.0)
+
+    def lift(Z, v):
+        return Z, Z[:, 0, :], Z[:, 1, :], Z[:, 0, 0] < 0.3
+
+    (value, witness, _), evaluations = _ascend(lambda X1, X2: X1[:, 0], Z, lift, 40)
+    assert 0.0 < value < 0.3 and witness[0][0] == value
+    assert evaluations == 5 * (1 + 2 * 40)
