@@ -177,10 +177,8 @@ def _cmd_sweep(args) -> int:
 
     rows = []
     json_rows = []
-    for value in grid:
-        params = dict(given)
-        params[var] = value
-        result = getattr(cns, args.constant)(space, strategy=strat, **params)
+    results = cns._estimates_along(args.constant, space, strat, var, grid, **given)
+    for value, result in zip(grid, results):
         if isinstance(result, Estimate):
             rows.append({var: value, "value": result.value,
                          "witness1": _witness_field(result.witness[0]),

@@ -23,9 +23,9 @@ import numpy as np
 from .orthogonality import SUM_NORM_FLOOR, _iso_partner_rows
 from .search import (DEFAULT_SEED, Estimate, ExactStrategy, Grid2DStrategy,
                      MultiStartStrategy, Objective, Strategy, _ascend, _best_row,
-                     _grid_axes_2d, _points_2d, _refine, _start_draws, _WitnessRows,
-                     batch_objective, parse_strategy, sup_pairs_2d, sup_pairs_nd,
-                     sup_vertex_pairs, t_sweep)
+                     _grid_axes_2d, _points_2d, _refine, _start_draws, _sup_pairs_2d_stack,
+                     _sweep_grid, _WitnessRows, batch_objective, parse_strategy, sup_pairs_2d,
+                     sup_pairs_nd, sup_vertex_pairs, t_sweep)
 from .spaces import (TWO_PI, NormedSpace, Region, SpaceError,
                      supports_extreme_points)
 
@@ -91,9 +91,10 @@ def _run_sup(space: NormedSpace, obj: Objective, region, strat: Strategy) -> Est
 # objective builders
 
 
-def _two_sided(space: NormedSpace, t: float, combine, convex_flag: bool,
+def _two_sided(space: NormedSpace, t, combine, convex_flag: bool,
                name: str) -> Objective:
-    """The objective combine(||x1 + t x2||, ||x1 - t x2||)."""
+    """The objective combine(||x1 + t x2||, ||x1 - t x2||); ``t`` is a float
+    or an ``(n, 1)`` column of per-row offsets."""
 
     def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
         return combine(space.norm_rows(X1 + t * X2), space.norm_rows(X1 - t * X2))
@@ -101,11 +102,14 @@ def _two_sided(space: NormedSpace, t: float, combine, convex_flag: bool,
     return batch_objective(evb, convex_flag=convex_flag, name=name)
 
 
+def _power_mean(p: float, scale: float):
+    """combine(a, b) = (a^p + b^p) / scale."""
+    return lambda a, b: (a ** p + b ** p) / scale
+
+
 def gamma_objective(space: NormedSpace, p: float, t: float) -> Objective:
     """(||x1 + t x2||^p + ||x1 - t x2||^p) / 2^(p-1), jointly convex."""
-    scale = 2.0 ** (p - 1.0)
-    return _two_sided(space, t, lambda a, b: (a ** p + b ** p) / scale, True,
-                      f"gamma_p(p={p},t={t})")
+    return replace(_family("gamma_p", space, p)(t), name=f"gamma_p(p={p},t={t})")
 
 
 def _scaled(obj: Objective, factor: float, name: str) -> Objective:
@@ -117,10 +121,11 @@ def _scaled(obj: Objective, factor: float, name: str) -> Objective:
     return batch_objective(scaled, convex_flag=obj.convex_flag, name=name)
 
 
-def _half_sum_ratio(space: NormedSpace, a: float, b: float, p: float, scale: float,
+def _half_sum_ratio(space: NormedSpace, a, b, p: float, scale: float,
                     name: str) -> Objective:
     """(||a x1 + b x2||^p + ||b x1 + a x2||^p) / (scale ||x1 + x2||^p) on the
-    isosceles pair (x1, x2) = (u1 + u2, u1 - u2) of the arguments (u1, u2).
+    isosceles pair (x1, x2) = (u1 + u2, u1 - u2) of the arguments (u1, u2);
+    ``a`` and ``b`` are floats or ``(n, 1)`` columns of per-row values.
 
     Every norm is evaluated directly; rows whose ||x1 + x2|| is at most
     ``SUM_NORM_FLOOR`` are NaN.
@@ -148,8 +153,23 @@ def cinj_iso_objective(space: NormedSpace, alpha: float, p: float) -> Objective:
     denominator ||sum|| is the constant 2, so the restriction coincides with
     a jointly convex function and vertex enumeration attains its supremum.
     """
-    return _half_sum_ratio(space, alpha, 1.0 - alpha, p, 1.0,
-                           f"cinj_iso(alpha={alpha},p={p})")
+    return replace(_family("cinj_iso", space, p)(alpha), name=f"cinj_iso(alpha={alpha},p={p})")
+
+
+def _family(name: str, space: NormedSpace, p: float):
+    """theta -> the objective of constant ``name`` at its swept parameter
+    theta: t for ``gamma_p``, alpha for ``cinj_iso`` and ``cinj_via_gamma``.
+    theta is a float or an ``(n, 1)`` column of per-row values; every row is
+    computed elementwise, so it has the same bits in a stack of rows.  The
+    objective's name is ``name`` alone, so no value is formatted per call.
+    """
+    if name == "cinj_iso":
+        return lambda alpha: _half_sum_ratio(space, alpha, 1.0 - alpha, p, 1.0, name)
+    gamma = _power_mean(p, 2.0 ** (p - 1.0))
+    if name == "gamma_p":
+        return lambda t: _two_sided(space, t, gamma, True, name)
+    return lambda alpha: _scaled(_two_sided(space, 1.0 - 2.0 * alpha, gamma, True, name),
+                                 0.5, name)
 
 
 def _min_form_objective(space: NormedSpace) -> Objective:
@@ -161,9 +181,7 @@ def _rho_objective(space: NormedSpace, t: float) -> Objective:
 
 
 def _cnj_modified_objective(space: NormedSpace, p: float) -> Objective:
-    scale = 2.0 ** p
-    return _two_sided(space, 1.0, lambda a, b: (a ** p + b ** p) / scale, True,
-                      f"cnj_modified_p(p={p})")
+    return _two_sided(space, 1.0, _power_mean(p, 2.0 ** p), True, f"cnj_modified_p(p={p})")
 
 
 def _jxp_objective(space: NormedSpace, p: float, t: float) -> Objective:
@@ -211,20 +229,62 @@ def cinj_iso(space: NormedSpace, alpha: float, p: float, strategy=None) -> Estim
     p = _check_p(p)
     strat = resolve_strategy(strategy, space)
     est = _run_sup(space, cinj_iso_objective(space, alpha, p), Region.SPHERE, strat)
-    u1, u2 = est.witness
-    pair = (tuple(a + b for a, b in zip(u1, u2)), tuple(a - b for a, b in zip(u1, u2)))
-    return replace(est, meta={**est.meta, "iso_pair": pair})
+    return _with_meta("cinj_iso", est, alpha)
 
 
 def cinj_via_gamma(space: NormedSpace, alpha: float, p: float, strategy=None) -> Estimate:
     """Same constant through the identity route: half the power mean at t = 1-2*alpha."""
     alpha = _check_alpha(alpha)
     p = _check_p(p)
-    t = 1.0 - 2.0 * alpha
     strat = resolve_strategy(strategy, space)
-    obj = _scaled(gamma_objective(space, p, t), 0.5, name=f"cinj_via_gamma(alpha={alpha},p={p})")
+    obj = replace(_family("cinj_via_gamma", space, p)(alpha),
+                  name=f"cinj_via_gamma(alpha={alpha},p={p})")
     est = _run_sup(space, obj, Region.SPHERE, strat)
-    return replace(est, meta={**est.meta, "route": "via_gamma", "t": t})
+    return _with_meta("cinj_via_gamma", est, alpha)
+
+
+def _with_meta(name: str, est: Estimate, alpha: float) -> Estimate:
+    """``cinj_iso``'s or ``cinj_via_gamma``'s engine estimate at ``alpha``
+    with the meta the constant records."""
+    if name == "cinj_iso":
+        u1, u2 = est.witness
+        pair = (tuple(a + b for a, b in zip(u1, u2)), tuple(a - b for a, b in zip(u1, u2)))
+        return replace(est, meta={**est.meta, "iso_pair": pair})
+    return replace(est, meta={**est.meta, "route": "via_gamma", "t": 1.0 - 2.0 * alpha})
+
+
+# constant -> the parameter a grid2d stack of it runs over
+_STACKED_AXIS = {"gamma_p": "t", "cinj_iso": "alpha", "cinj_via_gamma": "alpha"}
+
+
+def _estimates_along(name: str, space: NormedSpace, strat, axis: str, values, **fixed):
+    """Constant ``name`` at ``axis=v`` for each v of ``values`` and the other
+    parameters ``fixed``: the results of one call of the constant per value.
+
+    On a grid2d strategy, ``gamma_p`` over t and ``cinj_iso`` and
+    ``cinj_via_gamma`` over alpha (``fixed`` is then ``p``) run as one stacked
+    engine call, ``_sup_pairs_2d_stack``, whose Estimates are bit for bit
+    those of the single runs.  Every other case calls the constant per value.
+    """
+    strat = resolve_strategy(strat, space)
+    if _STACKED_AXIS.get(name) != axis or not isinstance(strat, Grid2DStrategy):
+        single = globals()[name]     # the module attribute, as callers look it up
+        return [single(space, strategy=strat, **fixed, **{axis: v}) for v in values]
+    p = fixed["p"]
+    thetas = []
+    for v in values:
+        # in the order the constant checks its arguments
+        if name == "gamma_p":
+            p = _check_p(p)
+            thetas.append(_check_t(v))
+        else:
+            thetas.append(_check_alpha(v))
+            p = _check_p(p)
+    ests = _sup_pairs_2d_stack(space, _family(name, space, p), thetas, Region.SPHERE,
+                               strat.resolution, strat.refine, strat.radial)
+    if name == "gamma_p":
+        return ests
+    return [_with_meta(name, est, alpha) for est, alpha in zip(ests, thetas)]
 
 
 def cnj_p(space: NormedSpace, p: float, strategy=None, t_grid: int = 33,
@@ -239,7 +299,14 @@ def cnj_p(space: NormedSpace, p: float, strategy=None, t_grid: int = 33,
     if mode not in ("gamma", "cinj"):
         raise ValueError(f"mode must be 'gamma' or 'cinj', got {mode!r}")
     strat = resolve_strategy(strategy, space)
-    inner: dict[float, Estimate] = {}   # every swept offset, t_star among them
+    # every swept offset, t_star among them; the scan grid in one stacked run
+    ts = _sweep_grid(0.0, 1.0, t_grid)
+    if mode == "gamma":
+        swept = _estimates_along("gamma_p", space, strat, "t", ts, p=p)
+    else:
+        swept = _estimates_along("cinj_iso", space, strat, "alpha",
+                                 [(1.0 - t) / 2.0 for t in ts], p=p)
+    inner: dict[float, Estimate] = dict(zip(ts, swept))
 
     def g(t: float) -> float:
         est = inner.get(t)
@@ -393,10 +460,11 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
         if best is None:
             raise ValueError("no feasible isosceles pair found on the grid")
         value, witness, i = best
-        value, witness, refined = _refine(
-            value, witness, params[i].copy(), [TWO_PI / strat.resolution],
-            lambda ci: pairs, strat.refine, _ISO_LOOKAHEAD)
-        return sign * value, witness, strat.resolution + refined
+        best_v, best_w = [value], [witness]
+        refined = _refine(best_v, best_w, params[i:i + 1].copy(), [TWO_PI / strat.resolution],
+                          lambda ci: lambda ks, batches: [pairs(batches[0])], strat.refine,
+                          _ISO_LOOKAHEAD)
+        return sign * best_v[0], best_w[0], strat.resolution + refined
 
     Z, _ = _start_draws(strat.seed, strat.starts, space.dim)
     best, evaluations = _ascend(fb, Z, lambda Z, v: _unit_iso_pairs(space, Z), strat.steps)

@@ -20,11 +20,21 @@ hot path; the scalar ``eval`` must agree with it on single rows.
 
 The engines, and the unit-isosceles extremum in ``constants``, share one
 copy of each search loop: ``_best_row`` (the max-value / lexicographic-
-witness reduction), ``_golden_max`` and ``_refine`` (batched golden-section
-search and the coordinate-wise refinement built on it), and
+witness reduction), ``_golden`` (batched golden-section search), and
 ``_start_draws`` with ``_ascend`` (per-start seed streams and the
 multi-start pattern ascent, parametrized by a lift from parameters to
 pairs).
+
+``_golden`` is a generator: it yields each batch of points it needs and is
+sent their values, so one loop can run many searches side by side.
+``_golden_max`` drives one search with a probe function; ``_refine`` drives
+the coordinate-wise refinement of K searches in lockstep, one probe call
+per step for all of them.  On that, the 2-D grid engine is a K-objective
+engine: ``_sup_pairs_2d_stack`` takes a family of objectives that share the
+space and the region and differ in one scalar parameter, scans each grid
+block once for all of them and refines them in lockstep.  Every objective
+row is computed elementwise, so each of its Estimates is bit for bit the
+one a separate run gives; ``sup_pairs_2d`` is its one-objective call.
 """
 
 from __future__ import annotations
@@ -249,31 +259,32 @@ class _WitnessRows(Sequence):
         return _as_witness(self.X1[i], self.X2[i])
 
 
-def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[object]]],
-                lo: float, hi: float, iters: int, lookahead: int = 1):
-    """Golden-section ascent on [lo, hi]; returns the best evaluated sample.
+def _golden(lo: float, hi: float, iters: int, lookahead: int = 1):
+    """Golden-section ascent on [lo, hi] as a generator; its return value is
+    the best evaluated sample, (value, coordinate, payload), or three Nones.
 
-    ``fun`` maps a list of coordinates to (values, payloads); NaN values are
-    treated as minus infinity.  Only evaluated feasible samples are ever
-    returned, which preserves the engines' lower-bound semantics.  Only the
-    returned sample's payload is read, so ``payloads`` may be a lazy sequence.
+    Each ``yield`` is a batch, a list of coordinates, and the generator must
+    be sent back ``(values, payloads)`` for it; NaN values are treated as
+    minus infinity.  Only evaluated feasible samples are ever returned,
+    which preserves the engines' lower-bound semantics.  Only the returned
+    sample's payload is read, so ``payloads`` may be a lazy sequence.
 
-    Each call of ``fun`` carries every point the search could probe while at
-    most ``lookahead - 1`` of its comparisons are undecided: the 2^lookahead - 1
-    candidates of the next ``lookahead`` iterations, or, on the first call,
+    Each batch carries every point the search could probe while at most
+    ``lookahead - 1`` of its comparisons are undecided: the 2^lookahead - 1
+    candidates of the next ``lookahead`` iterations, or, in the first batch,
     the two interior points and the 2^lookahead - 2 candidates of the
     ``lookahead - 1`` iterations after them.  The probes on the path the
     comparisons take are then accepted in the sequential order, so the
-    result does not depend on ``lookahead``; at 1 every call holds exactly
-    the points a one-probe-at-a-time loop evaluates.  No point is sent to
-    ``fun`` twice in one run: golden brackets can reach one float by two
-    routes, and a candidate that two branches share, or that an earlier
-    call evaluated, is sent once and its value and payload reused.
+    result does not depend on ``lookahead``; at 1 every batch holds exactly
+    the points a one-probe-at-a-time loop evaluates.  No point is yielded
+    twice in one run: golden brackets can reach one float by two routes,
+    and a candidate that two branches share, or that an earlier batch
+    held, is yielded once and its value and payload reused.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be at least 1")
     best_v, best_x, best_at = None, None, None
-    # x -> (values, payloads, index) of every point fun has evaluated.  Keys
+    # x -> (values, payloads, index) of every point evaluated so far.  Keys
     # compare by value: a golden point is a sum or difference of bracket
     # points, so it is -0.0 only when every point of the run is.
     seen = {}
@@ -326,7 +337,7 @@ def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[obj
         tree = branches(a, b, c, d, fc, fd, it, 0, new)
         if new:
             xs = list(new)
-            values, payloads = fun(xs)
+            values, payloads = yield xs
             for i, x in enumerate(xs):
                 seen[x] = (values, payloads, i)
         if fc is None:
@@ -343,28 +354,59 @@ def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[obj
     return best_v, best_x, payloads[i]
 
 
-def _refine(best_v: float, best_w, params: np.ndarray, widths: Sequence[float],
-            probe: Callable[[int], Callable], rounds: int, lookahead: int):
-    """Coordinate-wise golden refinement around a scanned maximum.
+def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[object]]],
+                lo: float, hi: float, iters: int, lookahead: int = 1):
+    """``_golden`` driven by ``fun``, which maps each batch of coordinates
+    to (values, payloads); returns the best evaluated sample."""
+    run = _golden(lo, hi, iters, lookahead)
+    try:
+        xs = next(run)
+        while True:
+            xs = run.send(fun(xs))
+    except StopIteration as stop:
+        return stop.value
 
-    Each round runs one ``_golden_max`` pass per coordinate ``ci`` on
-    ``params[ci] ± widths[ci] * 0.6**round`` with ``probe(ci)`` as its
-    function, which reads ``params`` as they are updated in place.  A sample
-    replaces the best only with a larger value, or an equal one and a
-    smaller witness.  Returns (value, witness, evaluations).
+
+def _refine(best_v: list, best_w: list, params: np.ndarray, widths: Sequence[float],
+            probe: Callable[[int], Callable], rounds: int, lookahead: int) -> int:
+    """Coordinate-wise golden refinement of K scanned maxima in lockstep.
+
+    Search k starts from ``best_v[k]``, ``best_w[k]`` at ``params[k]``.
+    Each round runs one ``_golden`` pass per search and coordinate ``ci`` on
+    ``params[k, ci] ± widths[ci] * 0.6**round``; all K passes over ``ci``
+    advance together, and each step sends the batch of every search still
+    running to one call ``probe(ci)(ks, batches)``, which returns one
+    (values, payloads) per search ``ks[n]`` and its coordinate list
+    ``batches[n]``.  ``params[k]`` is read as it is updated in place; it
+    changes only when search k's pass is over.  A sample replaces a best
+    only with a larger value, or an equal one and a smaller witness, so
+    each search ends as a refinement of its own would.  Updates
+    ``best_v``, ``best_w`` and ``params``; returns each search's
+    evaluations.
     """
     evaluations = 0
     for rnd in range(rounds):
         shrink = 0.6 ** rnd
-        for ci in range(len(params)):
+        for ci in range(params.shape[1]):
             h = widths[ci] * shrink
-            v, x, w = _golden_max(probe(ci), params[ci] - h, params[ci] + h,
-                                  _GOLDEN_ITERS, lookahead=lookahead)
+            fun = probe(ci)
+            runs = {k: _golden(params[k, ci] - h, params[k, ci] + h, _GOLDEN_ITERS, lookahead)
+                    for k in range(len(best_v))}
+            asks = {k: next(run) for k, run in runs.items()}
+            while asks:
+                ks = list(asks)
+                replies = fun(ks, [asks[k] for k in ks])
+                asks = {}
+                for k, reply in zip(ks, replies):
+                    try:
+                        asks[k] = runs[k].send(reply)
+                    except StopIteration as stop:
+                        v, x, w = stop.value
+                        if v is not None and (v > best_v[k] or (v == best_v[k] and w < best_w[k])):
+                            best_v[k], best_w[k] = v, w
+                            params[k, ci] = x
             evaluations += _GOLDEN_ITERS + 2
-            if v is not None and (v > best_v or (v == best_v and w < best_w)):
-                best_v, best_w = v, w
-                params[ci] = x
-    return best_v, best_w, evaluations
+    return evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -396,45 +438,55 @@ def _points_2d(space: NormedSpace, region: Region, params: np.ndarray) -> np.nda
     return rows
 
 
-def _scan_2d(fb, P1: np.ndarray, P2: np.ndarray):
-    """Grid maximum over all pairs (P1[i], P2[j]): (value, witness, i, j), or
-    None if no value is finite.
+def _scan_2d(fbs, P1: np.ndarray, P2: np.ndarray):
+    """Grid maximum of each objective of ``fbs`` over all pairs (P1[i], P2[j]):
+    one (value, witness, i, j), or None if no value is finite, per objective.
 
-    Blocks of whole P1 rows are evaluated against all of P2, at most
-    ``_SCAN_BLOCK`` objective rows per call.  The result is the one a
-    row-by-row loop gives: the largest finite value, the lexicographically
-    smallest witness among its pairs, the first (i, j) among equal witnesses,
-    and the value as the winning row's own maximum (its sign, when it is
-    zero, depends on the reduction).
+    Blocks of whole P1 rows are built once and evaluated against all of P2
+    by every objective in turn, at most ``_SCAN_BLOCK`` objective rows per
+    call, and each objective's values are reduced apart.  The result is the
+    one a row-by-row loop gives: the largest finite value, the
+    lexicographically smallest witness among its pairs, the first (i, j)
+    among equal witnesses, and the value as the winning row's own maximum
+    (its sign, when it is zero, depends on the reduction).
     """
     n2 = P2.shape[0]
     step = max(1, _SCAN_BLOCK // n2)
-    winners = []    # (value, i, j) of each block's best pair
+    winners = [[] for _ in fbs]     # (value, i, j) of each block's best pair
     for i0 in range(0, P1.shape[0], step):
         X1 = np.repeat(P1[i0:i0 + step], n2, axis=0)
         X2 = np.tile(P2, (X1.shape[0] // n2, 1))
-        vals = np.concatenate([fb(X1[k:k + _SCAN_BLOCK], X2[k:k + _SCAN_BLOCK])
-                               for k in range(0, X1.shape[0], _SCAN_BLOCK)])
-        best = _best_row(vals, X1, X2)
-        if best is not None:
-            i, j = divmod(best[2], n2)
-            row = vals[i * n2:(i + 1) * n2]
-            winners.append((float(row[np.isfinite(row)].max()), i0 + i, j))
-    if not winners:
-        return None
-    vs, ii, jj = (np.array(col) for col in zip(*winners))
-    v, w, k = _best_row(vs, P1[ii], P2[jj])
-    return v, w, ii[k], jj[k]
+        for fb, won in zip(fbs, winners):
+            vals = np.concatenate([fb(X1[k:k + _SCAN_BLOCK], X2[k:k + _SCAN_BLOCK])
+                                   for k in range(0, X1.shape[0], _SCAN_BLOCK)])
+            best = _best_row(vals, X1, X2)
+            if best is not None:
+                i, j = divmod(best[2], n2)
+                row = vals[i * n2:(i + 1) * n2]
+                won.append((float(row[np.isfinite(row)].max()), i0 + i, j))
+    out = []
+    for won in winners:
+        if not won:
+            out.append(None)
+            continue
+        vs, ii, jj = (np.array(col) for col in zip(*won))
+        v, w, k = _best_row(vs, P1[ii], P2[jj])
+        out.append((v, w, ii[k], jj[k]))
+    return out
 
 
-def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEFAULT_RESOLUTION,
-                 refine_iters: int = DEFAULT_REFINE, radial: int = DEFAULT_RADIAL) -> Estimate:
-    """Angular-grid scan over pairs, then coordinate-wise golden refinement.
+def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective],
+                        thetas: Sequence[float], region, resolution: int, refine_iters: int,
+                        radial: int) -> list[Estimate]:
+    """``sup_pairs_2d`` of the objectives ``family(theta)`` for each theta of
+    ``thetas``, in one run: the Estimates K separate runs give, bit for bit.
 
-    Sphere variables are parametrized by one angle, ball variables by an
-    angle and a radius in [0, 1].  The scan reduces with the max-value /
-    lexicographic-witness rule; refinement never accepts a worse sample, so
-    the returned value dominates the raw grid maximum.
+    ``family`` takes a float, or an ``(n, 1)`` column of per-row parameters,
+    and returns an Objective whose rows are computed elementwise, so a row
+    has the same bits whichever rows it is stacked with.  The scan builds
+    each block of grid pairs once for all K objectives; the refinement
+    runs the K searches in lockstep (see ``_refine``), one ``_points_2d``
+    call and one objective call per step for all of them.
     """
     if space.dim != 2:
         raise SpaceError(f"sup_pairs_2d needs a 2-dimensional space, got dim={space.dim}")
@@ -443,14 +495,17 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
     if refine_iters < 0 or radial < 2:
         raise ValueError("refine_iters must be >= 0 and radial >= 2")
     reg1, reg2 = _region_pair(region)
-    fb = _batch(f)
+    thetas = np.array(thetas, dtype=float)
+    if thetas.size == 0:
+        return []
     P1, par1 = _grid_axes_2d(space, reg1, resolution, radial)
     P2, par2 = _grid_axes_2d(space, reg2, resolution, radial)
 
-    scan = _scan_2d(fb, P1, P2)
-    if scan is None:
+    scans = _scan_2d([_batch(family(float(th))) for th in thetas], P1, P2)
+    if any(scan is None for scan in scans):
         raise ValueError("objective returned no finite value on the grid")
-    best_v, best_w, i, j = scan
+    best_v = [scan[0] for scan in scans]
+    best_w = [scan[1] for scan in scans]
 
     regs = (reg1, reg2)
     k1 = par1.shape[1]
@@ -460,30 +515,51 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
         if reg is Region.BALL:
             widths.append(1.0 / (radial - 1))
 
-    params = np.concatenate([par1[i], par2[j]]).astype(float)
+    params = np.array([np.concatenate([par1[i], par2[j]]) for _, _, i, j in scans])
 
     def probe_rows(ci: int):
-        # fun for _golden_max over coordinate ci: one array of candidate rows
-        # for the moving variable, the other variable's point repeated
+        # the probe over coordinate ci: one array of candidate rows for the
+        # moving variable of every search, each search's other point repeated
         moving = 0 if ci < k1 else 1
         own = slice(0, k1) if moving == 0 else slice(k1, None)
         other = slice(k1, None) if moving == 0 else slice(0, k1)
-        fixed = _points_2d(space, regs[1 - moving], params[None, other])
+        fixed = _points_2d(space, regs[1 - moving], params[:, other])
 
-        def fun(xs: list[float]):
-            trial = np.repeat(params[None, own], len(xs), axis=0)
-            trial[:, ci - own.start] = xs
+        def fun(ks: list[int], batches: list[list[float]]):
+            counts = [len(xs) for xs in batches]
+            trial = np.repeat(params[ks, own], counts, axis=0)
+            trial[:, ci - own.start] = [x for xs in batches for x in xs]
             R = _points_2d(space, regs[moving], trial)
-            F = np.repeat(fixed, len(xs), axis=0)
+            F = np.repeat(fixed[ks], counts, axis=0)
             X1, X2 = (R, F) if moving == 0 else (F, R)
-            return fb(X1, X2), _WitnessRows(X1, X2)
+            vals = _batch(family(np.repeat(thetas[ks], counts)[:, None]))(X1, X2)
+            replies, e = [], 0
+            for n in counts:
+                replies.append((vals[e:e + n], _WitnessRows(X1[e:e + n], X2[e:e + n])))
+                e += n
+            return replies
 
         return fun
 
-    best_v, best_w, refined = _refine(best_v, best_w, params, widths, probe_rows,
-                                      refine_iters, _GRID_LOOKAHEAD)
-    return Estimate(value=best_v, witness=best_w, strategy="Grid2D", exact=False,
-                    evaluations=P1.shape[0] * P2.shape[0] + refined)
+    refined = _refine(best_v, best_w, params, widths, probe_rows, refine_iters,
+                      _GRID_LOOKAHEAD)
+    evaluations = P1.shape[0] * P2.shape[0] + refined
+    return [Estimate(value=v, witness=w, strategy="Grid2D", exact=False,
+                     evaluations=evaluations) for v, w in zip(best_v, best_w)]
+
+
+def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEFAULT_RESOLUTION,
+                 refine_iters: int = DEFAULT_REFINE, radial: int = DEFAULT_RADIAL) -> Estimate:
+    """Angular-grid scan over pairs, then coordinate-wise golden refinement.
+
+    Sphere variables are parametrized by one angle, ball variables by an
+    angle and a radius in [0, 1].  The scan reduces with the max-value /
+    lexicographic-witness rule; refinement never accepts a worse sample, so
+    the returned value dominates the raw grid maximum.  This is the
+    one-objective run of ``_sup_pairs_2d_stack``.
+    """
+    return _sup_pairs_2d_stack(space, lambda _: f, [0.0], region, resolution,
+                               refine_iters, radial)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +693,15 @@ def sup_vertex_pairs(space: NormedSpace, f: Objective) -> Estimate:
 # one-dimensional sweep
 
 
+def _sweep_grid(lo: float, hi: float, grid: int) -> list[float]:
+    """The scan points of ``t_sweep(g, lo, hi, grid)``, in its order."""
+    if grid < 3:
+        raise ValueError("grid must be at least 3")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("need finite lo < hi")
+    return [float(t) for t in np.linspace(lo, hi, grid)]
+
+
 def t_sweep(g: Callable[[float], float], lo: float, hi: float, grid: int = 33,
             refine_iters: int = 20) -> tuple[float, float]:
     """Maximize a scalar function on [lo, hi]: grid scan plus golden refinement.
@@ -624,18 +709,13 @@ def t_sweep(g: Callable[[float], float], lo: float, hi: float, grid: int = 33,
     Returns ``(t_star, value)``; ties prefer the smallest t, so a constant
     function reports its left endpoint.  Non-finite values raise.
     """
-    if grid < 3:
-        raise ValueError("grid must be at least 3")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError("need finite lo < hi")
-    ts = np.linspace(lo, hi, grid)
     best_t, best_v = None, None
-    for t in ts:
-        v = float(g(float(t)))
+    for t in _sweep_grid(lo, hi, grid):
+        v = float(g(t))
         if not math.isfinite(v):
             raise ValueError(f"sweep objective returned a non-finite value at t={t}")
         if best_v is None or v > best_v:
-            best_t, best_v = float(t), v
+            best_t, best_v = t, v
     cell = (hi - lo) / (grid - 1)
     a = max(lo, best_t - cell)
     b = min(hi, best_t + cell)

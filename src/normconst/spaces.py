@@ -72,6 +72,16 @@ class NormedSpace:
         if self.kind == "wlp":
             A = A * self._w
         q = self.q
+        if self.dim == 2:
+            # the reductions below as two-term expressions: A is non-negative,
+            # so these have the same bits, without a reduction call
+            if q == math.inf:
+                return np.maximum(A[..., 0], A[..., 1])
+            if q == 1.0:
+                return A[..., 0] + A[..., 1]
+            S = A * A if q == 2.0 else A ** q
+            S = S[..., 0] + S[..., 1]
+            return np.sqrt(S) if q == 2.0 else S ** (1.0 / q)
         if q == math.inf:
             return A.max(axis=-1)
         if q == 1.0:

@@ -126,14 +126,33 @@ class _Context:
         return MultiStartStrategy(starts=self.profile.starts,
                                   steps=self.profile.steps, seed=self.seed)
 
+    @staticmethod
+    def _key(name: str, space: NormedSpace, strat: Strategy, params: dict):
+        return (name, descriptor(space), strategy_descriptor(strat),
+                tuple(sorted(params.items())))
+
     def estimate(self, name: str, space: NormedSpace, strat: Strategy,
                  **params) -> Estimate:
-        key = (name, descriptor(space), strategy_descriptor(strat),
-               tuple(sorted(params.items())))
+        key = self._key(name, space, strat, params)
         est = self._cache.get(key)
         if est is None:
             est = self._cache[key] = getattr(cns, name)(space, strategy=strat, **params)
         return est
+
+    def estimate_many(self, name: str, space: NormedSpace, strat: Strategy, axis: str,
+                      values, **fixed) -> None:
+        """Cache ``estimate(name, space, strat, **fixed, axis=v)`` for each v of
+        ``values`` that is not cached yet, under the same keys, from one
+        ``constants._estimates_along`` call."""
+        missing = {}
+        for v in values:
+            key = self._key(name, space, strat, {**fixed, axis: v})
+            if key not in self._cache:
+                missing.setdefault(key, v)
+        if missing:
+            ests = cns._estimates_along(name, space, strat, axis, list(missing.values()),
+                                        **fixed)
+            self._cache.update(zip(missing, ests))
 
     def check_seed(self, check_id: str, space: NormedSpace) -> int:
         tag = f"{self.seed}:{check_id}:{descriptor(space)}"
@@ -210,9 +229,9 @@ def _check_alpha_monotone_convex(ctx: _Context, space, params):
     """
     p = float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
-    grid = np.linspace(0.0, 0.5, MONOTONE_POINTS)
-    vals = [ctx.estimate("cinj_via_gamma", space, strat, alpha=float(a), p=p).value
-            for a in grid]
+    grid = [float(a) for a in np.linspace(0.0, 0.5, MONOTONE_POINTS)]
+    ctx.estimate_many("cinj_via_gamma", space, strat, "alpha", grid, p=p)
+    vals = [ctx.estimate("cinj_via_gamma", space, strat, alpha=a, p=p).value for a in grid]
     mono = max((vals[i + 1] - vals[i] for i in range(len(vals) - 1)), default=0.0)
     convex = max((2.0 * vals[i] - vals[i - 1] - vals[i + 1]
                   for i in range(1, len(vals) - 1)), default=0.0)
@@ -227,9 +246,9 @@ def _check_alpha_monotone_convex(ctx: _Context, space, params):
 def _check_gamma_monotone_t(ctx: _Context, space, params):
     p = float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
-    grid = np.linspace(0.0, 1.0, MONOTONE_POINTS)
-    vals = [ctx.estimate("gamma_p", space, strat, p=p, t=float(t)).value
-            for t in grid]
+    grid = [float(t) for t in np.linspace(0.0, 1.0, MONOTONE_POINTS)]
+    ctx.estimate_many("gamma_p", space, strat, "t", grid, p=p)
+    vals = [ctx.estimate("gamma_p", space, strat, p=p, t=t).value for t in grid]
     worst = max((vals[i] - vals[i + 1] for i in range(len(vals) - 1)), default=0.0)
     consumed = max(0.0, worst)
     values = {"monotone_violation": consumed, "at_zero": vals[0],

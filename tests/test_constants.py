@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import normconst as nc
-from normconst.search import Grid2DStrategy, MultiStartStrategy
+from normconst.search import Grid2DStrategy, MultiStartStrategy, t_sweep
 
 L1 = nc.lp_space(1, 2)
 L2 = nc.lp_space(2, 2)
@@ -187,6 +187,37 @@ def test_cnj_runs_each_offset_once(monkeypatch):
     assert est.evaluations == sum(e.evaluations for _, e in calls)
 
 
+def _cnj_reference(space, p, strat, t_grid, t_refine, mode):
+    # cnj_p computing each swept offset on its own when the sweep asks for it
+    inner = {}
+
+    def g(t):
+        if t not in inner:
+            inner[t] = (nc.gamma_p(space, p, t, strat) if mode == "gamma"
+                        else nc.cinj_iso(space, (1.0 - t) / 2.0, p, strat))
+        est = inner[t]
+        return (est.value if mode == "gamma" else 2.0 * est.value) / (1.0 + t ** p)
+
+    t_star, value = t_sweep(g, 0.0, 1.0, grid=t_grid, refine_iters=t_refine)
+    at_best = inner[t_star]
+    return value, at_best.witness, sum(e.evaluations for e in inner.values()), {
+        **at_best.meta, "t_star": t_star, "mode": mode, "inner_value": at_best.value}
+
+
+@pytest.mark.parametrize("sp, strat", [
+    (L2, "grid2d:res=32,refine=2"), (L3, "grid2d:res=24,refine=3"),
+    (HEX, "grid2d:res=48,refine=1"), (HEX, "exact"), (L1, "exact"),
+], ids=["l2", "l3", "hex", "hex-exact", "l1-exact"])
+@pytest.mark.parametrize("mode", ["gamma", "cinj"])
+def test_cnj_prefilled_grid_matches_reference(sp, strat, mode):
+    strat = nc.parse_strategy(strat)
+    est = nc.cnj_p(sp, 2.0, strat, t_grid=9, t_refine=5, mode=mode)
+    value, witness, evaluations, meta = _cnj_reference(sp, 2.0, strat, 9, 5, mode)
+    assert (est.value, est.witness, est.evaluations) == (value, witness, evaluations)
+    assert repr(est.meta) == repr(meta)
+    assert est.exact is False
+
+
 def test_cnj_modes_agree():
     for sp in (L1, HEX):
         a = nc.cnj_p(sp, p=2.0, strategy="exact", mode="gamma")
@@ -268,25 +299,23 @@ def test_schaffer_matches_reference(sp, strat):
         nc.schaffer(sp, strategy="exact")
 
 
-def _sequential_golden(fun, lo, hi, iters, lookahead=1):
-    # the golden loop one probe at a time, each probe a one-row call of the
-    # batched probe; lookahead is ignored
-    from test_search import _golden_reference
-
-    def one(x):
-        values, payloads = fun([x])
-        return float(values[0]), payloads[0]
-
-    return _golden_reference(one, lo, hi, iters)[0]
-
-
 @pytest.mark.parametrize("strat", [FAST, HEXFAST], ids=["fast", "hexfast"])
 def test_unit_iso_lookahead_is_bit_identical(monkeypatch, strat):
+    from test_search import _sequential_golden
+
     batched = {}
     for sp in (L1, L2, L3, HEX):
         batched[sp] = (nc.james(sp, strategy=strat), nc.schaffer(sp, strategy=strat))
-    # the min-form supremum's grid refinement runs on the same loop
-    monkeypatch.setattr(nc.search, "_golden_max", _sequential_golden)
+    # _refine drives one _golden generator per search and coordinate; the
+    # sequential loop in its place sends every probe as a one-row batch.
+    # The min-form supremum's grid refinement runs on the same loop.
+    passes = []
+
+    def sequential(*args, **kwargs):
+        passes.append(args)
+        return _sequential_golden(*args, **kwargs)
+
+    monkeypatch.setattr(nc.search, "_golden", sequential)
     for sp, (j, s) in batched.items():
         j0, s0 = nc.james(sp, strategy=strat), nc.schaffer(sp, strategy=strat)
         for got, want in ((j, j0), (s, s0)):
@@ -294,6 +323,7 @@ def test_unit_iso_lookahead_is_bit_identical(monkeypatch, strat):
                 want.value, want.witness, want.evaluations)
             assert repr(got.meta) == repr(want.meta)
         assert "iso_form_value" in j.meta and "iso_form_witness" in j.meta
+    assert passes
 
 
 def test_rho_closed_forms():

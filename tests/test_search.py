@@ -28,7 +28,9 @@ from normconst.search import (
     _golden_max,
     _grid_axes_2d,
     _lex_first,
+    _sup_pairs_2d_stack,
 )
+from normconst.constants import _family
 from normconst.spaces import Region, lp_space, parse_space, regular_polygon_space
 
 L1 = lp_space(1, 2)
@@ -226,35 +228,53 @@ def test_multistart_always_within_bound(seed):
 
 # ------------------------------------------------- golden section with lookahead
 
-def _golden_reference(fun, lo, hi, iters):
-    """The one-probe-at-a-time golden loop; ``fun(x) -> (value, payload)``."""
-    best_v, best_x, best_p = None, None, None
-    probes = []
+def _sequential_golden(lo, hi, iters, lookahead=1, probes=None):
+    """The one-probe-at-a-time golden loop as a generator with ``_golden``'s
+    protocol: it yields one-point batches ``[x]``, is sent
+    ``(values, payloads)`` for each and returns (value, x, payload) of the
+    best sample.  ``lookahead`` is ignored; ``probes`` collects every x."""
+    best = [None, None, None]
 
-    def probe(x):
-        nonlocal best_v, best_x, best_p
-        probes.append(x)
-        v, payload = fun(x)
+    def keep(x, reply):
+        values, payloads = reply
+        v = float(values[0])
+        if probes is not None:
+            probes.append(x)
         if not math.isfinite(v):
             return -math.inf
-        if best_v is None or v > best_v or (v == best_v and x < best_x):
-            best_v, best_x, best_p = v, x, payload
+        if best[0] is None or v > best[0] or (v == best[0] and x < best[1]):
+            best[:] = [v, x, payloads[0]]
         return v
 
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = probe(c), probe(d)
+    fc = keep(c, (yield [c]))
+    fd = keep(d, (yield [d]))
     for _ in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = probe(c)
+            fc = keep(c, (yield [c]))
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = probe(d)
-    return (best_v, best_x, best_p), probes
+            fd = keep(d, (yield [d]))
+    return tuple(best)
+
+
+def _golden_reference(fun, lo, hi, iters):
+    """The one-probe-at-a-time golden loop; ``fun(x) -> (value, payload)``.
+    Returns the best sample and the probed points in order."""
+    probes = []
+    run = _sequential_golden(lo, hi, iters, probes=probes)
+    try:
+        xs = next(run)
+        while True:
+            v, payload = fun(xs[0])
+            xs = run.send(([v], [payload]))
+    except StopIteration as stop:
+        return stop.value, probes
 
 
 @st.composite
@@ -578,3 +598,54 @@ def test_scan_calls_stay_within_the_block():
                  resolution=1024, refine_iters=0, radial=9)
     assert max(sizes) <= _SCAN_BLOCK
     assert sum(sizes) == 1024 * 1024 * 9
+
+
+# ----------------------------------------- K objectives in one lockstep run
+
+
+def _stack_family(kind, space, p):
+    if kind != "nan_gapped":
+        return _family(kind, space, p)
+
+    def family(theta):
+        # NaN where the pair's cross term exceeds a theta-dependent level;
+        # theta is a float or an (n, 1) column
+        th = np.ravel(theta)
+
+        def evb(X1, X2):
+            out = space.norm_rows(X1 - th[:, None] * X2) ** p
+            return np.where(X1[:, 1] * X2[:, 0] > 0.2 * th - 0.05, np.nan, out)
+
+        return batch_objective(evb)
+
+    return family
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ENGINE_SPACES),
+       st.sampled_from([Region.SPHERE, (Region.SPHERE, Region.BALL),
+                        (Region.BALL, Region.BALL)]),
+       st.sampled_from(["gamma_p", "cinj_iso", "cinj_via_gamma", "nan_gapped"]),
+       st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5]), min_size=1, max_size=6),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       st.integers(8, 64), st.integers(0, 3), st.integers(2, 5))
+def test_stacked_engine_matches_single_runs(space, region, kind, thetas, p, res, refine,
+                                            radial):
+    family = _stack_family(kind, space, p)
+    got = _sup_pairs_2d_stack(space, family, thetas, region, res, refine, radial)
+    want = [sup_pairs_2d(space, family(theta), region, resolution=res, refine_iters=refine,
+                         radial=radial) for theta in thetas]
+    # repr keeps the sign of zero, which == does not
+    assert [repr(e) for e in got] == [repr(e) for e in want]
+
+
+def test_stacked_engine_edge_cases():
+    family = _stack_family("gamma_p", L2, 2.0)
+    assert _sup_pairs_2d_stack(L2, family, [], Region.SPHERE, 16, 1, 2) == []
+    with pytest.raises(ValueError):
+        _sup_pairs_2d_stack(lp_space(2, 3), family, [0.5], Region.SPHERE, 16, 1, 2)
+    # one objective with no finite value fails the run, as its own run would
+    nowhere = batch_objective(lambda X1, X2: np.full(X1.shape[0], np.nan))
+    with pytest.raises(ValueError, match="no finite value"):
+        _sup_pairs_2d_stack(L2, lambda th: nowhere if th == 1.0 else family(th),
+                            [0.5, 1.0], Region.SPHERE, 16, 1, 2)

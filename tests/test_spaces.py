@@ -192,3 +192,36 @@ def test_norm_rows_batch_agrees_with_scalar():
         rows = sp.norm_rows(V)
         for i in range(40):
             assert rows[i] == pytest.approx(norm(sp, V[i]), rel=1e-12)
+
+
+def _axis_reduction_norms(space, V):
+    # norm_rows as one numpy reduction over the last axis, in every dimension
+    A = np.abs(V)
+    if space.kind == "wlp":
+        A = A * np.asarray(space.weights)
+    q = space.q
+    if q == math.inf:
+        return A.max(axis=-1)
+    if q == 1.0:
+        return A.sum(axis=-1)
+    if q == 2.0:
+        return np.sqrt((A * A).sum(axis=-1))
+    return (A ** q).sum(axis=-1) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 50.0, 2000.0, math.inf])
+def test_dimension_2_norm_rows_match_the_axis_reduction(q):
+    # dimension 2 sums and maxes two columns without a reduction call; the
+    # bits must be the reduction's, over- and underflow included
+    rng = np.random.default_rng(int(q) if q < 1e9 else 9)
+    special = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1.0,
+                        -1.5, 1e150, 1e200, -1.7976931348623157e308])
+    pairs = np.array([(a, b) for a in special for b in special])
+    scales = [1e-310, 1e-160, 1e-30, 1.0, 1e30, 1e160, 1e300]
+    rows = [pairs] + [rng.standard_normal((n, 2)) * s for n in (1, 15, 4096) for s in scales]
+    with np.errstate(over="ignore", under="ignore"):
+        for space in (lp_space(q, 2), weighted_lp_space(q, (1.0, 2.0)),
+                      weighted_lp_space(q, (3e-5, 7.0))):
+            for V in rows:
+                got = space.norm_rows(V)
+                assert got.tobytes() == _axis_reduction_norms(space, V).tobytes()

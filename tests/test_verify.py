@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from normconst.search import ExactStrategy, Grid2DStrategy
 from normconst.spaces import lp_space, regular_polygon_space
 from normconst.verify import (
     CheckResult,
     PROFILES,
     Profile,
+    _Context,
     default_suite_spaces,
     report_json,
     run_check,
@@ -130,3 +132,28 @@ def test_smoothness_check_branches():
     assert res_smooth.passed and res_smooth.values["branch"] == "vanishing"
     res_sharp = run_check("smoothness_limit", L1, {"p": 1.0}, profile=MINI)
     assert res_sharp.passed and res_sharp.values["branch"] == "bounded_away"
+
+
+@pytest.mark.parametrize("space", [L2, regular_polygon_space(6)], ids=["l2", "hex"])
+def test_estimate_many_fills_the_keys_estimate_reads(space):
+    grid = Grid2DStrategy(resolution=32, refine=2, radial=3)
+    strats = [grid] + ([ExactStrategy()] if space is not L2 else [])
+    asks = [("gamma_p", "t", [0.0, 0.25, 0.5, 0.25, 1.0], {"p": 2.0}),
+            ("cinj_iso", "alpha", [0.0, 0.1, 0.5], {"p": 3.0}),
+            ("cinj_via_gamma", "alpha", [0.5, 0.25, 0.0], {"p": 1.5})]
+    for strat in strats:
+        alone, prefetched = _Context(MINI, 7), _Context(MINI, 7)
+        # a key cached before the prefetch keeps its object
+        kept = prefetched.estimate("gamma_p", space, strat, p=2.0, t=0.5)
+        for name, axis, values, fixed in asks:
+            prefetched.estimate_many(name, space, strat, axis, values, **fixed)
+        cached = dict(prefetched._cache)
+        assert len(cached) == 4 + 3 + 3
+        for name, axis, values, fixed in asks:
+            for v in values:
+                params = {**fixed, axis: v}
+                got = prefetched.estimate(name, space, strat, **params)
+                assert got is cached[_Context._key(name, space, strat, params)]
+                assert repr(got) == repr(alone.estimate(name, space, strat, **params))
+        assert prefetched.estimate("gamma_p", space, strat, p=2.0, t=0.5) is kept
+        assert prefetched._cache == cached
