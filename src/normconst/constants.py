@@ -425,6 +425,12 @@ def _unit_iso_pairs(space: NormedSpace, Zraw: np.ndarray):
 _ISO_LOOKAHEAD = 5
 
 
+def _arc_directions(space: NormedSpace, t: np.ndarray) -> np.ndarray:
+    """Unit rows along (-sin t, cos t), each with its own bits (``_points_2d``)."""
+    w = np.stack([-np.sin(t), np.cos(t)], axis=1)
+    return w / space.norm_rows(w)[:, None]
+
+
 def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
     """Extremum of ||x1 + x2|| over sampled unit-norm isosceles pairs.
 
@@ -448,14 +454,13 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
         def pairs(thetas: list[float]):
             # golden probe: x1 at each angle and its partner along the arc
             # towards the quarter-turned direction, one bisection for all rows
-            x1 = _points_2d(space, Region.SPHERE, np.array(thetas)[:, None])
-            w = np.array([[-math.sin(t), math.cos(t)] for t in thetas])
-            c = _iso_partner_rows(space, x1, w / space.norm_rows(w)[:, None])
+            t = np.array(thetas)
+            x1 = _points_2d(space, Region.SPHERE, t[:, None])
+            c = _iso_partner_rows(space, x1, _arc_directions(space, t))
             return fb(x1, c), _WitnessRows(x1, c)
 
         X1, params = _grid_axes_2d(space, Region.SPHERE, strat.resolution, 2)
-        DW = np.stack([-np.sin(params[:, 0]), np.cos(params[:, 0])], axis=1)
-        C = _iso_partner_rows(space, X1, DW / space.norm_rows(DW)[:, None])
+        C = _iso_partner_rows(space, X1, _arc_directions(space, params[:, 0]))
         best = _best_row(fb(X1, C), X1, C)
         if best is None:
             raise ValueError("no feasible isosceles pair found on the grid")

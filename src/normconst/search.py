@@ -26,7 +26,8 @@ multi-start pattern ascent, parametrized by a lift from parameters to
 pairs).
 
 ``_golden`` is a generator: it yields each batch of points it needs and is
-sent their values, so one loop can run many searches side by side.
+sent their values, so one loop can run many searches side by side.  Each
+batch's candidates are built level by level as one flat heap-ordered list.
 ``_golden_max`` drives one search with a probe function; ``_refine`` drives
 the coordinate-wise refinement of K searches in lockstep, one probe call
 per step for all of them.  On that, the 2-D grid engine is a K-objective
@@ -34,11 +35,14 @@ engine: ``_sup_pairs_2d_stack`` takes a family of objectives that share the
 space and the region and differ in one scalar parameter, scans each grid
 block once for all of them and refines them in lockstep.  Every objective
 row is computed elementwise, so each of its Estimates is bit for bit the
-one a separate run gives; ``sup_pairs_2d`` is its one-objective call.
+one a separate run gives; ``sup_pairs_2d`` is its one-objective call.  Its
+probe rows (``_points_2d``) are built with array ``cos`` / ``sin``, which
+give each row the bits of a per-row ``math`` call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -221,13 +225,19 @@ def _batch(f: Objective) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
 
 def _as_witness(x1: np.ndarray, x2: np.ndarray) -> tuple[Vector, Vector]:
-    return tuple(float(t) for t in x1), tuple(float(t) for t in x2)
+    return tuple(x1.tolist()), tuple(x2.tolist())
 
 
-def _lex_first(K: np.ndarray) -> int:
-    """The index of the lexicographically smallest row of the key array ``K``;
-    among equal rows the first one, since ``lexsort`` is stable."""
-    return int(np.lexsort(K.T[::-1])[0])
+def _lex_first(cols: Sequence[np.ndarray], rows: np.ndarray) -> int:
+    """The first of ``rows`` whose key (cols[0][r], cols[1][r], ...) is least
+    in a stable ``np.lexsort``: zeros of either sign equal, NaN last."""
+    for col in cols:
+        if rows.size == 1:
+            break
+        v = col[rows]
+        low = v == np.fmin.reduce(v)      # no row is low if every key is NaN
+        rows = rows[low] if low.any() else rows
+    return int(rows[0])
 
 
 def _best_row(vals: np.ndarray, X1: np.ndarray, X2: np.ndarray):
@@ -238,22 +248,20 @@ def _best_row(vals: np.ndarray, X1: np.ndarray, X2: np.ndarray):
     witness among its rows (zeros of either sign compare equal), then the
     first of equal witnesses; ``value`` is the winning row's own.
     """
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return None
-    idx = np.flatnonzero(finite & (vals == vals[finite].max()))
-    k = int(idx[0] if idx.size == 1 else idx[_lex_first(np.hstack([X1[idx], X2[idx]]))])
+    m = vals.max() if vals.size else -math.inf    # initial=-inf rejects integer dtypes
+    if not math.isfinite(m):      # a NaN or an infinite value: the finite max
+        m = vals.max(where=np.isfinite(vals), initial=-np.inf)
+        if m == -np.inf:
+            return None
+    k = _lex_first((*X1.T, *X2.T), np.flatnonzero(vals == m))
     return float(vals[k]), _as_witness(X1[k], X2[k]), k
 
 
-class _WitnessRows(Sequence):
+class _WitnessRows:
     """Witness pairs of matching rows of two arrays, each built when indexed."""
 
     def __init__(self, X1: np.ndarray, X2: np.ndarray):
         self.X1, self.X2 = X1, X2
-
-    def __len__(self) -> int:
-        return len(self.X1)
 
     def __getitem__(self, i):
         return _as_witness(self.X1[i], self.X2[i])
@@ -273,9 +281,14 @@ def _golden(lo: float, hi: float, iters: int, lookahead: int = 1):
     ``lookahead - 1`` of its comparisons are undecided: the 2^lookahead - 1
     candidates of the next ``lookahead`` iterations, or, in the first batch,
     the two interior points and the 2^lookahead - 2 candidates of the
-    ``lookahead - 1`` iterations after them.  The probes on the path the
-    comparisons take are then accepted in the sequential order, so the
-    result does not depend on ``lookahead``; at 1 every batch holds exactly
+    ``lookahead - 1`` iterations after them, as a complete binary tree
+    built level by level in one flat heap-ordered list.  Node i is a probe
+    and the bracket after it, ``(x, a, b, c, d)``; its children, the next
+    probes if ``fc >= fd`` and if not, are nodes 2i and 2i + 1.  Node 1 is
+    the probe the known comparison decides, or in the first batch the
+    bracket itself (x None).  The walk takes the on-path node of each level
+    by index, in the sequential order, so the result does not depend on
+    ``lookahead``; at 1 every batch holds exactly
     the points a one-probe-at-a-time loop evaluates.  No point is yielded
     twice in one run: golden brackets can reach one float by two routes,
     and a candidate that two branches share, or that an earlier batch
@@ -299,52 +312,39 @@ def _golden(lo: float, hi: float, iters: int, lookahead: int = 1):
             best_v, best_x, best_at = v, x, (payloads, i)
         return v
 
-    def branches(a, b, c, d, fc, fd, it, undecided, new):
-        # Candidate probes of iterations it, it+1, ...: {fc >= fd: (point,
-        # next bracket, branches after it)}; fc / fd are None until known.
-        # Points not yet evaluated are collected in the ordered dict ``new``.
-        if it == iters:
-            return {}
-        if fc is None or fd is None:
-            if undecided == lookahead - 1:
-                return {}
-            outcomes, undecided = (True, False), undecided + 1
-        else:
-            outcomes = (fc >= fd,)
-        tree = {}
-        for left in outcomes:
-            if left:
-                x = d - _INV_PHI * (d - a)
-                nxt, known = (a, d, x, c), (None, fc)
-            else:
-                x = c + _INV_PHI * (b - c)
-                nxt, known = (c, b, d, x), (fd, None)
-            if x not in seen:
-                new[x] = None
-            # a child's comparison is undecided: it returns {} at these limits
-            deeper = it + 1 < iters and undecided < lookahead - 1
-            tree[left] = (x, nxt,
-                          branches(*nxt, *known, it + 1, undecided, new) if deeper else {})
-        return tree
-
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc = fd = None
     it = 0
     while fc is None or it < iters:
-        new = dict.fromkeys([c, d]) if fc is None else {}
-        tree = branches(a, b, c, d, fc, fd, it, 0, new)
+        if fc is None:
+            tree, xs = [None, (None, a, b, c, d)], [c, d]
+            depth = min(lookahead - 1, iters)
+        else:
+            left = fc >= fd
+            x = d - _INV_PHI * (d - a) if left else c + _INV_PHI * (b - c)
+            tree, xs = [None, (x, a, d, x, c) if left else (x, c, b, d, x)], [x]
+            depth = min(lookahead - 1, iters - it - 1)
+        for i in range(1, 2 ** depth):
+            _, pa, pb, pc, pd = tree[i]
+            xl = pd - _INV_PHI * (pd - pa)
+            xr = pc + _INV_PHI * (pb - pc)
+            tree += [(xl, pa, pd, xl, pc), (xr, pc, pb, pd, xr)]
+        xs += [node[0] for node in tree[2:]]
+        new = [x for x in dict.fromkeys(xs) if x not in seen]
         if new:
-            xs = list(new)
-            values, payloads = yield xs
-            for i, x in enumerate(xs):
-                seen[x] = (values, payloads, i)
+            values, payloads = yield new
+            seen.update({x: (values, payloads, i) for i, x in enumerate(new)})
+        i = 1
         if fc is None:
             fc, fd = probe(c), probe(d)
-        while tree:
+        else:
+            i, depth = None, depth + 1      # the first step takes node 1 itself
+        for _ in range(depth):
             left = fc >= fd
-            x, (a, b, c, d), tree = tree[left]
+            i = 1 if i is None else 2 * i + (not left)
+            x, a, b, c, d = tree[i]
             v = probe(x)
             fc, fd = (v, fc) if left else (fd, v)
             it += 1
@@ -390,8 +390,8 @@ def _refine(best_v: list, best_w: list, params: np.ndarray, widths: Sequence[flo
         for ci in range(params.shape[1]):
             h = widths[ci] * shrink
             fun = probe(ci)
-            runs = {k: _golden(params[k, ci] - h, params[k, ci] + h, _GOLDEN_ITERS, lookahead)
-                    for k in range(len(best_v))}
+            mids = params[:, ci].tolist()   # python floats: the same bits, faster
+            runs = {k: _golden(x - h, x + h, _GOLDEN_ITERS, lookahead) for k, x in enumerate(mids)}
             asks = {k: next(run) for k, run in runs.items()}
             while asks:
                 ks = list(asks)
@@ -428,13 +428,17 @@ def _grid_axes_2d(space: NormedSpace, region: Region, resolution: int, radial: i
 
 def _points_2d(space: NormedSpace, region: Region, params: np.ndarray) -> np.ndarray:
     """Points for rows of parameters: (angle,) on the sphere, (angle, radius)
-    in the ball, the radius clamped to [0, 1].  Every row is computed as on
-    its own (``math.cos`` / ``math.sin``, a row-wise norm), so the bits do
-    not depend on the other rows."""
-    rows = np.array([[math.cos(t), math.sin(t)] for t in params[:, 0]])
-    rows = rows / space.norm_rows(rows)[:, None]
+    in the ball, the radius clamped as ``min(max(r, 0.0), 1.0)`` clamps it
+    (-0.0 and NaN pass through).  A row has the bits it has on its own:
+    numpy's float64 ``cos`` / ``sin`` give ``math.cos`` / ``math.sin``'s
+    bits at any array length and stride (a property test pins this)."""
+    rows = np.empty((params.shape[0], 2))
+    np.cos(params[:, 0], out=rows[:, 0])
+    np.sin(params[:, 0], out=rows[:, 1])
+    rows /= space.norm_rows(rows)[:, None]
     if region is Region.BALL:
-        rows = rows * np.array([min(max(r, 0.0), 1.0) for r in params[:, 1]])[:, None]
+        r = params[:, 1]
+        rows *= np.where(r < 0.0, 0.0, np.where(r > 1.0, 1.0, r))[:, None]
     return rows
 
 
@@ -464,15 +468,13 @@ def _scan_2d(fbs, P1: np.ndarray, P2: np.ndarray):
                 i, j = divmod(best[2], n2)
                 row = vals[i * n2:(i + 1) * n2]
                 won.append((float(row[np.isfinite(row)].max()), i0 + i, j))
-    out = []
-    for won in winners:
-        if not won:
-            out.append(None)
-            continue
+
+    def final(won):
         vs, ii, jj = (np.array(col) for col in zip(*won))
         v, w, k = _best_row(vs, P1[ii], P2[jj])
-        out.append((v, w, ii[k], jj[k]))
-    return out
+        return v, w, ii[k], jj[k]
+
+    return [final(won) if won else None for won in winners]
 
 
 def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective],
@@ -504,40 +506,33 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     scans = _scan_2d([_batch(family(float(th))) for th in thetas], P1, P2)
     if any(scan is None for scan in scans):
         raise ValueError("objective returned no finite value on the grid")
-    best_v = [scan[0] for scan in scans]
-    best_w = [scan[1] for scan in scans]
+    best_v, best_w, _, _ = map(list, zip(*scans))
 
     regs = (reg1, reg2)
     k1 = par1.shape[1]
-    widths = []
-    for reg in regs:
-        widths.append(TWO_PI / resolution)
-        if reg is Region.BALL:
-            widths.append(1.0 / (radial - 1))
-
+    # each coordinate's grid step: the angle's, and in the ball the radius's
+    steps = (TWO_PI / resolution, 1.0 / (radial - 1))
+    widths = [w for par in (par1, par2) for w in steps[:par.shape[1]]]
     params = np.array([np.concatenate([par1[i], par2[j]]) for _, _, i, j in scans])
 
     def probe_rows(ci: int):
         # the probe over coordinate ci: one array of candidate rows for the
         # moving variable of every search, each search's other point repeated
         moving = 0 if ci < k1 else 1
-        own = slice(0, k1) if moving == 0 else slice(k1, None)
-        other = slice(k1, None) if moving == 0 else slice(0, k1)
+        halves = (slice(0, k1), slice(k1, None))
+        own, other = halves if moving == 0 else halves[::-1]
         fixed = _points_2d(space, regs[1 - moving], params[:, other])
 
         def fun(ks: list[int], batches: list[list[float]]):
             counts = [len(xs) for xs in batches]
-            trial = np.repeat(params[ks, own], counts, axis=0)
+            trial = params[ks, own].repeat(counts, axis=0)
             trial[:, ci - own.start] = [x for xs in batches for x in xs]
             R = _points_2d(space, regs[moving], trial)
-            F = np.repeat(fixed[ks], counts, axis=0)
+            F = fixed[ks].repeat(counts, axis=0)
             X1, X2 = (R, F) if moving == 0 else (F, R)
-            vals = _batch(family(np.repeat(thetas[ks], counts)[:, None]))(X1, X2)
-            replies, e = [], 0
-            for n in counts:
-                replies.append((vals[e:e + n], _WitnessRows(X1[e:e + n], X2[e:e + n])))
-                e += n
-            return replies
+            vals = _batch(family(thetas[ks].repeat(counts)[:, None]))(X1, X2)
+            return [(vals[e - n:e], _WitnessRows(X1[e - n:e], X2[e - n:e]))
+                    for n, e in zip(counts, itertools.accumulate(counts))]
 
         return fun
 

@@ -99,10 +99,9 @@ def _poly_gauge_rows(space: NormedSpace, V: np.ndarray) -> np.ndarray:
     # linear functional of that sector.  For v in the sector spanned by
     # consecutive vertices p, q the gauge is a + b where a*p + b*q = v; the
     # map v -> a + b is linear per sector, so one dot product suffices.
+    # (an angle before the first vertex's gets index -1: the last sector)
     theta = np.arctan2(V[..., 1], V[..., 0])
-    idx = np.searchsorted(space._angles, theta, side="right") - 1
-    idx = np.where(idx < 0, len(space._angles) - 1, idx)
-    G = space._functionals[idx]
+    G = space._functionals[space._angles.searchsorted(theta, side="right") - 1]
     return G[..., 0] * V[..., 0] + G[..., 1] * V[..., 1]
 
 

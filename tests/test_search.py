@@ -25,12 +25,14 @@ from normconst.search import (
     t_sweep,
     _as_witness,
     _best_row,
+    _golden,
     _golden_max,
     _grid_axes_2d,
     _lex_first,
+    _points_2d,
     _sup_pairs_2d_stack,
 )
-from normconst.constants import _family
+from normconst.constants import _arc_directions, _family
 from normconst.spaces import Region, lp_space, parse_space, regular_polygon_space
 
 L1 = lp_space(1, 2)
@@ -378,6 +380,100 @@ def test_golden_lookahead_batch_counts():
         _golden_max(fun, 0.0, 1.0, 12, lookahead=0)
 
 
+def _golden_recursive(lo, hi, iters, lookahead=1):
+    """``_golden`` with its candidate tree built by one recursive call per
+    node and a dict per level, as the engine built it before the flat heap
+    list; the batches it yields are the reference point sets."""
+    best_v, best_x, best_at = None, None, None
+    seen = {}
+
+    def probe(x):
+        nonlocal best_v, best_x, best_at
+        values, payloads, i = seen[x]
+        v = float(values[i])
+        if not math.isfinite(v):
+            return -math.inf
+        if best_v is None or v > best_v or (v == best_v and x < best_x):
+            best_v, best_x, best_at = v, x, (payloads, i)
+        return v
+
+    def branches(a, b, c, d, fc, fd, it, undecided, new):
+        if it == iters:
+            return {}
+        if fc is None or fd is None:
+            if undecided == lookahead - 1:
+                return {}
+            outcomes, undecided = (True, False), undecided + 1
+        else:
+            outcomes = (fc >= fd,)
+        tree = {}
+        for left in outcomes:
+            if left:
+                x = d - _INV_PHI * (d - a)
+                nxt, known = (a, d, x, c), (None, fc)
+            else:
+                x = c + _INV_PHI * (b - c)
+                nxt, known = (c, b, d, x), (fd, None)
+            if x not in seen:
+                new[x] = None
+            deeper = it + 1 < iters and undecided < lookahead - 1
+            tree[left] = (x, nxt,
+                          branches(*nxt, *known, it + 1, undecided, new) if deeper else {})
+        return tree
+
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc = fd = None
+    it = 0
+    while fc is None or it < iters:
+        new = dict.fromkeys([c, d]) if fc is None else {}
+        tree = branches(a, b, c, d, fc, fd, it, 0, new)
+        if new:
+            xs = list(new)
+            values, payloads = yield xs
+            for i, x in enumerate(xs):
+                seen[x] = (values, payloads, i)
+        if fc is None:
+            fc, fd = probe(c), probe(d)
+        while tree:
+            left = fc >= fd
+            x, (a, b, c, d), tree = tree[left]
+            v = probe(x)
+            fc, fd = (v, fc) if left else (fd, v)
+            it += 1
+    if best_at is None:
+        return None, None, None
+    payloads, i = best_at
+    return best_v, best_x, payloads[i]
+
+
+def _batches(run, f):
+    """Drive a ``_golden``-protocol generator with ``f``: (result, batches)."""
+    batches = []
+    try:
+        xs = next(run)
+        while True:
+            batches.append(list(xs))
+            xs = run.send(([f(x) for x in xs], [("at", x) for x in xs]))
+    except StopIteration as stop:
+        return stop.value, batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(_probe_functions(), st.integers(1, 6), st.integers(0, 14))
+@example((_bump, 0.5625, 1.1875), 3, 3)
+@example((_bump, 0.5625, 1.1875), 5, 12)
+def test_flat_golden_tree_yields_the_recursive_batches(case, lookahead, iters):
+    # the same point set in every batch, so the same norm_rows row counts
+    f, lo, hi = case
+    want, want_batches = _batches(_golden_recursive(lo, hi, iters, lookahead), f)
+    got, got_batches = _batches(_golden(lo, hi, iters, lookahead), f)
+    assert repr(got) == repr(want)
+    assert [sorted(xs) for xs in got_batches] == [sorted(xs) for xs in want_batches]
+    assert all(len(xs) == len(set(xs)) for xs in got_batches)
+
+
 # ------------------------------------------------------ grid-scan tie-break
 
 
@@ -416,7 +512,7 @@ def _scan_old_rule(space, evb, region, resolution, radial):
         j = min(idxs, key=lambda k: tuple(P2[k]))
         if idxs.size > 1:
             ties += 1
-            assert idxs[_lex_first(P2[idxs])] == j
+            assert _lex_first(P2.T, idxs) == j
         w = _as_witness(P1[i], P2[j])
         if _improves(float(vmax), w, best_v, best_w):
             best_v, best_w = float(vmax), w
@@ -434,12 +530,23 @@ def test_grid_tie_break_matches_tuple_min():
 
 def test_lex_first_keeps_first_of_equal_rows():
     P = np.array([[0.0, 1.0], [-0.0, 0.0], [0.0, 0.0], [0.0, -0.0], [-1.0, 5.0]])
-    assert _lex_first(P[[0, 1, 2, 3]]) == 1
-    assert _lex_first(P[[2, 3, 0]]) == 0
-    assert _lex_first(P) == 4
+    assert _lex_first(P.T, np.array([0, 1, 2, 3])) == 1
+    assert _lex_first(P.T, np.array([2, 3, 0])) == 2
+    assert _lex_first(P.T, np.arange(5)) == 4
     # four key columns: the first pair decides, then the second
     K = np.hstack([P[[1, 2, 3, 0]], P[[0, 3, 1, 2]]])
-    assert _lex_first(K) == 1
+    assert _lex_first(K.T, np.arange(4)) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_lex_first_matches_a_stable_lexsort(n, m, seed):
+    # few distinct keys, signed zeros and NaN among them, so rows tie
+    rng = np.random.default_rng(seed)
+    keys = np.array([-1.0, -0.0, 0.0, 1.0, math.nan])
+    K = keys[rng.integers(0, 5, (n, m))]
+    rows = rng.permutation(n)[:rng.integers(1, n + 1)]
+    assert _lex_first(K.T, rows) == rows[np.lexsort(K[rows].T[::-1])[0]]
 
 
 def _best_row_loop(vals, X1, X2):
@@ -465,6 +572,8 @@ def test_best_row_matches_improves_loop():
         ([3.0, 3.0, 1.0, 3.0, 3.0, inf], P[[1, 2, 3, 1, 2, 3]], P[[2, 1, 3, 3, 2, 1]]),
         ([nan, -inf, 7.0, nan, inf, -inf], P, P),
         ([-inf, -inf, -2.0, -2.0, -2.0, -2.0], P, P[[5, 4, 3, 2, 1, 0]]),
+        # integer values, as an objective may return
+        ([1, 3, 3, 0, 3, 2], P, P[::-1]),
     ]
     for vals, X1, X2 in cases:
         vals = np.array(vals)
@@ -550,6 +659,43 @@ def _sup_pairs_2d_reference(space, evb, region, resolution, refine_iters, radial
 
 
 _ENGINE_SPACES = (L1, LINF, L2, lp_space(3, 2), parse_space("wlp:q=3,dim=2,w=1;2"), HEX)
+
+
+_ANGLES = st.one_of(st.floats(-60.0, 60.0),
+                    st.sampled_from([0.0, -0.0, math.pi, -math.pi, 2 * math.pi,
+                                     -2 * math.pi, 4 * math.pi + 1e-9, 1e6, -1e6]))
+_RADII = st.one_of(st.floats(-2.0, 3.0),
+                   st.sampled_from([0.0, -0.0, 1.0, -1e-300, 1.0 + 2 ** -52, math.nan]))
+
+
+def _laid_out(P, layout):
+    """``P`` as a contiguous array, as a view whose columns step over every
+    other element, or as a view with negative strides."""
+    if layout == "strided":
+        return np.repeat(P, 2, axis=1)[:, ::2]
+    if layout == "reversed":
+        return np.ascontiguousarray(P[::-1])[::-1]
+    return np.ascontiguousarray(P)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_ENGINE_SPACES),
+       st.lists(st.tuples(_ANGLES, _RADII), min_size=1, max_size=70),
+       st.sampled_from(["contiguous", "strided", "reversed"]))
+def test_array_rows_match_per_row_math(space, rows, layout):
+    # _points_2d and the unit-isosceles arc directions build their rows with
+    # array cos / sin; each must have the bits of a per-row math.cos /
+    # math.sin row, whatever the batch length and the column's stride
+    P = np.array(rows)
+    for region, params in ((Region.SPHERE, P[:, :1]), (Region.BALL, P)):
+        params = _laid_out(params, layout)
+        want = np.array([_point_2d(space, region, row) for row in params])
+        assert _points_2d(space, region, params).tobytes() == want.tobytes()
+    t = _laid_out(P[:, :1], layout)[:, 0]
+    w = np.array([[-math.sin(x), math.cos(x)] for x in t])
+    want = np.concatenate([w[k:k + 1] / space.norm_rows(w[k:k + 1])[:, None]
+                           for k in range(len(w))])
+    assert _arc_directions(space, t).tobytes() == want.tobytes()
 
 
 def _engine_objective(kind, space):

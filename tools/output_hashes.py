@@ -3,7 +3,7 @@
     python3 tools/output_hashes.py > hashes.json
 
 Run from the root of a source checkout: normconst is imported from ``src/``
-and the op lists from ``perfbench/workloads.py`` of the same checkout.  Two
+and the op lists from ``perfbench/workloads.py`` of the same checkout.  Three
 groups of hashes are printed:
 
 * ``suite``: ``report_json(run_suite([space], 7, "fast"))`` for each space
@@ -11,7 +11,11 @@ groups of hashes are printed:
 * ``cli``: the ``--out`` JSON of every op of ``compute_2d_ops(seed)`` and
   ``compute_nd_ops(seed)`` for seeds 1 and 2, run through ``cli.main`` with
   ``--seed multistart_seed(seed)`` as the benchmark runs them, keyed by
-  ``"<workload>/seed<seed>"`` and the op label.
+  ``"<workload>/seed<seed>"`` and the op label;
+* ``sweep``: the ``--out`` JSON of each ``normconst sweep`` call of
+  ``SWEEP_OPS``, keyed by its label: ``gamma_p`` over a t-grid on
+  ``lp:q=3,dim=2`` and on the hexagon, and ``cinj_iso`` over an alpha-grid
+  on l2 at a small ``grid2d``, the stacked runs of the grid engine.
 
 A change that should not move any output is checked by running the script
 on both checkouts and comparing the two files with ``diff``, or against the
@@ -19,9 +23,11 @@ hashes a benchmark record holds:
 
     python3 tools/output_hashes.py --against BENCH_6.json
 
-compares every hash with that file's ``suite_report_sha256`` and
-``cli_output_sha256`` entries, prints each key whose hash differs or is
-missing on one side, and exits 1 if there is any.
+compares every hash with that file's ``suite_report_sha256``,
+``cli_output_sha256`` and ``sweep_output_sha256`` entries, prints each key
+whose hash differs or is missing on one side, and exits 1 if there is any.
+A record without ``sweep_output_sha256`` (``BENCH_8.json`` and older) is
+compared on the other two groups only.
 """
 
 from __future__ import annotations
@@ -40,10 +46,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads as wl  # noqa: E402
 from normconst import cli, verify  # noqa: E402
-from normconst.spaces import descriptor  # noqa: E402
+from normconst.spaces import descriptor, regular_polygon_space  # noqa: E402
 
 SUITE_SEED = 7
 CLI_SEEDS = (1, 2)
+SWEEP_OPS = {
+    "gamma_p/l3/t": ["--space", "lp:q=3,dim=2", "--constant", "gamma_p", "--p", "2",
+                     "--t-grid", "0:1:0.125"],
+    "gamma_p/hexagon/t": ["--space", descriptor(regular_polygon_space(6)),
+                          "--constant", "gamma_p", "--p", "3", "--t-grid", "0:1:0.125"],
+    "cinj_iso/l2/alpha": ["--space", "lp:q=2,dim=2", "--constant", "cinj_iso", "--p", "2",
+                          "--alpha-grid", "0:0.5:0.0625",
+                          "--strategy", "grid2d:res=64,refine=6"],
+}
 
 
 def _sha(data: bytes) -> str:
@@ -56,35 +71,51 @@ def suite_hashes() -> dict[str, str]:
             for space in verify.default_suite_spaces()}
 
 
+def _cli_hash(argv: list[str], out: Path) -> str:
+    """The hash of what ``cli.main(argv)`` writes to ``out``, its exit code
+    appended when nonzero."""
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    digest = _sha(out.read_bytes()) if out.exists() else "no output"
+    return digest if rc == 0 else f"{digest} (exit code {rc})"
+
+
 def cli_hashes(tmp: Path) -> dict[str, dict[str, str]]:
     out = tmp / "out.json"
     hashes = {}
     for workload, make_ops in (("compute-2d", wl.compute_2d_ops),
                                ("compute-nd", wl.compute_nd_ops)):
         for seed in CLI_SEEDS:
-            group = hashes[f"{workload}/seed{seed}"] = {}
-            for op in make_ops(seed):
-                out.unlink(missing_ok=True)
-                with contextlib.redirect_stdout(io.StringIO()):
-                    rc = cli.main(op.argv(wl.multistart_seed(seed), str(out)))
-                digest = _sha(out.read_bytes()) if out.exists() else "no output"
-                group[op.label] = digest if rc == 0 else f"{digest} (exit code {rc})"
+            hashes[f"{workload}/seed{seed}"] = {
+                op.label: _cli_hash(op.argv(wl.multistart_seed(seed), str(out)), out)
+                for op in make_ops(seed)}
     return hashes
+
+
+def sweep_hashes(tmp: Path) -> dict[str, str]:
+    out = tmp / "sweep.json"
+    return {label: _cli_hash(["sweep", *argv, "--out", str(out)], out)
+            for label, argv in SWEEP_OPS.items()}
 
 
 def recorded_hashes(bench: dict) -> dict:
     """The hashes of a ``BENCH_*.json`` record in the layout ``main`` prints.
 
-    Each entry there is ``{"sha256": ..., "rc": ...}`` (``rc`` for CLI ops
-    only); a nonzero ``rc`` is written as this script writes it.
+    Each entry there is ``{"sha256": ..., "rc": ...}`` (``rc`` for CLI and
+    sweep ops only); a nonzero ``rc`` is written as this script writes it.
+    The ``sweep`` group is present only if the record holds it.
     """
     def digest(entry: dict) -> str:
         rc = entry.get("rc", 0)
         return entry["sha256"] if rc == 0 else f"{entry['sha256']} (exit code {rc})"
 
-    return {"suite": {key: digest(e) for key, e in bench["suite_report_sha256"].items()},
+    want = {"suite": {key: digest(e) for key, e in bench["suite_report_sha256"].items()},
             "cli": {group: {label: digest(e) for label, e in ops.items()}
                     for group, ops in bench["cli_output_sha256"].items()}}
+    if "sweep_output_sha256" in bench:
+        want["sweep"] = {label: digest(e) for label, e in bench["sweep_output_sha256"].items()}
+    return want
 
 
 def differences(got: dict, want: dict) -> list[str]:
@@ -112,15 +143,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.against is not None:
         want = recorded_hashes(json.loads(Path(args.against).read_text()))
     with tempfile.TemporaryDirectory() as tmp:
-        result = {"suite": suite_hashes(), "cli": cli_hashes(Path(tmp))}
+        result = {"suite": suite_hashes(), "cli": cli_hashes(Path(tmp)),
+                  "sweep": sweep_hashes(Path(tmp))}
     if want is None:
         json.dump(result, sys.stdout, indent=1)
         sys.stdout.write("\n")
         return 0
+    if "sweep" not in want:
+        del result["sweep"]
     diff = differences(result, want)
     for line in diff:
         print(line)
-    total = len(result["suite"]) + sum(len(ops) for ops in result["cli"].values())
+    total = (len(result["suite"]) + sum(len(ops) for ops in result["cli"].values())
+             + len(result.get("sweep", ())))
     print(f"{len(diff)} differing key(s); {total} hashes computed, against {args.against}")
     return 1 if diff else 0
 
