@@ -401,6 +401,8 @@ def _unit_iso_pairs(space: NormedSpace, Zraw: np.ndarray):
     arc direction; the partner is found by bisection along the great-circle
     arc between x1 and -x1.  Returns (Zraw, x1 rows, partner rows, feasible
     mask), as ``_ascend``'s lift does; degenerate rows are infeasible.
+    Zraw is returned as given and each row is lifted on its own, so the
+    ascent runs it with ``keeps_params``: one partner bisection per step.
     """
     X1raw = Zraw[:, 0, :]
     Wraw = Zraw[:, 1, :]
@@ -472,7 +474,8 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
         return sign * best_v[0], best_w[0], strat.resolution + refined
 
     Z, _ = _start_draws(strat.seed, strat.starts, space.dim)
-    best, evaluations = _ascend(fb, Z, lambda Z, v: _unit_iso_pairs(space, Z), strat.steps)
+    best, evaluations = _ascend(fb, Z, lambda Z, v: _unit_iso_pairs(space, Z), strat.steps,
+                                keeps_params=True)
     if best is None:
         raise ValueError("no feasible isosceles pair found from any start")
     return sign * best[0], best[1], evaluations

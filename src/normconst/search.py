@@ -23,7 +23,12 @@ copy of each search loop: ``_best_row`` (the max-value / lexicographic-
 witness reduction), ``_golden`` (batched golden-section search), and
 ``_start_draws`` with ``_ascend`` (per-start seed streams and the
 multi-start pattern ascent, parametrized by a lift from parameters to
-pairs).
+pairs).  Each ascent step tries +h, then -h from the point the +h move
+reached.  For a lift that returns its parameters as given (the
+unit-isosceles lift, one partner bisection per call), ``_paired_step``
+lifts all of a step's candidates in one call with the same bits;
+``sup_pairs_nd``'s lift renormalizes the moved variable, so it lifts the
+two moves one after the other.
 
 ``_golden`` is a generator: it yields each batch of points it needs and is
 sent their values, so one loop can run many searches side by side.  Each
@@ -569,13 +574,21 @@ def _start_draws(seed: int, starts: int, d: int):
     return np.stack([rng.standard_normal((2, d)) for rng in rngs]), rngs
 
 
-def _ascend(fb, Z: np.ndarray, lift, steps: int):
+def _ascend(fb, Z: np.ndarray, lift, steps: int, keeps_params: bool = False):
     """``sup_pairs_nd``'s ascent of ``fb`` on parameters Z of shape (starts, 2, d).
 
     ``lift(Z, v)`` maps parameters whose variable ``v`` moved (None at the
     start) to (parameters kept, x1 rows, x2 rows, feasible mask); it may
     write into Z, a fresh copy for every move.  Returns (``_best_row`` of
     the final pairs, evaluations).
+
+    Each step tries a move of +h, then a move of -h from the point that
+    step reached, keeping strict improvements.  ``keeps_params`` says that
+    ``lift`` returns the parameters it is given and lifts each row on its
+    own, whatever ``v`` and the other rows.  The step then lifts all its
+    candidates in one call (``_paired_step``), with the same result.
+    ``evaluations`` counts two moves per start and step either way; the
+    extra rows the paired step lifts are not counted.
     """
     starts, _, d = Z.shape
     Z, X1, X2, ok = lift(Z, None)
@@ -587,28 +600,72 @@ def _ascend(fb, Z: np.ndarray, lift, steps: int):
     stall = np.zeros(starts, dtype=int)
     ncoord = 2 * d
 
+    def lifted(cand: np.ndarray, v: int):
+        cand, C1, C2, ok = lift(cand, v)
+        cv = fb(C1, C2)
+        return cand, C1, C2, np.where(ok & np.isfinite(cv), cv, -np.inf)
+
+    def keep(adv: np.ndarray, cand, cv, C1, C2, rows=None):
+        # the starts in ``adv`` move to their candidate rows: row i for start
+        # i, or rows[i] if given
+        r = adv if rows is None else rows[adv]
+        Z[adv] = cand[r]
+        vals[adv] = cv[r]
+        X1[adv] = C1[r]
+        X2[adv] = C2[r]
+
     for it in range(steps):
         v, c = divmod(it % ncoord, d)
-        improved = np.zeros(starts, dtype=bool)
-        for sgn in (1.0, -1.0):
-            cand = Z.copy()
-            cand[:, v, c] += sgn * h
-            cand, C1, C2, ok = lift(cand, v)
-            cv = fb(C1, C2)
-            evaluations += starts
-            cv = np.where(ok & np.isfinite(cv), cv, -np.inf)
-            adv = cv > vals
-            if adv.any():
-                Z[adv] = cand[adv]
-                vals[adv] = cv[adv]
-                X1[adv] = C1[adv]
-                X2[adv] = C2[adv]
-                improved |= adv
+        evaluations += 2 * starts
+        if keeps_params:
+            improved = _paired_step(Z, vals, h, v, c, lifted, keep)
+        else:
+            improved = np.zeros(starts, dtype=bool)
+            for sgn in (1.0, -1.0):
+                cand = Z.copy()
+                cand[:, v, c] += sgn * h
+                cand, C1, C2, cv = lifted(cand, v)
+                adv = cv > vals
+                if adv.any():
+                    keep(adv, cand, cv, C1, C2)
+                    improved |= adv
         stall = np.where(improved, 0, stall + 1)
         shrink = stall >= ncoord
         h = np.where(shrink, h * 0.6, h)
         stall = np.where(shrink, 0, stall)
     return _best_row(vals, X1, X2), evaluations
+
+
+def _paired_step(Z, vals, h, v: int, c: int, lifted, keep) -> np.ndarray:
+    """One ``_ascend`` step for a lift that keeps its parameters, in one lift.
+
+    The rows lifted are P (coordinate a -> a + h), M (a -> a - h) and, for
+    the starts whose ``(a + h) - h`` is not a bit for bit, R (P's coordinate
+    -> (a + h) - h).  A start that moves at +h then tries R as its -h move,
+    or nothing if R would be its pre-step point: that point's value is the
+    pre-step value, which the +h value strictly beat.  A start that stays
+    tries M.  These are the moves, values and pairs of the sequential step.
+    Returns the mask of starts that moved.
+    """
+    starts = len(vals)
+    a = Z[:, v, c]
+    up_a = a + h
+    back = up_a - h
+    redo = np.flatnonzero(back.view(np.int64) != a.view(np.int64))
+    cand = np.concatenate([Z, Z, Z[redo]])
+    cand[:starts, v, c] = up_a
+    cand[starts:2 * starts, v, c] = a - h
+    cand[2 * starts:, v, c] = back[redo]
+    cand, C1, C2, cv = lifted(cand, v)
+
+    up = cv[:starts] > vals
+    keep(up, cand, cv, C1, C2, np.arange(starts))
+    # the row of each start's -h candidate; -1 where it is the pre-step point
+    minus = np.where(up, -1, np.arange(starts, 2 * starts))
+    minus[redo] = np.where(up[redo], np.arange(2 * starts, len(cand)), minus[redo])
+    down = (minus >= 0) & (cv[minus] > vals)
+    keep(down, cand, cv, C1, C2, minus)
+    return up | down
 
 
 def sup_pairs_nd(space: NormedSpace, f: Objective, region, starts: int = DEFAULT_STARTS,

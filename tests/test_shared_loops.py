@@ -7,17 +7,21 @@ as they were written before that fold, each with its own copy of the loops;
 the ``repr`` of value, witness and evaluations must match bit for bit.
 """
 
+import collections
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from normconst import constants, search
 from normconst.constants import (_ISO_LOOKAHEAD, _iso_partner_rows, _min_form_objective,
                                  _nu_objective, _unit_iso_extremum, _unit_iso_pairs,
                                  gamma_objective)
 from normconst.search import (_GOLDEN_ITERS, Grid2DStrategy, MultiStartStrategy,
                               _WitnessRows, _as_witness, _ascend, _batch, _golden_max,
-                              _region_pair, batch_objective, sup_pairs_nd)
+                              _region_pair, _start_draws, batch_objective, sup_pairs_nd)
 from normconst.spaces import TWO_PI, Region, lp_space, parse_space, regular_polygon_space
 from test_search import _improves
 
@@ -43,7 +47,9 @@ def _unit_iso_eval_rows(space, Zraw):
     return vals, X1, C
 
 
-def _unit_iso_extremum_reference(space, sense, strat):
+def _unit_iso_extremum_reference(space, sense, strat, edit=None):
+    """The extremum as written before the fold; ``edit`` may rewrite the
+    multi-start draws in place before the ascent."""
     sign = 1.0 if sense == "sup" else -1.0
     if isinstance(strat, Grid2DStrategy):
         res, refine = strat.resolution, strat.refine
@@ -90,6 +96,8 @@ def _unit_iso_extremum_reference(space, sense, strat):
     for i, ss in enumerate(children):
         rng = np.random.default_rng(ss)
         Z[i] = rng.standard_normal((2, d))
+    if edit is not None:
+        edit(Z)
     vals, X1, C = _unit_iso_eval_rows(space, Z)
     vals = np.where(np.isfinite(vals), sign * vals, -np.inf)
     evaluations = starts
@@ -217,14 +225,108 @@ def test_unit_iso_grid_matches_reference(name, sense, res, refine):
     assert repr(got) == repr(_unit_iso_extremum_reference(space, sense, strat))
 
 
+_ISO_ND_SPACES = [f"lp:q={q},dim={dim}" for q in ("1", "1.5", "3", "4", "inf")
+                  for dim in range(3, 7)] + ["wlp:q=3,dim=3,w=1;2;3"]
+
+
+def _degenerate(Z):
+    # start 0: zero x1 direction; start 1: arc direction parallel to x1
+    Z[0, 0] = 0.0
+    if len(Z) > 1:
+        Z[1, 1] = 2.5 * Z[1, 0]
+
+
+def _counting_paired_step(paths):
+    """``search._paired_step``, counting the starts that move at +h with
+    ``(a + h) - h`` not a bit for bit ("redo") or a bit for bit ("equal"),
+    and the infeasible candidate rows ("degenerate")."""
+    real = search._paired_step
+
+    def step(Z, vals, h, v, c, lifted, keep):
+        a = Z[:, v, c].copy()
+        same = ((a + h) - h).view(np.int64) == a.view(np.int64)
+        before = vals.copy()
+
+        def counted(cand, v):
+            out = lifted(cand, v)
+            cv = out[3]
+            up = cv[:len(a)] > before
+            paths["redo"] += int((up & ~same).sum())
+            paths["equal"] += int((up & same).sum())
+            paths["degenerate"] += int(np.isneginf(cv).sum())
+            return out
+
+        return real(Z, vals, h, v, c, counted, keep)
+
+    return step
+
+
+def _check_unit_iso_multistart(name, sense, starts, steps, seed, degenerate=False):
+    """Assert that the multi-start extremum is the reference's; returns the
+    paths its paired steps took (``_counting_paired_step``)."""
+    space = parse_space(name)
+    strat = MultiStartStrategy(starts=starts, steps=steps, seed=seed)
+    edit = _degenerate if degenerate else None
+    paths = collections.Counter()
+
+    def draws(seed, starts, d):
+        Z, rngs = _start_draws(seed, starts, d)
+        if edit is not None:
+            edit(Z)
+        return Z, rngs
+
+    with mock.patch.object(constants, "_start_draws", draws), \
+            mock.patch.object(search, "_paired_step", _counting_paired_step(paths)):
+        got = _unit_iso_extremum(space, sense, strat)
+    assert repr(got) == repr(_unit_iso_extremum_reference(space, sense, strat, edit))
+    return paths
+
+
 @pytest.mark.parametrize("sense", ["sup", "inf"])
 @pytest.mark.parametrize("dim", [3, 4])
 @pytest.mark.parametrize("seed", [0, 11])
 def test_unit_iso_multistart_matches_reference(dim, sense, seed):
-    space = lp_space(3, dim)
-    strat = MultiStartStrategy(starts=6, steps=3 * 2 * dim, seed=seed)
-    got = _unit_iso_extremum(space, sense, strat)
-    assert repr(got) == repr(_unit_iso_extremum_reference(space, sense, strat))
+    _check_unit_iso_multistart(f"lp:q=3,dim={dim}", sense, 6, 3 * 2 * dim, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ISO_ND_SPACES), st.sampled_from(["sup", "inf"]), st.integers(1, 12),
+       st.integers(1, 50), st.integers(0, 2 ** 32 - 1), st.booleans(), st.none())
+@example("lp:q=3,dim=3", "sup", 6, 12, 0, False, "redo")
+@example("lp:q=3,dim=4", "inf", 6, 24, 11, False, "equal")
+@example("lp:q=1.5,dim=4", "sup", 5, 16, 3, True, "degenerate")
+def test_unit_iso_multistart_property(name, sense, starts, steps, seed, degenerate, path):
+    paths = _check_unit_iso_multistart(name, sense, starts, steps, seed, degenerate)
+    assert path is None or paths[path] > 0
+
+
+def test_multistart_lifts_per_step():
+    # the unit-isosceles lift runs once per step, sup_pairs_nd's twice
+    space = lp_space(3, 3)
+    steps = 9
+    rows = []
+
+    def partner(space, X1, W, *args):
+        rows.append(len(X1))
+        return _iso_partner_rows(space, X1, W, *args)
+
+    with mock.patch.object(constants, "_iso_partner_rows", partner):
+        _unit_iso_extremum(space, "sup", MultiStartStrategy(starts=5, steps=steps, seed=3))
+    assert len(rows) == steps + 1
+    assert rows[0] == 5 and all(10 <= n <= 15 for n in rows[1:])
+
+    lifts = []
+
+    def ascend(fb, Z, lift, steps, **kw):
+        def counted(Z, v):
+            lifts.append(v)
+            return lift(Z, v)
+        return _ascend(fb, Z, counted, steps, **kw)
+
+    with mock.patch.object(search, "_ascend", ascend):
+        sup_pairs_nd(space, gamma_objective(space, 2.0, 0.5), Region.SPHERE, starts=5,
+                     steps=steps, seed=3)
+    assert len(lifts) == 2 * steps + 1
 
 
 def _nan_gapped(space):
@@ -272,13 +374,65 @@ def test_unit_iso_pairs_marks_the_rows_the_reference_left_nan():
 
 def test_ascend_never_keeps_an_infeasible_move():
     # fb rewards x1's first coordinate, which the lift caps at 0.3 by marking
-    # every move past it infeasible
-    Z = np.zeros((5, 2, 2))
-    Z[:, 1, 1] = np.arange(5.0)
+    # every move past it infeasible, row by row; on both steps
+    for keeps_params in (False, True):
+        Z = np.zeros((5, 2, 2))
+        Z[:, 1, 1] = np.arange(5.0)
+        rows = []
+
+        def lift(Z, v):
+            rows.append(len(Z))
+            return Z, Z[:, 0, :], Z[:, 1, :], Z[:, 0, 0] < 0.3
+
+        (value, witness, _), evaluations = _ascend(lambda X1, X2: X1[:, 0], Z, lift, 40,
+                                                   keeps_params=keeps_params)
+        assert 0.0 < value < 0.3 and witness[0][0] == value
+        assert evaluations == 5 * (1 + 2 * 40)
+        # the paired step lifts P, M and some R rows in one call
+        assert len(rows) == (41 if keeps_params else 81)
+        assert keeps_params == any(n > 5 for n in rows)
+
+
+def _bit_hash_ascent(Z, steps, keeps_params):
+    # an objective of x1's bits: a point one ulp off another scores anything,
+    # so the -h move back from a moved start decides as often as any move;
+    # the lift marks rows infeasible by their bits too
+    def bits(X):
+        return np.ascontiguousarray(X).view(np.int64) % 1009
 
     def lift(Z, v):
-        return Z, Z[:, 0, :], Z[:, 1, :], Z[:, 0, 0] < 0.3
+        return Z, Z[:, 0, :], Z[:, 1, :], bits(Z[:, 1, :]).sum(axis=1) % 5 != 0
 
-    (value, witness, _), evaluations = _ascend(lambda X1, X2: X1[:, 0], Z, lift, 40)
-    assert 0.0 < value < 0.3 and witness[0][0] == value
-    assert evaluations == 5 * (1 + 2 * 40)
+    return _ascend(lambda X1, X2: bits(X1).sum(axis=1).astype(float), Z, lift, steps,
+                   keeps_params=keeps_params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 4), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+@example(6, 2, 30, 5)
+def test_paired_step_matches_sequential_on_a_bit_hash(starts, d, steps, seed):
+    Z = np.random.default_rng(seed).standard_normal((starts, 2, d))
+    want = _bit_hash_ascent(Z.copy(), steps, False)
+    assert repr(_bit_hash_ascent(Z, steps, True)) == repr(want)
+
+
+@pytest.mark.parametrize("a", [0.1, -0.0])
+def test_paired_step_keeps_the_move_back_from_a_moved_start(a):
+    # at h = 0.5 the +h move reaches a + 0.5 and the -h move from there
+    # reaches 0.09999999999999998 from 0.1, and 0.0 from -0.0: not a bit for
+    # bit, and the best point of the three
+    back = (a + 0.5) - 0.5
+    assert repr(back) != repr(a)
+    Z = np.full((1, 2, 1), a)
+
+    def lift(Z, v):
+        return Z, Z[:, 0, :], Z[:, 1, :], np.ones(len(Z), dtype=bool)
+
+    def fb(X1, X2):
+        x = X1[:, 0]
+        hit = (x == back) & (np.signbit(x) == np.signbit(back))
+        return np.where(hit, 2.0, np.where(x > a, 1.0, 0.0))
+
+    for keeps_params in (False, True):
+        (value, witness, _), _ = _ascend(fb, Z.copy(), lift, 1, keeps_params=keeps_params)
+        assert repr((value, witness)) == repr((2.0, ((back,), (a,))))

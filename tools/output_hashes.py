@@ -3,7 +3,7 @@
     python3 tools/output_hashes.py > hashes.json
 
 Run from the root of a source checkout: normconst is imported from ``src/``
-and the op lists from ``perfbench/workloads.py`` of the same checkout.  Three
+and the op lists from ``perfbench/workloads.py`` of the same checkout.  Four
 groups of hashes are printed:
 
 * ``suite``: ``report_json(run_suite([space], 7, "fast"))`` for each space
@@ -15,7 +15,11 @@ groups of hashes are printed:
 * ``sweep``: the ``--out`` JSON of each ``normconst sweep`` call of
   ``SWEEP_OPS``, keyed by its label: ``gamma_p`` over a t-grid on
   ``lp:q=3,dim=2`` and on the hexagon, and ``cinj_iso`` over an alpha-grid
-  on l2 at a small ``grid2d``, the stacked runs of the grid engine.
+  on l2 at a small ``grid2d``, the stacked runs of the grid engine;
+* ``iso_nd``: the ``--out`` JSON of ``normconst compute`` for ``james`` and
+  ``schaffer`` on each space of ``ISO_ND_SPACES`` at ``--seed
+  multistart_seed(1)``, keyed by ``"<constant>/<space>"``: the multi-start
+  unit-isosceles extremum above dimension 2.
 
 A change that should not move any output is checked by running the script
 on both checkouts and comparing the two files with ``diff``, or against the
@@ -24,10 +28,10 @@ hashes a benchmark record holds:
     python3 tools/output_hashes.py --against BENCH_6.json
 
 compares every hash with that file's ``suite_report_sha256``,
-``cli_output_sha256`` and ``sweep_output_sha256`` entries, prints each key
-whose hash differs or is missing on one side, and exits 1 if there is any.
-A record without ``sweep_output_sha256`` (``BENCH_8.json`` and older) is
-compared on the other two groups only.
+``cli_output_sha256``, ``sweep_output_sha256`` and ``iso_nd_output_sha256``
+entries, prints each key whose hash differs or is missing on one side, and
+exits 1 if there is any.  A group the record does not hold is not compared:
+``sweep`` before ``BENCH_9.json``, ``iso_nd`` before ``BENCH_10.json``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,10 @@ SWEEP_OPS = {
                           "--alpha-grid", "0:0.5:0.0625",
                           "--strategy", "grid2d:res=64,refine=6"],
 }
+ISO_ND_SEED = 1
+ISO_ND_SPACES = ("lp:q=1,dim=3", "lp:q=inf,dim=3", "wlp:q=3,dim=3,w=1;2;3", "lp:q=1.5,dim=4")
+# the groups a record may lack, by the key they are recorded under
+OPTIONAL_GROUPS = {"sweep": "sweep_output_sha256", "iso_nd": "iso_nd_output_sha256"}
 
 
 def _sha(data: bytes) -> str:
@@ -99,12 +107,21 @@ def sweep_hashes(tmp: Path) -> dict[str, str]:
             for label, argv in SWEEP_OPS.items()}
 
 
+def iso_nd_hashes(tmp: Path) -> dict[str, str]:
+    out = tmp / "iso.json"
+    seed = str(wl.multistart_seed(ISO_ND_SEED))
+    return {f"{constant}/{space}": _cli_hash(["compute", "--space", space, "--constant",
+                                              constant, "--seed", seed, "--out", str(out)], out)
+            for constant in ("james", "schaffer") for space in ISO_ND_SPACES}
+
+
 def recorded_hashes(bench: dict) -> dict:
     """The hashes of a ``BENCH_*.json`` record in the layout ``main`` prints.
 
-    Each entry there is ``{"sha256": ..., "rc": ...}`` (``rc`` for CLI and
-    sweep ops only); a nonzero ``rc`` is written as this script writes it.
-    The ``sweep`` group is present only if the record holds it.
+    Each entry there is ``{"sha256": ..., "rc": ...}`` (``rc`` for the ops
+    run through ``cli.main`` only); a nonzero ``rc`` is written as this
+    script writes it.  The groups of ``OPTIONAL_GROUPS`` are present only if
+    the record holds them.
     """
     def digest(entry: dict) -> str:
         rc = entry.get("rc", 0)
@@ -113,8 +130,9 @@ def recorded_hashes(bench: dict) -> dict:
     want = {"suite": {key: digest(e) for key, e in bench["suite_report_sha256"].items()},
             "cli": {group: {label: digest(e) for label, e in ops.items()}
                     for group, ops in bench["cli_output_sha256"].items()}}
-    if "sweep_output_sha256" in bench:
-        want["sweep"] = {label: digest(e) for label, e in bench["sweep_output_sha256"].items()}
+    for group, key in OPTIONAL_GROUPS.items():
+        if key in bench:
+            want[group] = {label: digest(e) for label, e in bench[key].items()}
     return want
 
 
@@ -144,18 +162,19 @@ def main(argv: list[str] | None = None) -> int:
         want = recorded_hashes(json.loads(Path(args.against).read_text()))
     with tempfile.TemporaryDirectory() as tmp:
         result = {"suite": suite_hashes(), "cli": cli_hashes(Path(tmp)),
-                  "sweep": sweep_hashes(Path(tmp))}
+                  "sweep": sweep_hashes(Path(tmp)), "iso_nd": iso_nd_hashes(Path(tmp))}
     if want is None:
         json.dump(result, sys.stdout, indent=1)
         sys.stdout.write("\n")
         return 0
-    if "sweep" not in want:
-        del result["sweep"]
+    for group in OPTIONAL_GROUPS:
+        if group not in want:
+            del result[group]
     diff = differences(result, want)
     for line in diff:
         print(line)
     total = (len(result["suite"]) + sum(len(ops) for ops in result["cli"].values())
-             + len(result.get("sweep", ())))
+             + sum(len(result.get(group, ())) for group in OPTIONAL_GROUPS))
     print(f"{len(diff)} differing key(s); {total} hashes computed, against {args.against}")
     return 1 if diff else 0
 
