@@ -108,38 +108,38 @@ def _collect_params(args, needed: tuple[str, ...]) -> dict:
     return {k: given[k] for k in needed}
 
 
+def _result_fields(result, strat_text: str) -> tuple[dict, dict]:
+    """The JSON and the CSV fields of one result: an ``Estimate``, or the
+    float ``smoothness_quotient`` returns, which has no witness."""
+    if isinstance(result, Estimate):
+        w1, w2 = result.witness
+        value, exact = result.value, result.exact
+        witness, csv_witness = [list(w1), list(w2)], (_witness_field(w1), _witness_field(w2))
+    else:
+        value, exact, witness, csv_witness = result, False, None, ("", "")
+    fields = {"value": value, "witness": witness, "strategy": strat_text, "exact": exact}
+    row = {"value": value, "witness1": csv_witness[0], "witness2": csv_witness[1],
+           "strategy": strat_text, "exact": exact}
+    return fields, row
+
+
 def _cmd_compute(args) -> int:
     space = parse_space(args.space)
     params = _collect_params(args, CONSTANT_PARAMS[args.constant])
     strat = resolve_strategy(args.strategy, space, seed=args.seed)
     result = getattr(cns, args.constant)(space, strategy=strat, **params)
-    strat_text = strategy_descriptor(strat)
-    if isinstance(result, Estimate):
-        payload = {"space": descriptor(space), "constant": args.constant,
-                   "params": params, "value": result.value,
-                   "witness": [list(result.witness[0]), list(result.witness[1])],
-                   "strategy": strat_text, "exact": result.exact,
-                   "evaluations": result.evaluations,
-                   "meta": _jsonable_meta(result.meta)}
-        row = {"constant": args.constant, "space": descriptor(space),
-               "value": result.value,
-               "witness1": _witness_field(result.witness[0]),
-               "witness2": _witness_field(result.witness[1]),
-               "strategy": strat_text, "exact": result.exact}
-    else:
-        payload = {"space": descriptor(space), "constant": args.constant,
-                   "params": params, "value": result, "witness": None,
-                   "strategy": strat_text, "exact": False,
-                   "evaluations": None, "meta": {}}
-        row = {"constant": args.constant, "space": descriptor(space),
-               "value": result, "witness1": "", "witness2": "",
-               "strategy": strat_text, "exact": False}
+    fields, row = _result_fields(result, strategy_descriptor(strat))
     if args.format == "json":
+        payload = {"space": descriptor(space), "constant": args.constant,
+                   "params": params, **fields,
+                   "evaluations": getattr(result, "evaluations", None),
+                   "meta": _jsonable_meta(getattr(result, "meta", {}))}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         buf = io.StringIO()
-        write_csv([row], ["constant", "space", "value", "witness1", "witness2",
-                          "strategy", "exact"], buf)
+        write_csv([{"constant": args.constant, "space": descriptor(space), **row}],
+                  ["constant", "space", "value", "witness1", "witness2",
+                   "strategy", "exact"], buf)
         _emit(buf.getvalue(), args.out)
     return 0
 
@@ -179,20 +179,9 @@ def _cmd_sweep(args) -> int:
     json_rows = []
     results = cns._estimates_along(args.constant, space, strat, var, grid, **given)
     for value, result in zip(grid, results):
-        if isinstance(result, Estimate):
-            rows.append({var: value, "value": result.value,
-                         "witness1": _witness_field(result.witness[0]),
-                         "witness2": _witness_field(result.witness[1]),
-                         "strategy": strat_text, "exact": result.exact})
-            json_rows.append({var: value, "value": result.value,
-                              "witness": [list(result.witness[0]),
-                                          list(result.witness[1])],
-                              "strategy": strat_text, "exact": result.exact})
-        else:
-            rows.append({var: value, "value": result, "witness1": "",
-                         "witness2": "", "strategy": strat_text, "exact": False})
-            json_rows.append({var: value, "value": result, "witness": None,
-                              "strategy": strat_text, "exact": False})
+        fields, row = _result_fields(result, strat_text)
+        json_rows.append({var: value, **fields})
+        rows.append({var: value, **row})
 
     if args.format == "json":
         payload = {"space": descriptor(space), "constant": args.constant,

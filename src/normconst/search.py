@@ -75,7 +75,7 @@ _GOLDEN_ITERS = 12
 # rows, 74 MB at 262144).
 _SCAN_BLOCK = 4096
 
-# Lookahead of sup_pairs_2d's golden refinement (see _golden_max).
+# Lookahead of sup_pairs_2d's golden refinement (see _golden).
 _GRID_LOOKAHEAD = 4
 
 
@@ -420,15 +420,12 @@ def _refine(best_v: list, best_w: list, params: np.ndarray, widths: Sequence[flo
 
 def _grid_axes_2d(space: NormedSpace, region: Region, resolution: int, radial: int):
     thetas = np.arange(resolution) * (TWO_PI / resolution)
-    D = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    U = D / space.norm_rows(D)[:, None]
     if region is Region.SPHERE:
         params = thetas[:, None]
-        return U, params
-    radii = np.linspace(0.0, 1.0, radial)
-    P = (radii[:, None, None] * U[None, :, :]).reshape(-1, 2)
-    params = np.stack([np.tile(thetas, radial), np.repeat(radii, resolution)], axis=1)
-    return P, params
+    else:
+        radii = np.linspace(0.0, 1.0, radial)
+        params = np.stack([np.tile(thetas, radial), np.repeat(radii, resolution)], axis=1)
+    return _points_2d(space, region, params), params
 
 
 def _points_2d(space: NormedSpace, region: Region, params: np.ndarray) -> np.ndarray:

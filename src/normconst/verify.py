@@ -159,10 +159,6 @@ class _Context:
         return zlib.crc32(tag.encode("utf-8"))
 
 
-def _is_exact(strat: Strategy) -> bool:
-    return isinstance(strat, ExactStrategy)
-
-
 def _unit_rows(space: NormedSpace, rng: np.random.Generator, n: int) -> np.ndarray:
     Z = rng.standard_normal((n, space.dim))
     norms = space.norm_rows(Z)
@@ -178,20 +174,40 @@ def _unit_rows(space: NormedSpace, rng: np.random.Generator, n: int) -> np.ndarr
 # check bodies: each returns (values, passed, slack_used)
 
 
+def _slack(strat: Strategy, exact: float, search: float) -> float:
+    """The declared slack of a comparison: ``exact`` when ``strat`` enumerates
+    extreme points, ``search`` when it searches."""
+    return exact if isinstance(strat, ExactStrategy) else search
+
+
+def _excess(*terms: float) -> float:
+    """``max(0.0, *terms)``, but NaN when any term is NaN: ``max`` keeps a
+    NaN only in first place, so a gap built by it could drop a term that
+    could not be computed."""
+    return math.nan if any(math.isnan(t) for t in terms) else max((0.0, *terms))
+
+
+def _verdict(values: dict, gap: float, tol: float):
+    """Append ``declared_slack`` (``tol``) to ``values`` and judge ``gap``
+    against it.  A NaN gap or a non-finite slack fails."""
+    values["declared_slack"] = tol
+    return values, math.isfinite(tol) and gap <= tol, gap
+
+
 def _check_bounds_pp(ctx: _Context, space, params):
     alpha, p = float(params["alpha"]), float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
     est = ctx.estimate("cinj_iso", space, strat, alpha=alpha, p=p)
     lower = (1.0 - alpha) ** p + alpha ** p
     upper = 2.0 * (1.0 - alpha) ** p
-    lo_slack = ROUNDING_GUARD if _is_exact(strat) else SEARCH_SLACK
-    consumed_lo = max(0.0, lower - est.value)
-    consumed_hi = max(0.0, est.value - upper)
+    lo_slack = _slack(strat, ROUNDING_GUARD, SEARCH_SLACK)
+    consumed_lo = _excess(lower - est.value)
+    consumed_hi = _excess(est.value - upper)
     passed = consumed_lo <= lo_slack and consumed_hi <= ROUNDING_GUARD
     values = {"estimate": est.value, "lower": lower, "upper": upper,
               "declared_lower_slack": lo_slack,
               "declared_upper_slack": ROUNDING_GUARD}
-    return values, passed, max(consumed_lo, consumed_hi)
+    return values, passed, _excess(consumed_lo, consumed_hi)
 
 
 def _check_identity_cr(ctx: _Context, space, params):
@@ -199,10 +215,8 @@ def _check_identity_cr(ctx: _Context, space, params):
     strat = ctx.strategy_for(space, vertex_ok=True)
     a = ctx.estimate("cinj_iso", space, strat, alpha=alpha, p=p)
     b = ctx.estimate("cinj_via_gamma", space, strat, alpha=alpha, p=p)
-    tol = ROUNDING_GUARD if _is_exact(strat) else 2.0 * SEARCH_SLACK
-    diff = abs(a.value - b.value)
-    values = {"direct": a.value, "via_gamma": b.value, "declared_slack": tol}
-    return values, diff <= tol, diff
+    return _verdict({"direct": a.value, "via_gamma": b.value}, abs(a.value - b.value),
+                    _slack(strat, ROUNDING_GUARD, 2.0 * SEARCH_SLACK))
 
 
 def _check_equivalence_t(ctx: _Context, space, params):
@@ -211,12 +225,11 @@ def _check_equivalence_t(ctx: _Context, space, params):
     common = dict(p=p, t_grid=ctx.profile.t_grid, t_refine=ctx.profile.t_refine)
     a = ctx.estimate("cnj_p", space, strat, mode="gamma", **common)
     b = ctx.estimate("cnj_p", space, strat, mode="cinj", **common)
-    tol = EXACT_SLACK if _is_exact(strat) else 2.0 * SEARCH_SLACK
-    diff = abs(a.value - b.value)
     values = {"via_gamma": a.value, "via_cinj": b.value,
               "t_star_gamma": float(a.meta["t_star"]),
-              "t_star_cinj": float(b.meta["t_star"]), "declared_slack": tol}
-    return values, diff <= tol, diff
+              "t_star_cinj": float(b.meta["t_star"])}
+    return _verdict(values, abs(a.value - b.value),
+                    _slack(strat, EXACT_SLACK, 2.0 * SEARCH_SLACK))
 
 
 def _check_alpha_monotone_convex(ctx: _Context, space, params):
@@ -232,15 +245,12 @@ def _check_alpha_monotone_convex(ctx: _Context, space, params):
     grid = [float(a) for a in np.linspace(0.0, 0.5, MONOTONE_POINTS)]
     ctx.estimate_many("cinj_via_gamma", space, strat, "alpha", grid, p=p)
     vals = [ctx.estimate("cinj_via_gamma", space, strat, alpha=a, p=p).value for a in grid]
-    mono = max((vals[i + 1] - vals[i] for i in range(len(vals) - 1)), default=0.0)
-    convex = max((2.0 * vals[i] - vals[i - 1] - vals[i + 1]
-                  for i in range(1, len(vals) - 1)), default=0.0)
-    consumed = max(0.0, mono, convex)
-    values = {"monotone_violation": max(0.0, mono),
-              "convexity_violation": max(0.0, convex),
-              "at_zero": vals[0], "at_half": vals[-1],
-              "declared_slack": EXACT_SLACK}
-    return values, consumed <= EXACT_SLACK, consumed
+    mono = _excess(*(vals[i + 1] - vals[i] for i in range(len(vals) - 1)))
+    convex = _excess(*(2.0 * vals[i] - vals[i - 1] - vals[i + 1]
+                       for i in range(1, len(vals) - 1)))
+    values = {"monotone_violation": mono, "convexity_violation": convex,
+              "at_zero": vals[0], "at_half": vals[-1]}
+    return _verdict(values, _excess(mono, convex), EXACT_SLACK)
 
 
 def _check_gamma_monotone_t(ctx: _Context, space, params):
@@ -249,11 +259,9 @@ def _check_gamma_monotone_t(ctx: _Context, space, params):
     grid = [float(t) for t in np.linspace(0.0, 1.0, MONOTONE_POINTS)]
     ctx.estimate_many("gamma_p", space, strat, "t", grid, p=p)
     vals = [ctx.estimate("gamma_p", space, strat, p=p, t=t).value for t in grid]
-    worst = max((vals[i] - vals[i + 1] for i in range(len(vals) - 1)), default=0.0)
-    consumed = max(0.0, worst)
-    values = {"monotone_violation": consumed, "at_zero": vals[0],
-              "at_one": vals[-1], "declared_slack": EXACT_SLACK}
-    return values, consumed <= EXACT_SLACK, consumed
+    worst = _excess(*(vals[i] - vals[i + 1] for i in range(len(vals) - 1)))
+    values = {"monotone_violation": worst, "at_zero": vals[0], "at_one": vals[-1]}
+    return _verdict(values, worst, EXACT_SLACK)
 
 
 def _check_sphere_ball_equal(ctx: _Context, space, params):
@@ -269,10 +277,8 @@ def _check_sphere_ball_equal(ctx: _Context, space, params):
     else:
         ball = sup_pairs_nd(space, obj, (Region.BALL, Region.BALL),
                             prof.starts, prof.steps, ctx.seed)
-    diff = abs(sphere.value - ball.value)
-    values = {"sphere": sphere.value, "ball": ball.value,
-              "declared_slack": SEARCH_SLACK}
-    return values, diff <= SEARCH_SLACK, diff
+    return _verdict({"sphere": sphere.value, "ball": ball.value},
+                    abs(sphere.value - ball.value), SEARCH_SLACK)
 
 
 def _check_pq_ordering(ctx: _Context, space, params):
@@ -280,12 +286,10 @@ def _check_pq_ordering(ctx: _Context, space, params):
     strat = ctx.strategy_for(space, vertex_ok=True)
     cp = ctx.estimate("cinj_iso", space, strat, alpha=alpha, p=p).value
     cq = ctx.estimate("cinj_iso", space, strat, alpha=alpha, p=q).value
-    tol = ROUNDING_GUARD if _is_exact(strat) else 2.0 * SEARCH_SLACK
     upper = 2.0 ** (1.0 - p / q) * cq ** (p / q)
-    consumed = max(0.0, cq - cp, cp - upper)
-    values = {"c_p": cp, "c_q": cq, "interpolation_cap": upper,
-              "declared_slack": tol}
-    return values, consumed <= tol, consumed
+    return _verdict({"c_p": cp, "c_q": cq, "interpolation_cap": upper},
+                    _excess(cq - cp, cp - upper),
+                    _slack(strat, ROUNDING_GUARD, 2.0 * SEARCH_SLACK))
 
 
 def _check_rho_sandwich(ctx: _Context, space, params):
@@ -295,12 +299,9 @@ def _check_rho_sandwich(ctx: _Context, space, params):
     r = ctx.estimate("rho", space, strat, t=t).value
     c = ctx.estimate("cinj_iso", space, strat, alpha=alpha, p=p).value
     cap = ctx.estimate("cnj_modified_p", space, strat, p=p).value
-    tol = ROUNDING_GUARD if _is_exact(strat) else SEARCH_SLACK
     lower = 2.0 ** (1.0 - p) * (r + 1.0) ** p
-    consumed = max(0.0, lower - c, c - cap)
-    values = {"smoothness_floor": lower, "estimate": c, "upper_constant": cap,
-              "declared_slack": tol}
-    return values, consumed <= tol, consumed
+    return _verdict({"smoothness_floor": lower, "estimate": c, "upper_constant": cap},
+                    _excess(lower - c, c - cap), _slack(strat, ROUNDING_GUARD, SEARCH_SLACK))
 
 
 def _check_james_sandwich(ctx: _Context, space, params):
@@ -322,11 +323,9 @@ def _check_james_sandwich(ctx: _Context, space, params):
     # the lower bound uses an under-estimate of J, so only the gap in the
     # C estimate can break it; the upper cap grows as the J estimate
     # falls short, so it is safe on both sides
-    tol = ROUNDING_GUARD if _is_exact(cstrat) else SEARCH_SLACK
-    consumed = max(0.0, lower - c, c - upper)
-    values = {"james": j, "lower": lower, "estimate": c, "upper": upper,
-              "declared_slack": tol}
-    return values, consumed <= max(tol, ROUNDING_GUARD), consumed
+    return _verdict({"james": j, "lower": lower, "estimate": c, "upper": upper},
+                    _excess(lower - c, c - upper),
+                    _slack(cstrat, ROUNDING_GUARD, SEARCH_SLACK))
 
 
 def _check_js_identity(ctx: _Context, space, params):
@@ -334,20 +333,16 @@ def _check_js_identity(ctx: _Context, space, params):
     j = ctx.estimate("james", space, strat)
     s = ctx.estimate("schaffer", space, strat)
     product = j.value * s.value
-    diff = abs(product - 2.0)
-    values = {"james": j.value, "schaffer": s.value, "product": product,
-              "declared_slack": SEARCH_SLACK}
-    return values, diff <= SEARCH_SLACK, diff
+    return _verdict({"james": j.value, "schaffer": s.value, "product": product},
+                    abs(product - 2.0), SEARCH_SLACK)
 
 
 def _check_omega_identity(ctx: _Context, space, params):
     strat = ctx.strategy_for(space, vertex_ok=True)
     om = ctx.estimate("omega_prime", space, strat)
     target = float(om.meta["gamma_identity"])
-    tol = EXACT_SLACK if _is_exact(strat) else SEARCH_SLACK
-    diff = abs(om.value - target)
-    values = {"omega": om.value, "gamma_route": target, "declared_slack": tol}
-    return values, diff <= tol, diff
+    return _verdict({"omega": om.value, "gamma_route": target}, abs(om.value - target),
+                    _slack(strat, EXACT_SLACK, SEARCH_SLACK))
 
 
 def _check_lemma_ll_bounds(ctx: _Context, space, params):
@@ -361,7 +356,7 @@ def _check_lemma_ll_bounds(ctx: _Context, space, params):
     Y = U1 - U2
     plus = space.norm_rows(X + Y)
     minus = space.norm_rows(X - Y)
-    worst = 0.0
+    maxima = []
     coeffs = (-2.0, -1.5, -1.25, -1.0, -0.75, -0.5, -0.25, 0.0,
               0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0)
     for a in coeffs:
@@ -371,31 +366,30 @@ def _check_lemma_ll_bounds(ctx: _Context, space, params):
             gaps = [mag * plus - mid, mag * minus - mid, mid - plus, mid - minus]
         else:
             gaps = [plus - mid, minus - mid, mid - mag * plus, mid - mag * minus]
-        for g in gaps:
-            worst = max(worst, float(g.max()))
-    violations = int(worst > LEMMA_TOL)
-    values = {"pairs": n, "coefficients": len(coeffs),
-              "max_violation": max(0.0, worst), "declared_slack": LEMMA_TOL}
-    return values, violations == 0, max(0.0, worst)
+        maxima += [float(g.max()) for g in gaps]
+    worst = _excess(*maxima)
+    values = {"pairs": n, "coefficients": len(coeffs), "max_violation": worst}
+    return _verdict(values, worst, LEMMA_TOL)
 
 
 def _closed_form_l1_linf(space) -> bool:
     return space.kind == "lp" and space.q in (1.0, math.inf)
 
 
-def _closed_form_values(estimate: float, expected: float, tol: float):
-    """Check result of an estimate against its closed form within ``tol``."""
-    diff = abs(estimate - expected)
-    values = {"estimate": estimate, "closed_form": expected, "declared_slack": tol}
-    return values, diff <= tol, diff
+def _closed_form(ctx: _Context, space, name: str, expected: float,
+                 search_slack: float = SEARCH_SLACK, **params):
+    """Estimate ``name`` at ``params`` and compare it with its closed form
+    ``expected``: within the rounding guard on extreme points, else within
+    ``search_slack``."""
+    strat = ctx.strategy_for(space, vertex_ok=True)
+    est = ctx.estimate(name, space, strat, **params)
+    return _verdict({"estimate": est.value, "closed_form": expected},
+                    abs(est.value - expected), _slack(strat, ROUNDING_GUARD, search_slack))
 
 
 def _check_example_l1(ctx: _Context, space, params):
     alpha, p = float(params["alpha"]), float(params["p"])
-    strat = ctx.strategy_for(space, vertex_ok=True)
-    est = ctx.estimate("cinj_iso", space, strat, alpha=alpha, p=p)
-    tol = ROUNDING_GUARD if _is_exact(strat) else SEARCH_SLACK
-    return _closed_form_values(est.value, 2.0 * (1.0 - alpha) ** p, tol)
+    return _closed_form(ctx, space, "cinj_iso", 2.0 * (1.0 - alpha) ** p, alpha=alpha, p=p)
 
 
 _check_example_linf = _check_example_l1
@@ -403,10 +397,8 @@ _check_example_linf = _check_example_l1
 
 def _check_example_lp(ctx: _Context, space, params):
     alpha, p = float(params["alpha"]), float(params["p"])
-    strat = ctx.strategy_for(space, vertex_ok=True)
-    est = ctx.estimate("cinj_iso", space, strat, alpha=alpha, p=p)
-    tol = ROUNDING_GUARD if _is_exact(strat) else SEARCH_SLACK
-    return _closed_form_values(est.value, (1.0 - alpha) ** p + alpha ** p, tol)
+    return _closed_form(ctx, space, "cinj_iso", (1.0 - alpha) ** p + alpha ** p,
+                        alpha=alpha, p=p)
 
 
 def _check_example_cnj_p(ctx: _Context, space, params):
@@ -414,25 +406,20 @@ def _check_example_cnj_p(ctx: _Context, space, params):
     strat = ctx.strategy_for(space, vertex_ok=True)
     est = ctx.estimate("cnj_p", space, strat, p=p, t_grid=ctx.profile.t_grid,
                        t_refine=ctx.profile.t_refine, mode="gamma")
-    tol = EXACT_SLACK if _is_exact(strat) else SEARCH_SLACK
-    diff = abs(est.value - 2.0)
-    values = {"estimate": est.value, "expected": 2.0,
-              "t_star": float(est.meta["t_star"]), "declared_slack": tol}
-    return values, diff <= tol, diff
+    values = {"estimate": est.value, "expected": 2.0, "t_star": float(est.meta["t_star"])}
+    return _verdict(values, abs(est.value - 2.0), _slack(strat, EXACT_SLACK, SEARCH_SLACK))
 
 
 def _check_remark_alpha_half(ctx: _Context, space, params):
     p = float(params["p"])
-    strat = ctx.strategy_for(space, vertex_ok=True)
-    est = ctx.estimate("cinj_iso", space, strat, alpha=0.5, p=p)
-    return _closed_form_values(est.value, 2.0 ** (1.0 - p), ROUNDING_GUARD)
+    return _closed_form(ctx, space, "cinj_iso", 2.0 ** (1.0 - p), ROUNDING_GUARD,
+                        alpha=0.5, p=p)
 
 
 def _check_remark_gamma_zero(ctx: _Context, space, params):
     p = float(params["p"])
-    strat = ctx.strategy_for(space, vertex_ok=True)
-    est = ctx.estimate("gamma_p", space, strat, p=p, t=0.0)
-    return _closed_form_values(est.value, 2.0 ** (2.0 - p), ROUNDING_GUARD)
+    return _closed_form(ctx, space, "gamma_p", 2.0 ** (2.0 - p), ROUNDING_GUARD,
+                        p=p, t=0.0)
 
 
 def _james_estimate(ctx: _Context, space) -> float:
@@ -447,16 +434,13 @@ def _check_nonsquare_dichotomy(ctx: _Context, space, params):
     cap = 2.0 * (1.0 - alpha) ** p
     j = _james_estimate(ctx, space)
     if j >= 1.9:
-        tol = ROUNDING_GUARD if _is_exact(strat) else SEARCH_SLACK
-        diff = abs(est - cap)
-        values = {"branch": "attains", "james": j, "estimate": est,
-                  "cap": cap, "declared_slack": tol}
-        return values, diff <= tol, diff
+        values = {"branch": "attains", "james": j, "estimate": est, "cap": cap}
+        return _verdict(values, abs(est - cap), _slack(strat, ROUNDING_GUARD, SEARCH_SLACK))
     margin = cap - est
     values = {"branch": "strictly_below", "james": j, "estimate": est,
               "cap": cap, "margin": margin,
               "required_margin": DICHOTOMY_MARGIN}
-    return values, margin >= DICHOTOMY_MARGIN, max(0.0, DICHOTOMY_MARGIN - margin)
+    return values, margin >= DICHOTOMY_MARGIN, _excess(DICHOTOMY_MARGIN - margin)
 
 
 def _check_smoothness_limit(ctx: _Context, space, params):
@@ -473,14 +457,15 @@ def _check_smoothness_limit(ctx: _Context, space, params):
         final_ok = quotients[-1] <= 0.01
         values.update(branch="vanishing", final_cap=0.01)
         passed = decreasing and final_ok
-        return values, passed, max(0.0, quotients[-1] - 0.01)
+        return values, passed, _excess(quotients[-1] - 0.01)
     if rough_norm:
         floor = 0.9
     else:
         floor = 0.1        # any non-smooth polygon keeps a positive limit
-    lowest = min(quotients)
+    # numpy's min, unlike min(), keeps a NaN quotient wherever it stands
+    lowest = float(np.min(quotients))
     values.update(branch="bounded_away", floor=floor, lowest=lowest)
-    return values, lowest >= floor, max(0.0, floor - lowest)
+    return values, lowest >= floor, _excess(floor - lowest)
 
 
 def _check_psi_even_convex(ctx: _Context, space, params):
@@ -496,12 +481,9 @@ def _check_psi_even_convex(ctx: _Context, space, params):
                    + space.norm_rows(r * X1 - t * X2) ** p)
     scale = 1.0 + float(np.abs(vals).max())
     even = float(np.abs(vals - vals[::-1]).max())
-    mid = float((2.0 * vals[1:-1] - vals[:-2] - vals[2:]).max())
-    tol = LEMMA_TOL * scale
-    consumed = max(0.0, even, mid)
-    values = {"samples": n, "evenness_gap": even,
-              "convexity_violation": max(0.0, mid), "declared_slack": tol}
-    return values, consumed <= tol, consumed
+    mid = _excess(float((2.0 * vals[1:-1] - vals[:-2] - vals[2:]).max()))
+    values = {"samples": n, "evenness_gap": even, "convexity_violation": mid}
+    return _verdict(values, _excess(even, mid), LEMMA_TOL * scale)
 
 
 # ---------------------------------------------------------------------------

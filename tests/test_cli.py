@@ -55,6 +55,15 @@ def test_compute_scalar_constant(capsys):
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(1.0, abs=1e-9)
     assert doc["witness"] is None
+    assert doc["exact"] is False and doc["evaluations"] is None and doc["meta"] == {}
+    code, out, _ = run_cli(capsys, "compute", "--space", "lp:q=1,dim=2",
+                           "--constant", "smoothness_quotient", "--alpha",
+                           "0.4", "--p", "1", "--strategy",
+                           "grid2d:res=64,refine=6", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1] == ["smoothness_quotient", "lp:q=1,dim=2", f"{doc['value']:.17g}", "", "",
+                       "grid2d:res=64,refine=6,radial=9", "false"]
 
 
 def test_compute_writes_file(tmp_path, capsys):

@@ -1,16 +1,21 @@
 """Check catalog plumbing: single checks, reports, serialization."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from normconst import constants as cns
 from normconst.search import ExactStrategy, Grid2DStrategy
-from normconst.spaces import lp_space, regular_polygon_space
+from normconst.spaces import NormedSpace, lp_space, regular_polygon_space
 from normconst.verify import (
     CheckResult,
     PROFILES,
     Profile,
     _Context,
+    _excess,
+    _verdict,
     default_suite_spaces,
     report_json,
     run_check,
@@ -157,3 +162,46 @@ def test_estimate_many_fills_the_keys_estimate_reads(space):
                 assert repr(got) == repr(alone.estimate(name, space, strat, **params))
         assert prefetched.estimate("gamma_p", space, strat, p=2.0, t=0.5) is kept
         assert prefetched._cache == cached
+
+
+@pytest.mark.parametrize("gap, tol, passed", [(math.nan, 1e-3, False),
+                                              (0.0, math.inf, False),
+                                              (1e-3, 1e-3, True)],
+                         ids=["nan-gap", "inf-slack", "gap-equals-slack"])
+def test_verdict(gap, tol, passed):
+    values, ok, used = _verdict({"estimate": 1.0}, gap, tol)
+    assert ok is passed
+    assert list(values) == ["estimate", "declared_slack"]
+    assert values["declared_slack"] == tol and used is gap
+
+
+def test_excess_keeps_nan_wherever_it_stands():
+    assert math.isnan(_excess(1.0, math.nan)) and math.isnan(_excess(math.nan, 1.0))
+    assert _excess() == 0.0 and _excess(-1.0, 0.5) == 0.5
+    assert math.copysign(1.0, _excess(-0.0)) == 1.0
+
+
+def test_psi_even_convex_fails_on_infinite_norms(monkeypatch):
+    norm_rows = NormedSpace.norm_rows
+
+    def every_third_inf(self, V):
+        out = norm_rows(self, V)
+        return np.where(np.arange(out.size) % 3 == 0, np.inf, out)
+
+    assert run_check("psi_even_convex", L2, {"p": 2.0, "t": 0.5}, profile=MINI).passed
+    monkeypatch.setattr(NormedSpace, "norm_rows", every_third_inf)
+    res = run_check("psi_even_convex", L2, {"p": 2.0, "t": 0.5}, profile=MINI)
+    assert not res.passed
+    assert math.isnan(res.values["evenness_gap"]) and res.values["declared_slack"] == math.inf
+
+
+def test_smoothness_check_fails_on_a_nan_quotient(monkeypatch):
+    quotient = cns.smoothness_quotient
+
+    def nan_in_the_middle(space, p, alpha, strategy=None):
+        return math.nan if alpha == 0.49 else quotient(space, p, alpha, strategy)
+
+    monkeypatch.setattr(cns, "smoothness_quotient", nan_in_the_middle)
+    res = run_check("smoothness_limit", L1, {"p": 1.0}, profile=MINI)
+    assert res.values["branch"] == "bounded_away"
+    assert not res.passed and math.isnan(res.values["lowest"])

@@ -3,7 +3,7 @@
     python3 tools/output_hashes.py > hashes.json
 
 Run from the root of a source checkout: normconst is imported from ``src/``
-and the op lists from ``perfbench/workloads.py`` of the same checkout.  Four
+and the op lists from ``perfbench/workloads.py`` of the same checkout.  Five
 groups of hashes are printed:
 
 * ``suite``: ``report_json(run_suite([space], 7, "fast"))`` for each space
@@ -19,7 +19,12 @@ groups of hashes are printed:
 * ``iso_nd``: the ``--out`` JSON of ``normconst compute`` for ``james`` and
   ``schaffer`` on each space of ``ISO_ND_SPACES`` at ``--seed
   multistart_seed(1)``, keyed by ``"<constant>/<space>"``: the multi-start
-  unit-isosceles extremum above dimension 2.
+  unit-isosceles extremum above dimension 2;
+* ``csv``: the ``--format csv --out`` bytes of each ``normconst compute``
+  and ``normconst sweep`` call of ``CSV_OPS``, keyed by its label: an
+  ``Estimate`` constant (``gamma_p``) and the float ``smoothness_quotient``,
+  each on a grid2d space (``lp:q=3,dim=2``) and with ``--strategy exact``
+  on ``lp:q=1,dim=2``.
 
 A change that should not move any output is checked by running the script
 on both checkouts and comparing the two files with ``diff``, or against the
@@ -28,10 +33,12 @@ hashes a benchmark record holds:
     python3 tools/output_hashes.py --against BENCH_6.json
 
 compares every hash with that file's ``suite_report_sha256``,
-``cli_output_sha256``, ``sweep_output_sha256`` and ``iso_nd_output_sha256``
-entries, prints each key whose hash differs or is missing on one side, and
-exits 1 if there is any.  A group the record does not hold is not compared:
-``sweep`` before ``BENCH_9.json``, ``iso_nd`` before ``BENCH_10.json``.
+``cli_output_sha256``, ``sweep_output_sha256``, ``iso_nd_output_sha256`` and
+``csv_output_sha256`` entries, prints each key whose hash differs or is
+missing on one side, and exits 1 if there is any.  A group the record does
+not hold is not compared: ``sweep`` before ``BENCH_9.json``, ``iso_nd``
+before ``BENCH_10.json``, and ``csv`` in every record up to
+``BENCH_10.json``.
 """
 
 from __future__ import annotations
@@ -65,8 +72,20 @@ SWEEP_OPS = {
 }
 ISO_ND_SEED = 1
 ISO_ND_SPACES = ("lp:q=1,dim=3", "lp:q=inf,dim=3", "wlp:q=3,dim=3,w=1;2;3", "lp:q=1.5,dim=4")
+_CSV_SPACES = {"l3/grid2d": ["--space", "lp:q=3,dim=2", "--strategy", "grid2d:res=64,refine=6"],
+               "l1/exact": ["--space", "lp:q=1,dim=2", "--strategy", "exact"]}
+_CSV_CALLS = {"compute/gamma_p": ["compute", "--constant", "gamma_p", "--p", "2", "--t", "0.5"],
+              "compute/smoothness_quotient": ["compute", "--constant", "smoothness_quotient",
+                                              "--p", "2", "--alpha", "0.4"],
+              "sweep/gamma_p": ["sweep", "--constant", "gamma_p", "--p", "3",
+                                "--t-grid", "0:1:0.25"],
+              "sweep/smoothness_quotient": ["sweep", "--constant", "smoothness_quotient",
+                                            "--p", "2", "--alpha-grid", "0:0.45:0.15"]}
+CSV_OPS = {f"{call}/{space}": [*argv, *space_argv, "--format", "csv"]
+           for call, argv in _CSV_CALLS.items() for space, space_argv in _CSV_SPACES.items()}
 # the groups a record may lack, by the key they are recorded under
-OPTIONAL_GROUPS = {"sweep": "sweep_output_sha256", "iso_nd": "iso_nd_output_sha256"}
+OPTIONAL_GROUPS = {"sweep": "sweep_output_sha256", "iso_nd": "iso_nd_output_sha256",
+                   "csv": "csv_output_sha256"}
 
 
 def _sha(data: bytes) -> str:
@@ -113,6 +132,11 @@ def iso_nd_hashes(tmp: Path) -> dict[str, str]:
     return {f"{constant}/{space}": _cli_hash(["compute", "--space", space, "--constant",
                                               constant, "--seed", seed, "--out", str(out)], out)
             for constant in ("james", "schaffer") for space in ISO_ND_SPACES}
+
+
+def csv_hashes(tmp: Path) -> dict[str, str]:
+    out = tmp / "out.csv"
+    return {label: _cli_hash([*argv, "--out", str(out)], out) for label, argv in CSV_OPS.items()}
 
 
 def recorded_hashes(bench: dict) -> dict:
@@ -162,7 +186,8 @@ def main(argv: list[str] | None = None) -> int:
         want = recorded_hashes(json.loads(Path(args.against).read_text()))
     with tempfile.TemporaryDirectory() as tmp:
         result = {"suite": suite_hashes(), "cli": cli_hashes(Path(tmp)),
-                  "sweep": sweep_hashes(Path(tmp)), "iso_nd": iso_nd_hashes(Path(tmp))}
+                  "sweep": sweep_hashes(Path(tmp)), "iso_nd": iso_nd_hashes(Path(tmp)),
+                  "csv": csv_hashes(Path(tmp))}
     if want is None:
         json.dump(result, sys.stdout, indent=1)
         sys.stdout.write("\n")
