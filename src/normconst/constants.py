@@ -398,11 +398,12 @@ def _unit_iso_pairs(space: NormedSpace, Zraw: np.ndarray):
     """Map raw (n, 2, dim) parameters to unit isosceles pairs.
 
     Row layout: Zraw[:, 0] is the raw direction of x1, Zraw[:, 1] the raw
-    arc direction; the partner is found by bisection along the great-circle
-    arc between x1 and -x1.  Returns (Zraw, x1 rows, partner rows, feasible
-    mask), as ``_ascend``'s lift does; degenerate rows are infeasible.
-    Zraw is returned as given and each row is lifted on its own, so the
-    ascent runs it with ``keeps_params``: one partner bisection per step.
+    arc direction; the partner is found by ``_iso_partner_rows`` along the
+    great-circle arc between x1 and -x1.  Returns (Zraw, x1 rows, partner
+    rows, feasible mask), as ``_ascend``'s lift does; degenerate rows are
+    infeasible.  Zraw is returned as given and each row is lifted on its
+    own, so the ascent runs it with ``keeps_params``: one partner search
+    per step.
     """
     X1raw = Zraw[:, 0, :]
     Wraw = Zraw[:, 1, :]
@@ -421,10 +422,10 @@ def _unit_iso_pairs(space: NormedSpace, Zraw: np.ndarray):
 
 
 # Lookahead of the golden refinement in _unit_iso_extremum's grid branch.  At
-# 5 a 12-iteration pass takes three partner bisections, of at most 32, 31 and
-# 7 rows (points two branches share are sent once), instead of 14 single-row
-# ones; 3, 4 and 6 measured slower.
-_ISO_LOOKAHEAD = 5
+# 6 a 12-iteration pass takes two partner searches of at most 63 rows each
+# (points two branches share are sent once; about 45 on the hexagon) instead
+# of 14 single-row ones; 5 and 8 measured 8-20% slower, 7 the same.
+_ISO_LOOKAHEAD = 6
 
 
 def _arc_directions(space: NormedSpace, t: np.ndarray) -> np.ndarray:
@@ -455,7 +456,7 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
 
         def pairs(thetas: list[float]):
             # golden probe: x1 at each angle and its partner along the arc
-            # towards the quarter-turned direction, one bisection for all rows
+            # towards the quarter-turned direction, one partner search for all rows
             t = np.array(thetas)
             x1 = _points_2d(space, Region.SPHERE, t[:, None])
             c = _iso_partner_rows(space, x1, _arc_directions(space, t))
@@ -481,6 +482,26 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
     return sign * best[0], best[1], evaluations
 
 
+def _min_form_sup(space: NormedSpace, strategy: Strategy) -> Estimate:
+    """The min-form supremum that :func:`james` reports and whose value
+    :func:`schaffer` records as 2/J; ``strategy`` is resolved."""
+    return _run_sup(space, _min_form_objective(space), Region.SPHERE, strategy)
+
+
+def _james(space: NormedSpace, strat: Strategy, j: Estimate) -> Estimate:
+    """:func:`james` on ``strat`` with the min-form supremum ``j`` given."""
+    iso_v, iso_w, ev2 = _unit_iso_extremum(space, "sup", strat)
+    return replace(j, exact=False, evaluations=j.evaluations + ev2,
+                   meta={**j.meta, "iso_form_value": iso_v, "iso_form_witness": iso_w})
+
+
+def _schaffer(space: NormedSpace, strat: Strategy, j: Estimate) -> Estimate:
+    """:func:`schaffer` on ``strat`` with the min-form supremum ``j`` given."""
+    value, witness, evals = _unit_iso_extremum(space, "inf", strat)
+    meta = {"sense": "inf", "two_over_james": 2.0 / j.value}
+    return Estimate(value, witness, j.strategy, False, evals + j.evaluations, meta)
+
+
 def james(space: NormedSpace, strategy=None) -> Estimate:
     """Non-squareness constant: sup over unit pairs of min(||x1+x2||, ||x1-x2||).
 
@@ -492,10 +513,7 @@ def james(space: NormedSpace, strategy=None) -> Estimate:
     if isinstance(strat, ExactStrategy):
         raise ValueError("the min-form objective is not vertex-attaining; "
                          "use grid2d or multistart for james")
-    est = _run_sup(space, _min_form_objective(space), Region.SPHERE, strat)
-    iso_v, iso_w, ev2 = _unit_iso_extremum(space, "sup", strat)
-    return replace(est, exact=False, evaluations=est.evaluations + ev2,
-                   meta={**est.meta, "iso_form_value": iso_v, "iso_form_witness": iso_w})
+    return _james(space, strat, _min_form_sup(space, strat))
 
 
 def schaffer(space: NormedSpace, strategy=None) -> Estimate:
@@ -508,7 +526,6 @@ def schaffer(space: NormedSpace, strategy=None) -> Estimate:
     infimum's samples plus that supremum's.
     """
     strat = resolve_strategy(strategy, space)
-    value, witness, evals = _unit_iso_extremum(space, "inf", strat)
-    j = _run_sup(space, _min_form_objective(space), Region.SPHERE, strat)
-    meta = {"sense": "inf", "two_over_james": 2.0 / j.value}
-    return Estimate(value, witness, j.strategy, False, evals + j.evaluations, meta)
+    if isinstance(strat, ExactStrategy):
+        raise ValueError("unit isosceles extrema need a search strategy (grid2d or multistart)")
+    return _schaffer(space, strat, _min_form_sup(space, strat))

@@ -140,35 +140,71 @@ def iso_complete(space: NormedSpace, x: Sequence[float], d: Sequence[float],
 # unit-norm isosceles pairs (used by the James/Schaffer style constants)
 
 
+# A row's partner search stops once its defect is within this of zero.
+_DEFECT_TOL = 4.0 * np.finfo(float).eps
+
+# A row takes a bisection step while its bracket is wider than bisection's
+# bracket from this many steps earlier, so it is never wider than
+# bisection's from one step more than this earlier.
+_BISECTION_SLACK = 8
+
+
 def _iso_partner_rows(space: NormedSpace, X1: np.ndarray, W: np.ndarray,
                       iters: int = 70) -> np.ndarray:
     """Row-wise unit partners X2 with X1 row isosceles orthogonal to X2 row.
 
     Walks the arc phi -> normalize(cos(phi) X1 + sin(phi) W) from X1 (defect
-    +2) to -X1 (defect -2) and bisects the sign change.  W rows must not be
-    parallel to X1 rows.
+    +2) to -X1 (defect -2) and finds the sign change by regula falsi in the
+    Anderson-Bjorck form.  A row's bracket is (a, b) with b its newest point;
+    each step evaluates the secant root c of the bracket.  If c's defect has
+    the sign of b's, a stays and its defect is scaled by 1 - f(c) / f(b) (by
+    1/2 where that is not positive), so that a stale end does not hold the
+    secant on one side; otherwise b becomes the new a.  A row bisects
+    instead when the secant point is not strictly inside its bracket, or
+    when its bracket is wider than bisection's was ``_BISECTION_SLACK`` steps
+    earlier.  W rows must not be parallel to X1 rows.
 
-    ``iters`` caps the bisection.  It stops earlier once no row's midpoint
-    moves: from then on every iteration would recompute the same midpoints
-    and partners, so the result has the same bits as running all ``iters``.
+    A row stops when its defect is within ``_DEFECT_TOL`` of zero or no
+    float lies strictly inside its bracket; ``iters`` caps the steps.  Each
+    row returns the evaluated partner with the smallest ``|defect|`` (X1's
+    row when ``iters`` is 0).
     """
-    n = X1.shape[0]
-    lo = np.full(n, 1e-9)
-    hi = np.full(n, math.pi - 1e-9)
-    mid = 0.5 * (lo + hi)
-    C = X1
+    out = np.empty_like(X1)
+    rows = np.arange(X1.shape[0])
+    a = np.full(rows.size, 1e-9)
+    b = np.full(rows.size, math.pi - 1e-9)
+    fa = np.full(rows.size, 2.0)       # the end defects, known without evaluation
+    fb = np.full(rows.size, -2.0)
+    width = 2.0 ** _BISECTION_SLACK * math.pi
+    best = np.full(rows.size, np.inf)
+    Xa, Wa, Cbest = X1, W, X1.copy()
     for _ in range(iters):
-        C = np.cos(mid)[:, None] * X1 + np.sin(mid)[:, None] * W
-        C = C / space.norm_rows(C)[:, None]
-        g = space.norm_rows(X1 + C) - space.norm_rows(X1 - C)
-        take = g > 0.0
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-        nxt = 0.5 * (lo + hi)
-        if np.array_equal(nxt, mid):
+        if rows.size == 0:
             break
-        mid = nxt
-    return C
+        phi = b - fb * (b - a) / (fb - fa)
+        bisect = ~((phi - a) * (phi - b) < 0.0) | (np.abs(b - a) > width)
+        phi[bisect] = 0.5 * (a[bisect] + b[bisect])
+        width *= 0.5
+        C = np.cos(phi)[:, None] * Xa + np.sin(phi)[:, None] * Wa
+        C /= space.norm_rows(C)[:, None]
+        g = space.norm_rows(Xa + C) - space.norm_rows(Xa - C)
+        ag = np.fmin(np.abs(g), np.inf)     # a NaN defect ranks last
+        better = ag <= best
+        best[better] = ag[better]
+        Cbest[better] = C[better]
+        same = (g > 0.0) == (fb > 0.0)
+        m = 1.0 - g / fb
+        fa = np.where(same, np.where(m > 0.0, m, 0.5) * fa, fb)
+        a = np.where(same, a, b)
+        b, fb = phi, g
+        done = (ag <= _DEFECT_TOL) | (np.nextafter(a, b) == b)
+        if done.any():
+            out[rows[done]] = Cbest[done]
+            keep = ~done
+            rows, a, b, fa, fb, best, Xa, Wa, Cbest = (
+                v[keep] for v in (rows, a, b, fa, fb, best, Xa, Wa, Cbest))
+    out[rows] = Cbest
+    return out
 
 
 def unit_iso_partner(space: NormedSpace, x1: Sequence[float], w: Sequence[float]) -> Vector:

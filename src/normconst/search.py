@@ -25,7 +25,7 @@ witness reduction), ``_golden`` (batched golden-section search), and
 multi-start pattern ascent, parametrized by a lift from parameters to
 pairs).  Each ascent step tries +h, then -h from the point the +h move
 reached.  For a lift that returns its parameters as given (the
-unit-isosceles lift, one partner bisection per call), ``_paired_step``
+unit-isosceles lift, one partner search per call), ``_paired_step``
 lifts all of a step's candidates in one call with the same bits;
 ``sup_pairs_nd``'s lift renormalizes the moved variable, so it lifts the
 two moves one after the other.
@@ -420,12 +420,13 @@ def _refine(best_v: list, best_w: list, params: np.ndarray, widths: Sequence[flo
 
 def _grid_axes_2d(space: NormedSpace, region: Region, resolution: int, radial: int):
     thetas = np.arange(resolution) * (TWO_PI / resolution)
+    unit = _points_2d(space, Region.SPHERE, thetas[:, None])
     if region is Region.SPHERE:
-        params = thetas[:, None]
-    else:
-        radii = np.linspace(0.0, 1.0, radial)
-        params = np.stack([np.tile(thetas, radial), np.repeat(radii, resolution)], axis=1)
-    return _points_2d(space, region, params), params
+        return unit, thetas[:, None]
+    # _points_2d's ball rows, with each angle normalized once for all radii
+    radii = np.repeat(np.linspace(0.0, 1.0, radial), resolution)
+    params = np.stack([np.tile(thetas, radial), radii], axis=1)
+    return np.tile(unit, (radial, 1)) * radii[:, None], params
 
 
 def _points_2d(space: NormedSpace, region: Region, params: np.ndarray) -> np.ndarray:

@@ -136,7 +136,14 @@ class _Context:
         key = self._key(name, space, strat, params)
         est = self._cache.get(key)
         if est is None:
-            est = self._cache[key] = getattr(cns, name)(space, strategy=strat, **params)
+            if name in ("james", "schaffer"):
+                # both build on the min-form supremum: run it once per space
+                # and strategy
+                j = self.estimate("_min_form_sup", space, strat)
+                est = getattr(cns, "_" + name)(space, strat, j)
+            else:
+                est = getattr(cns, name)(space, strategy=strat, **params)
+            self._cache[key] = est
         return est
 
     def estimate_many(self, name: str, space: NormedSpace, strat: Strategy, axis: str,
@@ -652,19 +659,33 @@ def run_suite(spaces: Sequence[NormedSpace], seed: int = 7,
                        checks=tuple(results), summary=summary)
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float written as the string
+    ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, which strict JSON allows."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def to_jsonable(report: SuiteReport, include_timing: bool = False) -> dict:
-    """Report as plain dicts; timings are zeroed unless requested so that
-    reruns with one seed serialize to identical bytes."""
+    """Report as plain dicts of strict-JSON values (see ``_json_safe``);
+    timings are zeroed unless requested so that reruns with one seed
+    serialize to identical bytes."""
     checks = []
     for r in report.checks:
         checks.append({"check_id": r.check_id, "space": r.space,
                        "params": r.params, "values": r.values,
                        "passed": r.passed, "slack_used": r.slack_used,
                        "runtime_ms": r.runtime_ms if include_timing else 0})
-    return {"seed": report.seed, "profile": report.profile,
-            "config": report.config, "checks": checks,
-            "summary": dict(report.summary)}
+    return _json_safe({"seed": report.seed, "profile": report.profile,
+                       "config": report.config, "checks": checks,
+                       "summary": dict(report.summary)})
 
 
 def report_json(report: SuiteReport, include_timing: bool = False) -> str:
-    return json.dumps(to_jsonable(report, include_timing=include_timing), indent=2)
+    return json.dumps(to_jsonable(report, include_timing=include_timing), indent=2,
+                      allow_nan=False)

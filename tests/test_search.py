@@ -795,3 +795,14 @@ def test_stacked_engine_edge_cases():
     with pytest.raises(ValueError, match="no finite value"):
         _sup_pairs_2d_stack(L2, lambda th: nowhere if th == 1.0 else family(th),
                             [0.5, 1.0], Region.SPHERE, 16, 1, 2)
+
+
+@pytest.mark.parametrize("space", [lp_space(3, 2), parse_space("wlp:q=3,dim=2,w=1;2"),
+                                   regular_polygon_space(6)], ids=str)
+@pytest.mark.parametrize("resolution, radial", [(1024, 9), (96, 5), (7, 1)])
+def test_ball_axes_match_points_2d(space, resolution, radial):
+    # the ball axis normalizes each angle once and scales it by every radius:
+    # the rows of _points_2d on the same parameters, bit for bit
+    P, params = _grid_axes_2d(space, Region.BALL, resolution, radial)
+    assert params.shape == (resolution * radial, 2)
+    assert P.tobytes() == _points_2d(space, Region.BALL, params).tobytes()

@@ -13,6 +13,7 @@ from normconst.verify import (
     CheckResult,
     PROFILES,
     Profile,
+    SuiteReport,
     _Context,
     _excess,
     _verdict,
@@ -193,6 +194,43 @@ def test_psi_even_convex_fails_on_infinite_norms(monkeypatch):
     res = run_check("psi_even_convex", L2, {"p": 2.0, "t": 0.5}, profile=MINI)
     assert not res.passed
     assert math.isnan(res.values["evenness_gap"]) and res.values["declared_slack"] == math.inf
+
+
+def _no_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_report_json_is_strict_json_with_non_finite_values():
+    # q=2000 overflows the norm, so the check holds NaN and inf values
+    res = run_check("psi_even_convex", lp_space(2000, 2), {"p": 2.0, "t": 0.5})
+    assert math.isnan(res.values["evenness_gap"])
+    rep = SuiteReport(seed=7, profile="fast", config={}, checks=(res,),
+                      summary={"passed": 0, "failed": 1, "total": 1})
+    back = json.loads(report_json(rep), parse_constant=_no_constant)
+    values = back["checks"][0]["values"]
+    assert values["evenness_gap"] == "NaN" and values["declared_slack"] == "Infinity"
+    assert back == to_jsonable(rep)
+
+
+def test_js_identity_runs_the_min_form_supremum_once(monkeypatch):
+    names = []
+    sup_pairs_2d = cns.sup_pairs_2d
+
+    def counted(space, f, *args):
+        names.append(f.name)
+        return sup_pairs_2d(space, f, *args)
+
+    monkeypatch.setattr(cns, "sup_pairs_2d", counted)
+    res = run_check("js_identity", regular_polygon_space(6), {}, profile=MINI)
+    assert res.passed and names == ["james_min_form"]
+    # the public constants run it once each; schaffer's evaluations count it
+    strat = Grid2DStrategy(resolution=64, refine=6)
+    j = cns.james(L2, strat)
+    s = cns.schaffer(L2, strat)
+    assert names[1:] == ["james_min_form", "james_min_form"]
+    mf = cns._min_form_sup(L2, strat)
+    assert s.evaluations == cns._unit_iso_extremum(L2, "inf", strat)[2] + mf.evaluations
+    assert s.meta["two_over_james"] == 2.0 / j.value == 2.0 / mf.value
 
 
 def test_smoothness_check_fails_on_a_nan_quotient(monkeypatch):
