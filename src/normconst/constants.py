@@ -10,7 +10,7 @@ The two NJ-type routes are deliberately independent: ``cinj_iso`` evaluates
 the defining ratio on isosceles pairs sampled through the half-sum
 parametrization, while ``cinj_via_gamma`` maximizes the two-sided norm
 power mean and halves it.  Their agreement is a cross-check of the
-underlying identity, not a shared code path.
+underlying identity, not a shared objective.
 """
 
 from __future__ import annotations
@@ -112,15 +112,6 @@ def gamma_objective(space: NormedSpace, p: float, t: float) -> Objective:
     return replace(_family("gamma_p", space, p)(t), name=f"gamma_p(p={p},t={t})")
 
 
-def _scaled(obj: Objective, factor: float, name: str) -> Objective:
-    evb = obj.eval_batch
-
-    def scaled(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        return factor * evb(X1, X2)
-
-    return batch_objective(scaled, convex_flag=obj.convex_flag, name=name)
-
-
 def _half_sum_ratio(space: NormedSpace, a, b, p: float, scale: float,
                     name: str) -> Objective:
     """(||a x1 + b x2||^p + ||b x1 + a x2||^p) / (scale ||x1 + x2||^p) on the
@@ -145,17 +136,6 @@ def _half_sum_ratio(space: NormedSpace, a, b, p: float, scale: float,
     return batch_objective(evb, convex_flag=True, name=name)
 
 
-def cinj_iso_objective(space: NormedSpace, alpha: float, p: float) -> Objective:
-    """The NJ-type ratio on the isosceles pair spanned by two unit vectors.
-
-    Arguments (u1, u2) are mapped to the pair (u1+u2, u1-u2) before the
-    ratio is formed, with every norm evaluated directly.  On unit pairs the
-    denominator ||sum|| is the constant 2, so the restriction coincides with
-    a jointly convex function and vertex enumeration attains its supremum.
-    """
-    return replace(_family("cinj_iso", space, p)(alpha), name=f"cinj_iso(alpha={alpha},p={p})")
-
-
 def _family(name: str, space: NormedSpace, p: float):
     """theta -> the objective of constant ``name`` at its swept parameter
     theta: t for ``gamma_p``, alpha for ``cinj_iso`` and ``cinj_via_gamma``.
@@ -164,12 +144,18 @@ def _family(name: str, space: NormedSpace, p: float):
     objective's name is ``name`` alone, so no value is formatted per call.
     """
     if name == "cinj_iso":
+        # the ratio on the isosceles pair (u1+u2, u1-u2) of two unit vectors:
+        # there the denominator ||sum|| is the constant 2, so the restriction
+        # coincides with a jointly convex function and vertex enumeration
+        # attains its supremum
         return lambda alpha: _half_sum_ratio(space, alpha, 1.0 - alpha, p, 1.0, name)
-    gamma = _power_mean(p, 2.0 ** (p - 1.0))
     if name == "gamma_p":
+        gamma = _power_mean(p, 2.0 ** (p - 1.0))
         return lambda t: _two_sided(space, t, gamma, True, name)
-    return lambda alpha: _scaled(_two_sided(space, 1.0 - 2.0 * alpha, gamma, True, name),
-                                 0.5, name)
+    # gamma's scale doubled, which is exact: every row is half of gamma's
+    # row at t = 1 - 2 alpha, bit for bit (2.0 ** p is not always 2 * 2^(p-1))
+    half = _power_mean(p, 2.0 * 2.0 ** (p - 1.0))
+    return lambda alpha: _two_sided(space, 1.0 - 2.0 * alpha, half, True, name)
 
 
 def _min_form_objective(space: NormedSpace) -> Objective:
@@ -213,44 +199,58 @@ def _omega_objective(space: NormedSpace) -> Objective:
 
 def gamma_p(space: NormedSpace, p: float, t: float, strategy=None) -> Estimate:
     """Supremum of the normalized two-sided norm power mean at offset t."""
-    p = _check_p(p)
-    t = _check_t(t)
-    strat = resolve_strategy(strategy, space)
-    return _run_sup(space, gamma_objective(space, p, t), Region.SPHERE, strat)
+    return _swept("gamma_p", space, strategy, [t], p)[0]
 
 
 def cinj_iso(space: NormedSpace, alpha: float, p: float, strategy=None) -> Estimate:
     """NJ-type constant for isosceles orthogonal pairs, direct supremum.
 
     Samples pairs exclusively through the half-sum parametrization of unit
-    vector pairs, which covers every admissible pair up to joint scaling.
+    vector pairs, which covers every admissible pair up to joint scaling;
+    ``meta['iso_pair']`` is the isosceles pair of the witness.
     """
-    alpha = _check_alpha(alpha)
-    p = _check_p(p)
-    strat = resolve_strategy(strategy, space)
-    est = _run_sup(space, cinj_iso_objective(space, alpha, p), Region.SPHERE, strat)
-    return _with_meta("cinj_iso", est, alpha)
+    return _swept("cinj_iso", space, strategy, [alpha], p)[0]
 
 
 def cinj_via_gamma(space: NormedSpace, alpha: float, p: float, strategy=None) -> Estimate:
     """Same constant through the identity route: half the power mean at t = 1-2*alpha."""
-    alpha = _check_alpha(alpha)
-    p = _check_p(p)
+    return _swept("cinj_via_gamma", space, strategy, [alpha], p)[0]
+
+
+def _swept(name: str, space: NormedSpace, strategy, values, p) -> list[Estimate]:
+    """Constant ``name`` (``gamma_p``, ``cinj_iso`` or ``cinj_via_gamma``) at
+    exponent ``p`` and each swept parameter of ``values``: t for ``gamma_p``,
+    alpha for the other two.  The constants are its one-value calls.
+
+    Several values on a grid2d strategy run as one stacked engine call,
+    ``_sup_pairs_2d_stack``, whose Estimates are bit for bit those of the
+    single runs; every other case runs ``_run_sup`` per value.
+    """
+    thetas = []
+    for v in values:
+        # in the order the constant checks its arguments
+        if name == "gamma_p":
+            p = _check_p(p)
+            thetas.append(_check_t(v))
+        else:
+            thetas.append(_check_alpha(v))
+            p = _check_p(p)
     strat = resolve_strategy(strategy, space)
-    obj = replace(_family("cinj_via_gamma", space, p)(alpha),
-                  name=f"cinj_via_gamma(alpha={alpha},p={p})")
-    est = _run_sup(space, obj, Region.SPHERE, strat)
-    return _with_meta("cinj_via_gamma", est, alpha)
-
-
-def _with_meta(name: str, est: Estimate, alpha: float) -> Estimate:
-    """``cinj_iso``'s or ``cinj_via_gamma``'s engine estimate at ``alpha``
-    with the meta the constant records."""
+    family = _family(name, space, p)
+    if isinstance(strat, Grid2DStrategy) and len(thetas) > 1:
+        ests = _sup_pairs_2d_stack(space, family, thetas, Region.SPHERE,
+                                   strat.resolution, strat.refine, strat.radial)
+    else:
+        ests = [_run_sup(space, family(theta), Region.SPHERE, strat) for theta in thetas]
     if name == "cinj_iso":
-        u1, u2 = est.witness
-        pair = (tuple(a + b for a, b in zip(u1, u2)), tuple(a - b for a, b in zip(u1, u2)))
-        return replace(est, meta={**est.meta, "iso_pair": pair})
-    return replace(est, meta={**est.meta, "route": "via_gamma", "t": 1.0 - 2.0 * alpha})
+        for i, est in enumerate(ests):
+            u1, u2 = est.witness
+            pair = (tuple(a + b for a, b in zip(u1, u2)), tuple(a - b for a, b in zip(u1, u2)))
+            ests[i] = replace(est, meta={**est.meta, "iso_pair": pair})
+    elif name == "cinj_via_gamma":
+        ests = [replace(est, meta={**est.meta, "route": "via_gamma", "t": 1.0 - 2.0 * alpha})
+                for est, alpha in zip(ests, thetas)]
+    return ests
 
 
 # constant -> the parameter a grid2d stack of it runs over
@@ -262,29 +262,14 @@ def _estimates_along(name: str, space: NormedSpace, strat, axis: str, values, **
     parameters ``fixed``: the results of one call of the constant per value.
 
     On a grid2d strategy, ``gamma_p`` over t and ``cinj_iso`` and
-    ``cinj_via_gamma`` over alpha (``fixed`` is then ``p``) run as one stacked
-    engine call, ``_sup_pairs_2d_stack``, whose Estimates are bit for bit
-    those of the single runs.  Every other case calls the constant per value.
+    ``cinj_via_gamma`` over alpha (``fixed`` is then ``p``) run through
+    ``_swept``.  Every other case calls the constant per value.
     """
     strat = resolve_strategy(strat, space)
-    if _STACKED_AXIS.get(name) != axis or not isinstance(strat, Grid2DStrategy):
-        single = globals()[name]     # the module attribute, as callers look it up
-        return [single(space, strategy=strat, **fixed, **{axis: v}) for v in values]
-    p = fixed["p"]
-    thetas = []
-    for v in values:
-        # in the order the constant checks its arguments
-        if name == "gamma_p":
-            p = _check_p(p)
-            thetas.append(_check_t(v))
-        else:
-            thetas.append(_check_alpha(v))
-            p = _check_p(p)
-    ests = _sup_pairs_2d_stack(space, _family(name, space, p), thetas, Region.SPHERE,
-                               strat.resolution, strat.refine, strat.radial)
-    if name == "gamma_p":
-        return ests
-    return [_with_meta(name, est, alpha) for est, alpha in zip(ests, thetas)]
+    if _STACKED_AXIS.get(name) == axis and isinstance(strat, Grid2DStrategy):
+        return _swept(name, space, strat, values, fixed["p"])
+    single = globals()[name]     # the module attribute, as callers look it up
+    return [single(space, strategy=strat, **fixed, **{axis: v}) for v in values]
 
 
 def cnj_p(space: NormedSpace, p: float, strategy=None, t_grid: int = 33,
@@ -300,7 +285,7 @@ def cnj_p(space: NormedSpace, p: float, strategy=None, t_grid: int = 33,
         raise ValueError(f"mode must be 'gamma' or 'cinj', got {mode!r}")
     strat = resolve_strategy(strategy, space)
     # every swept offset, t_star among them; the scan grid in one stacked run
-    ts = _sweep_grid(0.0, 1.0, t_grid)
+    ts = _sweep_grid(0.0, 1.0, t_grid, t_refine)
     if mode == "gamma":
         swept = _estimates_along("gamma_p", space, strat, "t", ts, p=p)
     else:

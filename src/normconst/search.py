@@ -564,6 +564,18 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
 # multi-start pattern ascent (any dimension)
 
 
+def _unit_rows(space: NormedSpace, Z: np.ndarray) -> np.ndarray:
+    """The rows of Z divided by their norms; a row of norm 0 is first
+    replaced, in Z, by the first basis vector."""
+    norms = space.norm_rows(Z)
+    bad = norms <= 0.0
+    if bad.any():
+        Z[bad] = 0.0
+        Z[bad, 0] = 1.0
+        norms = space.norm_rows(Z)
+    return Z / norms[:, None]
+
+
 def _start_draws(seed: int, starts: int, d: int):
     """Standard normal draws of shape (starts, 2, d), one seed stream per
     start (so enlarging ``starts`` keeps earlier starts' draws unchanged),
@@ -683,17 +695,13 @@ def sup_pairs_nd(space: NormedSpace, f: Objective, region, starts: int = DEFAULT
     regs = _region_pair(region)
 
     Z, rngs = _start_draws(seed, starts, d)
-    for zi, rng in zip(Z, rngs):
-        radii = rng.random(2)
-        for v in range(2):
-            nv = float(space.norm_rows(zi[v].reshape(1, -1))[0])
-            if nv == 0.0:
-                zi[v] = 0.0
-                zi[v][0] = 1.0
-                nv = float(space.norm_rows(zi[v].reshape(1, -1))[0])
-            zi[v] /= nv
-            if regs[v] is Region.BALL:
-                zi[v] *= radii[v] ** (1.0 / d)
+    radii = [rng.random(2) for rng in rngs]
+    for v in range(2):
+        Z[:, v] = _unit_rows(space, Z[:, v])
+        if regs[v] is Region.BALL:
+            # each start's radius as a scalar power: numpy's array power
+            # does not always give the same bits
+            Z[:, v] *= np.array([r[v] ** (1.0 / d) for r in radii])[:, None]
 
     def lift(Z: np.ndarray, v):
         # back onto the sphere (rows of norm 0 are infeasible) or into the ball
@@ -743,10 +751,13 @@ def sup_vertex_pairs(space: NormedSpace, f: Objective) -> Estimate:
 # one-dimensional sweep
 
 
-def _sweep_grid(lo: float, hi: float, grid: int) -> list[float]:
-    """The scan points of ``t_sweep(g, lo, hi, grid)``, in its order."""
+def _sweep_grid(lo: float, hi: float, grid: int, refine_iters: int) -> list[float]:
+    """The scan points of ``t_sweep(g, lo, hi, grid, refine_iters)``, in its
+    order, once its arguments are checked."""
     if grid < 3:
         raise ValueError("grid must be at least 3")
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be >= 0, got {refine_iters}")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError("need finite lo < hi")
     return [float(t) for t in np.linspace(lo, hi, grid)]
@@ -760,7 +771,7 @@ def t_sweep(g: Callable[[float], float], lo: float, hi: float, grid: int = 33,
     function reports its left endpoint.  Non-finite values raise.
     """
     best_t, best_v = None, None
-    for t in _sweep_grid(lo, hi, grid):
+    for t in _sweep_grid(lo, hi, grid, refine_iters):
         v = float(g(t))
         if not math.isfinite(v):
             raise ValueError(f"sweep objective returned a non-finite value at t={t}")

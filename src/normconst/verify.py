@@ -29,7 +29,7 @@ import numpy as np
 
 from . import constants as cns
 from .search import (Estimate, ExactStrategy, Grid2DStrategy, MultiStartStrategy,
-                     Strategy, strategy_descriptor, sup_pairs_2d, sup_pairs_nd)
+                     Strategy, _unit_rows, strategy_descriptor, sup_pairs_2d, sup_pairs_nd)
 from .spaces import (NormedSpace, Region, descriptor, lp_space,
                      regular_polygon_space, supports_extreme_points)
 
@@ -117,9 +117,8 @@ class _Context:
         p = self.profile
         return Grid2DStrategy(resolution=p.resolution, refine=p.refine, radial=p.radial)
 
-    def strategy_for(self, space: NormedSpace, vertex_ok: bool,
-                     force_search: bool = False) -> Strategy:
-        if vertex_ok and not force_search and supports_extreme_points(space):
+    def strategy_for(self, space: NormedSpace, vertex_ok: bool) -> Strategy:
+        if vertex_ok and supports_extreme_points(space):
             return ExactStrategy()
         if space.dim == 2:
             return self.grid_strategy()
@@ -164,17 +163,6 @@ class _Context:
     def check_seed(self, check_id: str, space: NormedSpace) -> int:
         tag = f"{self.seed}:{check_id}:{descriptor(space)}"
         return zlib.crc32(tag.encode("utf-8"))
-
-
-def _unit_rows(space: NormedSpace, rng: np.random.Generator, n: int) -> np.ndarray:
-    Z = rng.standard_normal((n, space.dim))
-    norms = space.norm_rows(Z)
-    bad = norms <= 0.0
-    if bad.any():
-        Z[bad] = 0.0
-        Z[bad, 0] = 1.0
-        norms = space.norm_rows(Z)
-    return Z / norms[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +261,7 @@ def _check_gamma_monotone_t(ctx: _Context, space, params):
 
 def _check_sphere_ball_equal(ctx: _Context, space, params):
     p, t = float(params["p"]), float(params["t"])
-    strat = ctx.strategy_for(space, vertex_ok=False, force_search=True)
+    strat = ctx.strategy_for(space, vertex_ok=False)
     sphere = ctx.estimate("gamma_p", space, strat, p=p, t=t)
     obj = cns.gamma_objective(space, p, t)
     prof = ctx.profile
@@ -322,7 +310,7 @@ def _check_james_sandwich(ctx: _Context, space, params):
     """
     alpha, p = float(params["alpha"]), float(params["p"])
     cstrat = ctx.strategy_for(space, vertex_ok=True)
-    jstrat = ctx.strategy_for(space, vertex_ok=False, force_search=True)
+    jstrat = ctx.strategy_for(space, vertex_ok=False)
     c = ctx.estimate("cinj_iso", space, cstrat, alpha=alpha, p=p).value
     j = ctx.estimate("james", space, jstrat).value
     lower = (j - 2.0 * alpha) ** p / 2.0 ** (p - 1.0)
@@ -336,7 +324,7 @@ def _check_james_sandwich(ctx: _Context, space, params):
 
 
 def _check_js_identity(ctx: _Context, space, params):
-    strat = ctx.strategy_for(space, vertex_ok=False, force_search=True)
+    strat = ctx.strategy_for(space, vertex_ok=False)
     j = ctx.estimate("james", space, strat)
     s = ctx.estimate("schaffer", space, strat)
     product = j.value * s.value
@@ -357,8 +345,8 @@ def _check_lemma_ll_bounds(ctx: _Context, space, params):
     if n < 1:
         raise ValueError("pairs must be positive")
     rng = np.random.default_rng(ctx.check_seed("lemma_ll_bounds", space))
-    U1 = _unit_rows(space, rng, n)
-    U2 = _unit_rows(space, rng, n)
+    U1 = _unit_rows(space, rng.standard_normal((n, space.dim)))
+    U2 = _unit_rows(space, rng.standard_normal((n, space.dim)))
     X = U1 + U2
     Y = U1 - U2
     plus = space.norm_rows(X + Y)
@@ -430,7 +418,7 @@ def _check_remark_gamma_zero(ctx: _Context, space, params):
 
 
 def _james_estimate(ctx: _Context, space) -> float:
-    strat = ctx.strategy_for(space, vertex_ok=False, force_search=True)
+    strat = ctx.strategy_for(space, vertex_ok=False)
     return ctx.estimate("james", space, strat).value
 
 
@@ -595,11 +583,18 @@ def _plain(value):
     return value
 
 
-def _run_one(ctx: _Context, check_id: str, space: NormedSpace,
-             params: dict) -> CheckResult:
+def _run_one(ctx: _Context, check_id: str, space: NormedSpace, params: dict,
+             record_errors: bool = False) -> CheckResult:
+    """Run one check; with ``record_errors`` a ``ValueError`` of its body is
+    a failed result whose ``values['error']`` is the message."""
     body, _ = CHECKS[check_id]
     started = time.perf_counter()
-    values, passed, slack_used = body(ctx, space, params)
+    try:
+        values, passed, slack_used = body(ctx, space, params)
+    except ValueError as err:
+        if not record_errors:
+            raise
+        values, passed, slack_used = {"error": str(err)}, False, math.nan
     elapsed = int(round((time.perf_counter() - started) * 1000.0))
     values = {k: _plain(v) for k, v in values.items()}
     return CheckResult(check_id=check_id, space=descriptor(space),
@@ -632,7 +627,10 @@ def run_check(check_id: str, space: NormedSpace, params: dict,
 
 def run_suite(spaces: Sequence[NormedSpace], seed: int = 7,
               profile: str | Profile = "fast") -> SuiteReport:
-    """Full catalog over every space; failures are recorded, never raised."""
+    """Full catalog over every space; failures are recorded, never raised.
+    A check whose body raises ``ValueError`` (say, an estimate with no
+    finite value) fails with the message in ``values['error']`` and a NaN
+    ``slack_used``."""
     spaces = list(spaces)
     if not spaces:
         raise ValueError("run_suite needs a nonempty space list")
@@ -644,7 +642,7 @@ def run_suite(spaces: Sequence[NormedSpace], seed: int = 7,
             for params in param_gen(ctx, space):
                 tasks.append((check_id, space, params))
 
-    results = [_run_one(ctx, *t) for t in tasks]
+    results = [_run_one(ctx, *t, record_errors=True) for t in tasks]
 
     results.sort(key=lambda r: (r.check_id, r.space,
                                 json.dumps(r.params, sort_keys=True)))

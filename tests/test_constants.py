@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import normconst as nc
+from normconst.constants import _estimates_along, _family
 from normconst.search import Grid2DStrategy, MultiStartStrategy, t_sweep
 
 L1 = nc.lp_space(1, 2)
@@ -185,6 +186,15 @@ def test_cnj_runs_each_offset_once(monkeypatch):
     assert est.witness == at_best.witness
     assert est.meta["inner_value"] == at_best.value
     assert est.evaluations == sum(e.evaluations for _, e in calls)
+
+
+def test_cnj_rejects_negative_t_refine_before_any_sweep(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("t_refine is checked before any offset runs")
+
+    monkeypatch.setattr(nc.constants, "gamma_p", never)
+    with pytest.raises(ValueError, match="refine_iters must be >= 0"):
+        nc.cnj_p(L1, p=2.0, strategy="exact", t_refine=-1)
 
 
 def _cnj_reference(space, p, strat, t_grid, t_refine, mode):
@@ -400,6 +410,28 @@ def test_parameter_validation():
         nc.smoothness_quotient(L2, p=2.0, alpha=0.5)
 
 
+@pytest.mark.parametrize("name", ["gamma_p", "cinj_iso", "cinj_via_gamma"])
+def test_swept_arguments_are_checked_in_order_before_the_strategy(name):
+    # gamma_p checks p and then t, the cinj constants alpha and then p; both
+    # come before the strategy string is parsed
+    single = getattr(nc, name)
+    axis, bad = ("t", 1.5) if name == "gamma_p" else ("alpha", 0.6)
+    first = "exponent p" if name == "gamma_p" else "alpha must lie"
+    with pytest.raises(ValueError, match=first):
+        single(L2, p=0.5, strategy="bogus", **{axis: bad})
+    with pytest.raises(ValueError, match=f"{axis} must lie"):
+        single(L2, p=2.0, strategy="bogus", **{axis: bad})
+    with pytest.raises(ValueError, match="exponent p"):
+        single(L2, p=0.5, strategy="bogus", **{axis: 0.25})
+    with pytest.raises(ValueError, match="bogus"):
+        single(L2, p=2.0, strategy="bogus", **{axis: 0.25})
+    # a stacked sweep checks its values in the same order
+    with pytest.raises(ValueError, match=first):
+        _estimates_along(name, L2, FAST, axis, [bad, 0.25], p=0.5)
+    with pytest.raises(ValueError, match=f"{axis} must lie"):
+        _estimates_along(name, L2, FAST, axis, [0.25, bad], p=2.0)
+
+
 def test_exact_strategy_rejections():
     with pytest.raises(nc.SpaceError):
         nc.cinj_iso(L2, alpha=0.25, p=2.0, strategy="exact")  # smooth ball
@@ -441,6 +473,44 @@ def test_multistart_seed_never_exceeds_exact(seed):
                       strategy=MultiStartStrategy(starts=6, steps=80,
                                                   seed=seed))
     assert est.value <= 2.0 * 0.75 ** 2 + 1e-9
+
+
+_SWEEP_CASES = {
+    "exact": [(L1, "exact"), (HEX, "exact")],
+    "grid2d": [(L2, Grid2DStrategy(resolution=16, refine=2)),
+               (HEX, Grid2DStrategy(resolution=24, refine=1))],
+    "multistart": [(nc.lp_space(3, 3), MultiStartStrategy(starts=3, steps=12, seed=5))],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["gamma_p", "cinj_iso", "cinj_via_gamma"]),
+       st.sampled_from(sorted(_SWEEP_CASES)), st.data(),
+       st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.5]), min_size=1, max_size=4),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_estimates_along_matches_one_call_per_value(name, kind, data, values, p):
+    space, strat = data.draw(st.sampled_from(_SWEEP_CASES[kind]))
+    axis = "t" if name == "gamma_p" else "alpha"
+    single = getattr(nc, name)
+    got = _estimates_along(name, space, strat, axis, values, p=p)
+    want = [single(space, strategy=strat, p=p, **{axis: v}) for v in values]
+    # repr keeps the sign of zero, which == does not
+    assert [repr(e) for e in got] == [repr(e) for e in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=1.0, max_value=12.0), st.floats(min_value=0.0, max_value=0.5),
+       st.sampled_from([L2, L3, HEX, nc.lp_space(1.5, 3)]), st.integers(0, 2 ** 32 - 1))
+# exponents where 2.0 ** p and 2.0 * 2.0 ** (p - 1.0) differ in the last bit
+@example(11.097158030182067, 0.3, L3, 0)
+@example(3.277224048450284, 0.1, L2, 1)
+@example(3.2223724957642927, 0.25, HEX, 2)
+def test_cinj_via_gamma_rows_are_half_of_gamma_rows(p, alpha, space, seed):
+    rng = np.random.default_rng(seed)
+    X1, X2 = rng.standard_normal((2, 64, space.dim))
+    gamma = _family("gamma_p", space, p)(1.0 - 2.0 * alpha).eval_batch(X1, X2)
+    via = _family("cinj_via_gamma", space, p)(alpha).eval_batch(X1, X2)
+    assert (0.5 * gamma).tobytes() == via.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -31,6 +31,7 @@ from normconst.search import (
     _lex_first,
     _points_2d,
     _sup_pairs_2d_stack,
+    _unit_rows,
 )
 from normconst.constants import _arc_directions, _family
 from normconst.spaces import Region, lp_space, parse_space, regular_polygon_space
@@ -187,6 +188,32 @@ def test_t_sweep_tie_breaks_to_smallest_t():
 def test_t_sweep_rejects_nonfinite():
     with pytest.raises(ValueError):
         t_sweep(lambda t: math.nan, 0.0, 1.0, grid=5, refine_iters=0)
+
+
+def test_t_sweep_rejects_negative_refine_iters():
+    def never(t):
+        raise AssertionError("the arguments are checked before any probe")
+
+    with pytest.raises(ValueError, match="refine_iters must be >= 0"):
+        t_sweep(never, 0.0, 1.0, refine_iters=-1)
+
+
+@pytest.mark.parametrize("kind", ["lp", "wlp"])
+@pytest.mark.parametrize("q", ["1", "1.5", "2", "3", "4", "inf"])
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_unit_rows_batch_matches_single_rows(kind, q, d):
+    # sup_pairs_nd normalizes all its starts in one call: each row has the
+    # bits it has on its own, and a zero row becomes the unit first basis vector
+    weights = ",w=" + ";".join(str(0.5 + i) for i in range(d)) if kind == "wlp" else ""
+    space = parse_space(f"{kind}:q={q},dim={d}{weights}")
+    Z = np.random.default_rng(3).standard_normal((40, space.dim))
+    Z[7] = 0.0
+    U = _unit_rows(space, Z.copy())
+    rows = [_unit_rows(space, Z[i:i + 1].copy())[0] for i in range(len(Z))]
+    assert U.tobytes() == np.array(rows).tobytes()
+    e1 = np.zeros(space.dim)
+    e1[0] = 1.0
+    assert U[7].tobytes() == (e1 / space.norm_rows(e1[None])[0]).tobytes()
 
 
 @pytest.mark.parametrize("strat", [

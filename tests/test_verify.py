@@ -133,6 +133,35 @@ def test_check_failure_is_recorded_not_raised():
     assert isinstance(res.passed, bool)
 
 
+# every omega_identity norm overflows on lp:q=2000, so its estimate has no
+# finite value on the grid
+TINY = Profile("tiny", resolution=48, refine=2, radial=3, starts=4, steps=8, t_grid=5,
+               t_refine=2, lemma_pairs=100, psi_samples=2, ball_resolution=24, ball_radial=3)
+
+
+def test_suite_records_a_check_error_as_a_failure():
+    space = lp_space(2000, 2)
+    with pytest.raises(ValueError, match="no finite value"):
+        run_check("omega_identity", space, {}, profile=TINY)
+    report = run_suite([space], profile=TINY)
+    (res,) = [r for r in report.checks if r.check_id == "omega_identity"]
+    assert not res.passed and math.isnan(res.slack_used)
+    assert res.values == {"error": "objective returned no finite value on the grid"}
+    back = json.loads(report_json(report), parse_constant=_no_constant)
+    (row,) = [c for c in back["checks"] if c["check_id"] == "omega_identity"]
+    assert row["slack_used"] == "NaN"
+
+
+def test_verify_cli_exits_1_on_a_check_error(monkeypatch, capsys):
+    from normconst import verify
+    from normconst.cli import main
+
+    monkeypatch.setitem(verify.PROFILES, "fast", TINY)
+    assert main(["verify", "--space", "lp:q=2000,dim=2"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert any(c["check_id"] == "omega_identity" and not c["passed"] for c in doc["checks"])
+
+
 def test_smoothness_check_branches():
     res_smooth = run_check("smoothness_limit", L2, {"p": 2.0}, profile=MINI)
     assert res_smooth.passed and res_smooth.values["branch"] == "vanishing"
