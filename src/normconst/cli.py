@@ -13,7 +13,7 @@ import sys
 
 from .constants import CONSTANT_IDS, resolve_strategy
 from . import constants as cns
-from .search import Estimate, strategy_descriptor
+from .search import _STRATEGY_CLASSES, Estimate, strategy_descriptor
 from .spaces import SpaceError, descriptor, parse_space
 from .verify import (PROFILES, default_suite_spaces, report_json, run_suite)
 
@@ -35,6 +35,11 @@ CONSTANT_PARAMS = {
 }
 
 GRID_LIMIT = 100001
+
+# each strategy's selector at its defaults, from the strategy table
+STRATEGY_HELP = (" | ".join(strategy_descriptor(cls()) for cls in _STRATEGY_CLASSES.values())
+                 + "; omitted fields keep these defaults.  Without --strategy: grid2d "
+                   "on 2-D spaces, else multistart seeded by --seed")
 
 
 class UsageError(ValueError):
@@ -133,7 +138,7 @@ def _cmd_compute(args) -> int:
         payload = {"space": descriptor(space), "constant": args.constant,
                    "params": params, **fields,
                    "evaluations": getattr(result, "evaluations", None),
-                   "meta": _jsonable_meta(getattr(result, "meta", {}))}
+                   "meta": getattr(result, "meta", {})}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         buf = io.StringIO()
@@ -142,16 +147,6 @@ def _cmd_compute(args) -> int:
                    "strategy", "exact"], buf)
         _emit(buf.getvalue(), args.out)
     return 0
-
-
-def _jsonable_meta(meta: dict) -> dict:
-    out = {}
-    for k, v in meta.items():
-        if isinstance(v, tuple):
-            out[k] = json.loads(json.dumps(v))
-        else:
-            out[k] = v
-    return out
 
 
 def _cmd_sweep(args) -> int:
@@ -259,9 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=float, default=None)
         p.add_argument("--q", type=float, default=None)
         p.add_argument("--t", type=float, default=None)
-        p.add_argument("--strategy", default=None,
-                       help="exact | grid2d:res=..,refine=.. | "
-                            "multistart:starts=..,steps=..,seed=..")
+        p.add_argument("--strategy", default=None, help=STRATEGY_HELP)
 
     pc = sub.add_parser("compute", help="compute one constant on one space")
     constant_args(pc)

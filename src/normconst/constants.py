@@ -4,7 +4,10 @@ Each operation returns an :class:`~normconst.search.Estimate` (or a plain
 float for the smoothness quotient) and accepts a strategy: ``None`` picks a
 sensible default for the space (2D grid, or multi-start ascent above two
 dimensions), a selector string is parsed, and a strategy object is used as
-given.  ``exact`` is only valid on spaces with a finite extreme-point set.
+given.  ``exact`` is only valid on spaces with a finite extreme-point set,
+and for objectives that attain their supremum at extreme points:
+``sup_vertex_pairs`` refuses the others (``nu_p``'s ratio, and the
+min-form supremum that ``james`` and ``schaffer`` run first).
 
 The two NJ-type routes are deliberately independent: ``cinj_iso`` evaluates
 the defining ratio on isosceles pairs sampled through the half-sum
@@ -22,7 +25,7 @@ import numpy as np
 
 from .orthogonality import SUM_NORM_FLOOR, _iso_partner_rows
 from .search import (DEFAULT_SEED, Estimate, ExactStrategy, Grid2DStrategy,
-                     MultiStartStrategy, Objective, Strategy, _ascend, _best_row,
+                     MultiStartStrategy, Objective, Strategy, _Strategy, _ascend, _best_row,
                      _grid_axes_2d, _points_2d, _refine, _start_draws, _sup_pairs_2d_stack,
                      _sweep_grid, _WitnessRows, batch_objective, parse_strategy, sup_pairs_2d,
                      sup_pairs_nd, sup_vertex_pairs, t_sweep)
@@ -61,15 +64,10 @@ def _check_t(t: float, lo: float = 0.0, hi: float = 1.0, strict_lo: bool = False
 def resolve_strategy(strategy, space: NormedSpace, seed: int = DEFAULT_SEED) -> Strategy:
     """Normalize a strategy argument (None, selector string, or instance)."""
     if strategy is None:
-        if space.dim == 2:
-            strat: Strategy = Grid2DStrategy()
-        elif seed < 0:
-            raise ValueError(f"multistart seed out of range: need seed >= 0, got {seed}")
-        else:
-            strat = MultiStartStrategy(seed=seed)
+        strat: Strategy = Grid2DStrategy() if space.dim == 2 else MultiStartStrategy(seed=seed)
     elif isinstance(strategy, str):
         strat = parse_strategy(strategy)
-    elif isinstance(strategy, (ExactStrategy, Grid2DStrategy, MultiStartStrategy)):
+    elif isinstance(strategy, _Strategy):
         strat = strategy
     else:
         raise ValueError(f"not a strategy: {strategy!r}")
@@ -348,8 +346,6 @@ def nu_p(space: NormedSpace, p: float, strategy=None) -> Estimate:
     """
     p = _check_p(p)
     strat = resolve_strategy(strategy, space)
-    if isinstance(strat, ExactStrategy):
-        raise ValueError("nu_p is a non-convex ratio; exact enumeration is not available")
     est = _run_sup(space, _nu_objective(space, p), (Region.SPHERE, Region.BALL), strat)
     return replace(est, meta={**est.meta,
                               "reduction": "x1 on sphere, x2 in ball, swap-symmetric"})
@@ -426,11 +422,11 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
     infima run the negated objective, so the result is an upper bound of
     the true infimum (mirror image of the engines' lower-bound semantics).
     The search runs on the engines' own loops: the grid scan's reduction and
-    golden refinement over x1's angle, or the multi-start ascent.
+    golden refinement over x1's angle, or the multi-start ascent.  ``strat``
+    is never exact: :func:`james` and :func:`schaffer` run the min-form
+    supremum first, and ``sup_vertex_pairs`` refuses its objective.
     """
     sign = 1.0 if sense == "sup" else -1.0
-    if isinstance(strat, ExactStrategy):
-        raise ValueError("unit isosceles extrema need a search strategy (grid2d or multistart)")
 
     def fb(X1: np.ndarray, C: np.ndarray) -> np.ndarray:
         return sign * space.norm_rows(X1 + C)
@@ -495,9 +491,6 @@ def james(space: NormedSpace, strategy=None) -> Estimate:
     the two agree within the strategy tolerance.
     """
     strat = resolve_strategy(strategy, space)
-    if isinstance(strat, ExactStrategy):
-        raise ValueError("the min-form objective is not vertex-attaining; "
-                         "use grid2d or multistart for james")
     return _james(space, strat, _min_form_sup(space, strat))
 
 
@@ -511,6 +504,4 @@ def schaffer(space: NormedSpace, strategy=None) -> Estimate:
     infimum's samples plus that supremum's.
     """
     strat = resolve_strategy(strategy, space)
-    if isinstance(strat, ExactStrategy):
-        raise ValueError("unit isosceles extrema need a search strategy (grid2d or multistart)")
     return _schaffer(space, strat, _min_form_sup(space, strat))

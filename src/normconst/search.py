@@ -138,38 +138,60 @@ class Estimate:
 
 
 @dataclass(frozen=True)
-class ExactStrategy:
-    pass
+class _Strategy:
+    """A search strategy's one declaration: its selector head ``HEAD`` and
+    its ``FIELDS``, rows of (selector key, field, least value).  Parsing,
+    describing and the engines' argument checks all read them; building a
+    strategy checks every field against its least value, so a strategy
+    built by hand and one parsed from a selector are refused alike."""
+
+    HEAD = ""
+    FIELDS = ()
+
+    def __post_init__(self):
+        for key, name, least in self.FIELDS:
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{self.HEAD} parameter out of range: "
+                                 f"need {key} >= {least}, got {key}={value}")
 
 
 @dataclass(frozen=True)
-class Grid2DStrategy:
+class ExactStrategy(_Strategy):
+    HEAD = "exact"
+
+
+@dataclass(frozen=True)
+class Grid2DStrategy(_Strategy):
     resolution: int = DEFAULT_RESOLUTION
     refine: int = DEFAULT_REFINE
     radial: int = DEFAULT_RADIAL
+    HEAD = "grid2d"
+    FIELDS = (("res", "resolution", 8), ("refine", "refine", 0), ("radial", "radial", 2))
 
 
 @dataclass(frozen=True)
-class MultiStartStrategy:
+class MultiStartStrategy(_Strategy):
     starts: int = DEFAULT_STARTS
     steps: int = DEFAULT_STEPS
     seed: int = DEFAULT_SEED
+    HEAD = "multistart"
+    FIELDS = (("starts", "starts", 1), ("steps", "steps", 1), ("seed", "seed", 0))
 
 
 Strategy = ExactStrategy | Grid2DStrategy | MultiStartStrategy
+_STRATEGY_CLASSES = {cls.HEAD: cls for cls in (ExactStrategy, Grid2DStrategy, MultiStartStrategy)}
 
 
 def strategy_descriptor(strategy: Strategy) -> str:
-    if isinstance(strategy, ExactStrategy):
-        return "exact"
-    if isinstance(strategy, Grid2DStrategy):
-        return (f"grid2d:res={strategy.resolution},refine={strategy.refine},"
-                f"radial={strategy.radial}")
-    return f"multistart:starts={strategy.starts},steps={strategy.steps},seed={strategy.seed}"
+    fields = ",".join(f"{key}={getattr(strategy, name)}" for key, name, _ in strategy.FIELDS)
+    return f"{strategy.HEAD}:{fields}" if fields else strategy.HEAD
 
 
 def parse_strategy(text: str) -> Strategy:
-    """Parse selector strings: ``exact``, ``grid2d:res=..,refine=..``,
+    """Parse a selector string, a head with optional ``key=value`` fields
+    as ``strategy_descriptor`` writes them: ``exact``,
+    ``grid2d:res=..,refine=..,radial=..`` or
     ``multistart:starts=..,steps=..,seed=..``.  Omitted fields keep defaults."""
     head, _, rest = text.strip().partition(":")
     fields: dict[str, int] = {}
@@ -181,33 +203,14 @@ def parse_strategy(text: str) -> Strategy:
             if key.strip() in fields:
                 raise ValueError(f"repeated strategy parameter {key.strip()!r} in {text!r}")
             fields[key.strip()] = int(val)
-    if head == "exact":
-        if fields:
-            raise ValueError("exact strategy takes no parameters")
-        return ExactStrategy()
-    if head == "grid2d":
-        unknown = set(fields) - {"res", "refine", "radial"}
-        if unknown:
-            raise ValueError(f"unknown grid2d parameter(s): {sorted(unknown)}")
-        strat = Grid2DStrategy(resolution=fields.get("res", DEFAULT_RESOLUTION),
-                               refine=fields.get("refine", DEFAULT_REFINE),
-                               radial=fields.get("radial", DEFAULT_RADIAL))
-        if strat.resolution < 8 or strat.refine < 0 or strat.radial < 2:
-            raise ValueError(f"grid2d parameters out of range in {text!r}: "
-                             "need res >= 8, refine >= 0, radial >= 2")
-        return strat
-    if head == "multistart":
-        unknown = set(fields) - {"starts", "steps", "seed"}
-        if unknown:
-            raise ValueError(f"unknown multistart parameter(s): {sorted(unknown)}")
-        strat = MultiStartStrategy(starts=fields.get("starts", DEFAULT_STARTS),
-                                   steps=fields.get("steps", DEFAULT_STEPS),
-                                   seed=fields.get("seed", DEFAULT_SEED))
-        if strat.starts < 1 or strat.steps < 1 or strat.seed < 0:
-            raise ValueError(f"multistart parameters out of range in {text!r}: "
-                             "need starts >= 1, steps >= 1, seed >= 0")
-        return strat
-    raise ValueError(f"unknown strategy: {text!r}")
+    cls = _STRATEGY_CLASSES.get(head)
+    if cls is None:
+        raise ValueError(f"unknown strategy: {text!r}")
+    names = {key: name for key, name, _ in cls.FIELDS}
+    unknown = set(fields) - set(names)
+    if unknown:
+        raise ValueError(f"unknown {head} parameter(s): {sorted(unknown)}")
+    return cls(**{names[key]: value for key, value in fields.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +498,7 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     """
     if space.dim != 2:
         raise SpaceError(f"sup_pairs_2d needs a 2-dimensional space, got dim={space.dim}")
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
-    if refine_iters < 0 or radial < 2:
-        raise ValueError("refine_iters must be >= 0 and radial >= 2")
+    Grid2DStrategy(resolution, refine_iters, radial)    # refuses fields out of range
     reg1, reg2 = _region_pair(region)
     thetas = np.array(thetas, dtype=float)
     if thetas.size == 0:
@@ -689,8 +689,7 @@ def sup_pairs_nd(space: NormedSpace, f: Objective, region, starts: int = DEFAULT
     stagnant sweep.  The final reduction over starts is max-value with the
     lexicographic witness tie-break, hence order-independent.
     """
-    if starts < 1 or steps < 1:
-        raise ValueError("starts and steps must be positive")
+    MultiStartStrategy(starts, steps, seed)             # refuses fields out of range
     d = space.dim
     regs = _region_pair(region)
 
@@ -731,10 +730,12 @@ def sup_vertex_pairs(space: NormedSpace, f: Objective) -> Estimate:
 
     Requires ``f.convex_flag`` (the supremum is attained at extreme points)
     and a space with a finite extreme set; the result is the exact supremum
-    over sphere and ball pairs alike.
+    over sphere and ball pairs alike.  This is where every constant refuses
+    an exact run of an objective that is not vertex-attaining.
     """
     if not f.convex_flag:
-        raise ValueError("objective is not declared vertex-attaining; cannot run exact enumeration")
+        raise ValueError(f"objective {f.name!r} is not declared vertex-attaining, so exact "
+                         "enumeration cannot bound it; need a search strategy (grid2d or multistart)")
     ext = extreme_points(space)
     E = np.asarray(ext, dtype=float)
     n = E.shape[0]

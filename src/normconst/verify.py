@@ -107,23 +107,33 @@ def default_suite_spaces() -> tuple[NormedSpace, ...]:
 # execution context: strategies, slacks, and an estimate cache
 
 
+# Profile fields that no strategy holds, with their least values
+_PROFILE_FLOORS = (("t_grid", 3), ("t_refine", 0), ("lemma_pairs", 1), ("psi_samples", 1))
+
+
 class _Context:
+    """A profile's strategies, built once, and the estimate cache.  Building
+    them checks every numeric field of the profile, so an out-of-range
+    profile is refused before any check runs."""
+
     def __init__(self, profile: Profile, seed: int):
         self.profile = profile
         self.seed = seed
         self._cache: dict = {}
-
-    def grid_strategy(self) -> Strategy:
-        p = self.profile
-        return Grid2DStrategy(resolution=p.resolution, refine=p.refine, radial=p.radial)
+        self.grid = Grid2DStrategy(profile.resolution, profile.refine, profile.radial)
+        # the ball x ball grid of sphere_ball_equal
+        self.ball_grid = Grid2DStrategy(profile.ball_resolution, profile.refine,
+                                        profile.ball_radial)
+        self.multistart = MultiStartStrategy(profile.starts, profile.steps, seed)
+        for name, least in _PROFILE_FLOORS:
+            if getattr(profile, name) < least:
+                raise ValueError(f"profile field out of range: need {name} >= {least}, "
+                                 f"got {name}={getattr(profile, name)}")
 
     def strategy_for(self, space: NormedSpace, vertex_ok: bool) -> Strategy:
         if vertex_ok and supports_extreme_points(space):
             return ExactStrategy()
-        if space.dim == 2:
-            return self.grid_strategy()
-        return MultiStartStrategy(starts=self.profile.starts,
-                                  steps=self.profile.steps, seed=self.seed)
+        return self.grid if space.dim == 2 else self.multistart
 
     @staticmethod
     def _key(name: str, space: NormedSpace, strat: Strategy, params: dict):
@@ -264,14 +274,13 @@ def _check_sphere_ball_equal(ctx: _Context, space, params):
     strat = ctx.strategy_for(space, vertex_ok=False)
     sphere = ctx.estimate("gamma_p", space, strat, p=p, t=t)
     obj = cns.gamma_objective(space, p, t)
-    prof = ctx.profile
+    balls = (Region.BALL, Region.BALL)
     if space.dim == 2:
-        ball = sup_pairs_2d(space, obj, (Region.BALL, Region.BALL),
-                            prof.ball_resolution, prof.refine,
-                            prof.ball_radial)
+        g = ctx.ball_grid
+        ball = sup_pairs_2d(space, obj, balls, g.resolution, g.refine, g.radial)
     else:
-        ball = sup_pairs_nd(space, obj, (Region.BALL, Region.BALL),
-                            prof.starts, prof.steps, ctx.seed)
+        m = ctx.multistart
+        ball = sup_pairs_nd(space, obj, balls, m.starts, m.steps, m.seed)
     return _verdict({"sphere": sphere.value, "ball": ball.value},
                     abs(sphere.value - ball.value), SEARCH_SLACK)
 
@@ -610,10 +619,7 @@ def _context(profile: str | Profile, seed: int) -> _Context:
             raise ValueError(f"unknown profile {profile!r}; choose from "
                              f"{sorted(PROFILES)}")
         profile = PROFILES[profile]
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed out of range: need seed >= 0, got {seed}")
-    return _Context(profile, seed)
+    return _Context(profile, int(seed))
 
 
 def run_check(check_id: str, space: NormedSpace, params: dict,

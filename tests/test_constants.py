@@ -435,14 +435,16 @@ def test_swept_arguments_are_checked_in_order_before_the_strategy(name):
 def test_exact_strategy_rejections():
     with pytest.raises(nc.SpaceError):
         nc.cinj_iso(L2, alpha=0.25, p=2.0, strategy="exact")  # smooth ball
-    with pytest.raises(ValueError):
+    # sup_vertex_pairs refuses an objective that is not vertex-attaining
+    # and names it
+    refusal = "is not declared vertex-attaining.*need a search strategy \\(grid2d or multistart\\)"
+    with pytest.raises(ValueError, match=r"objective 'nu_p\(p=2\.0\)' " + refusal):
         nc.nu_p(L1, p=2.0, strategy="exact")  # non-convex ratio
-    with pytest.raises(ValueError):
-        nc.james(L1, strategy="exact")  # min form
     for sp in (L1, HEX):
-        # the infimum runs first and rejects a vertex strategy
-        with pytest.raises(ValueError, match="need a search strategy"):
-            nc.schaffer(sp, strategy="exact")
+        # both run the min-form supremum first, which refuses a vertex strategy
+        for constant in (nc.james, nc.schaffer):
+            with pytest.raises(ValueError, match="objective 'james_min_form' " + refusal):
+                constant(sp, strategy="exact")
 
 
 def test_resolve_strategy_defaults():

@@ -1,5 +1,6 @@
 """Search engines against brute-force oracles, plus strategy plumbing."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -216,12 +217,26 @@ def test_unit_rows_batch_matches_single_rows(kind, q, d):
     assert U[7].tobytes() == (e1 / space.norm_rows(e1[None])[0]).tobytes()
 
 
-@pytest.mark.parametrize("strat", [
-    ExactStrategy(),
-    Grid2DStrategy(resolution=128, refine=7, radial=3),
-    MultiStartStrategy(starts=9, steps=50, seed=13),
-])
-def test_strategy_descriptor_roundtrip(strat):
+# each strategy's fields with their least values, as the selector syntax
+# documents them
+BOUNDS = {
+    ExactStrategy: {},
+    Grid2DStrategy: {"resolution": 8, "refine": 0, "radial": 2},
+    MultiStartStrategy: {"starts": 1, "steps": 1, "seed": 0},
+}
+
+
+def _at_or_above(least):
+    return st.one_of(st.just(least), st.integers(min_value=least, max_value=2 ** 40))
+
+
+@pytest.mark.parametrize("strat", [cls() for cls in BOUNDS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_strategy_descriptor_roundtrip(strat, data):
+    fields = {name: data.draw(_at_or_above(least), label=name)
+              for name, least in BOUNDS[type(strat)].items()}
+    strat = dataclasses.replace(strat, **fields)
     assert parse_strategy(strategy_descriptor(strat)) == strat
 
 
@@ -229,19 +244,37 @@ def test_parse_strategy_errors():
     for bad in ("warp", "grid2d:res=abc", "grid2d:bogus=3",
                 "multistart:starts=0", "exact:x=1", "",
                 "multistart:seed=-1", "multistart:seed=3,seed=4",
-                "grid2d:res=64,res=128"):
+                "grid2d:res=64,res=128",
+                # one below each field's least value
+                "grid2d:res=7", "grid2d:refine=-1", "grid2d:radial=1",
+                "multistart:steps=0"):
         with pytest.raises(ValueError):
             parse_strategy(bad)
+    # a strategy built by hand is refused with the message parsing gives
+    for text, built in (("grid2d:res=7", lambda: Grid2DStrategy(resolution=7)),
+                        ("multistart:seed=-1", lambda: MultiStartStrategy(seed=-1))):
+        with pytest.raises(ValueError) as parsed:
+            parse_strategy(text)
+        with pytest.raises(ValueError) as by_hand:
+            built()
+        assert str(by_hand.value) == str(parsed.value)
+        key, value = text.split(":")[1].split("=")
+        assert str(parsed.value) == (f"{text.split(':')[0]} parameter out of range: "
+                                     f"need {key} >= {int(value) + 1}, got {key}={value}")
 
 
 def test_engine_validation():
     obj = _sum_sq()
     with pytest.raises(ValueError):
         sup_pairs_2d(lp_space(2, 3), obj, Region.SPHERE)  # dim != 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need res >= 8, got res=4"):
         sup_pairs_2d(L2, obj, Region.SPHERE, resolution=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need radial >= 2, got radial=1"):
+        sup_pairs_2d(L2, obj, Region.BALL, radial=1)
+    with pytest.raises(ValueError, match="need starts >= 1, got starts=0"):
         sup_pairs_nd(L2, obj, Region.SPHERE, starts=0)
+    with pytest.raises(ValueError, match="need seed >= 0, got seed=-1"):
+        sup_pairs_nd(L2, obj, Region.SPHERE, seed=-1)
 
 
 @settings(max_examples=20, deadline=None)

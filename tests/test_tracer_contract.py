@@ -1,0 +1,58 @@
+"""The benchmark tracer's contract with the library.
+
+``perfbench/tracing.py`` wraps the engines where ``constants`` and
+``verify`` look them up.  A change that routes an engine call around those
+module globals would leave the tracer's per-layer counts at 0 without an
+error; these tests run the tracer, unchanged, over one call of each
+engine and check that every call is counted once with its evaluations.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import normconst
+import normconst.cli  # noqa: F401  (the tracer wraps cli.main)
+import normconst.constants
+import normconst.verify
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def traced():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    originals = {name: getattr(normconst.constants, name)
+                 for name in ("gamma_p", "cinj_iso", "sup_pairs_2d", "sup_pairs_nd",
+                              "sup_vertex_pairs")}
+    tracing.install(tracer, normconst)
+    try:
+        yield tracing, tracer
+    finally:
+        tracer.restore()
+    for name, fn in originals.items():
+        assert getattr(normconst.constants, name) is fn
+
+
+def test_each_engine_call_is_counted_once_with_its_evaluations(traced):
+    tracing, tracer = traced
+    cns = normconst.constants
+    grid = cns.gamma_p(normconst.lp_space(3, 2), 2.0, 0.5, "grid2d:res=32,refine=2,radial=2")
+    exact = cns.cinj_iso(normconst.lp_space(1, 2), 0.25, 2.0, "exact")
+    multi = cns.gamma_p(normconst.lp_space(3, 3), 2.0, 0.5, "multistart:starts=3,steps=6,seed=1")
+    m = tracing.layer_metrics(tracer, 1)
+    for layer, est in (("sup_pairs_2d", grid), ("sup_vertex_pairs", exact),
+                       ("sup_pairs_nd", multi)):
+        assert m[f"search.{layer}.calls"] == 1, layer
+        assert m[f"search.{layer}.evals"] == est.evaluations > 0, layer
+    assert m["constants.gamma_p.calls"] == 2
+    assert m["constants.cinj_iso.calls"] == 1

@@ -1,5 +1,6 @@
 """Check catalog plumbing: single checks, reports, serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -84,6 +85,34 @@ def test_negative_seed_rejected_before_any_check(monkeypatch):
                   seed=-1, profile=MINI)
     with pytest.raises(ValueError, match="need seed >= 0"):
         run_suite([lp_space(3, 3)], seed=-1, profile="fast")
+
+
+# every numeric Profile field with its least value
+PROFILE_FLOORS = {"resolution": 8, "refine": 0, "radial": 2, "starts": 1, "steps": 1,
+                  "t_grid": 3, "t_refine": 0, "lemma_pairs": 1, "psi_samples": 1,
+                  "ball_resolution": 8, "ball_radial": 2}
+
+
+def test_profile_floors_cover_every_numeric_field():
+    assert set(PROFILE_FLOORS) == {f.name for f in dataclasses.fields(Profile)} - {"name"}
+
+
+@pytest.mark.parametrize("field,least", sorted(PROFILE_FLOORS.items()))
+def test_out_of_range_profile_rejected_before_any_check(monkeypatch, field, least):
+    import normconst.verify as verify_mod
+
+    def never(*args):
+        raise AssertionError("a check or its parameter grid ran")
+    monkeypatch.setattr(verify_mod, "CHECKS", {"x": (never, never)})
+    bad = dataclasses.replace(MINI, **{field: least - 1})
+    for space in (L2, lp_space(3, 3)):
+        with pytest.raises(ValueError, match=rf"need \w+ >= {least}, got \w+={least - 1}$"):
+            run_suite([space], profile=bad)
+        with pytest.raises(ValueError, match=rf"need \w+ >= {least}"):
+            run_check("x", space, {}, profile=bad)
+    # the least value itself is accepted: the suite reaches the checks
+    with pytest.raises(AssertionError, match="a check"):
+        run_suite([L2], profile=dataclasses.replace(MINI, **{field: least}))
 
 
 def test_single_space_mini_suite_passes():
