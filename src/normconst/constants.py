@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from .orthogonality import SUM_NORM_FLOOR, _iso_partner_rows
-from .search import (DEFAULT_SEED, Estimate, ExactStrategy, Grid2DStrategy,
+from .search import (_GRID_LOOKAHEAD, DEFAULT_SEED, Estimate, ExactStrategy, Grid2DStrategy,
                      MultiStartStrategy, Objective, Strategy, _Strategy, _ascend, _best_row,
                      _grid_axes_2d, _points_2d, _refine, _start_draws, _sup_pairs_2d_stack,
                      _sweep_grid, _WitnessRows, batch_objective, parse_strategy, sup_pairs_2d,
@@ -241,14 +241,18 @@ def _swept(name: str, space: NormedSpace, strategy, values, p) -> list[Estimate]
     else:
         ests = [_run_sup(space, family(theta), Region.SPHERE, strat) for theta in thetas]
     if name == "cinj_iso":
-        for i, est in enumerate(ests):
-            u1, u2 = est.witness
-            pair = (tuple(a + b for a, b in zip(u1, u2)), tuple(a - b for a, b in zip(u1, u2)))
-            ests[i] = replace(est, meta={**est.meta, "iso_pair": pair})
+        ests = [replace(est, meta={**est.meta, "iso_pair": _iso_pair(est.witness)})
+                for est in ests]
     elif name == "cinj_via_gamma":
         ests = [replace(est, meta={**est.meta, "route": "via_gamma", "t": 1.0 - 2.0 * alpha})
                 for est, alpha in zip(ests, thetas)]
     return ests
+
+
+def _iso_pair(witness):
+    """The isosceles pair (u1 + u2, u1 - u2) of a ``cinj_iso`` witness (u1, u2)."""
+    u1, u2 = witness
+    return tuple(a + b for a, b in zip(u1, u2)), tuple(a - b for a, b in zip(u1, u2))
 
 
 # constant -> the parameter a grid2d stack of it runs over
@@ -270,20 +274,86 @@ def _estimates_along(name: str, space: NormedSpace, strat, axis: str, values, **
     return [single(space, strategy=strat, **fixed, **{axis: v}) for v in values]
 
 
+class _JointRows(_WitnessRows):
+    """Payloads of ``_cnj_joint``'s refinement, (witness, t, inner value) per
+    row, each built when indexed."""
+
+    def __init__(self, X1: np.ndarray, X2: np.ndarray, T: np.ndarray, inner: np.ndarray):
+        super().__init__(X1, X2)
+        self.T, self.inner = T, inner
+
+    def __getitem__(self, i):
+        return super().__getitem__(i), float(self.T[i]), float(self.inner[i])
+
+
+def _cnj_joint(space: NormedSpace, p: float, strat: Grid2DStrategy, ts: list[float],
+               mode: str) -> Estimate:
+    """:func:`cnj_p` on a grid2d strategy.
+
+    The offsets ``ts`` run as one stacked search of the inner constant.  From
+    the offset with the best ratio (the smallest t among equal ones) one
+    ``_refine`` search moves the angles of x1 and x2 and the offset t
+    together on the ratio objective, ``strat.refine`` rounds with t's width
+    one offset step.  It starts at the exact angles the stacked search ended
+    at; every probe evaluates t clamped to [0, 1] and carries that t.
+    """
+    name, scale = ("gamma_p", 1.0) if mode == "gamma" else ("cinj_iso", 2.0)
+    family = _family(name, space, p)
+    thetas = ts if mode == "gamma" else [(1.0 - t) / 2.0 for t in ts]
+    swept, angles = _sup_pairs_2d_stack(space, family, thetas, Region.SPHERE, strat.resolution,
+                                        strat.refine, strat.radial, with_params=True)
+    ratios = [scale * est.value / (1.0 + t ** p) for t, est in zip(ts, swept)]
+    for t, v in zip(ts, ratios):
+        if not math.isfinite(v):
+            raise ValueError(f"sweep objective returned a non-finite value at t={t}")
+    i = ratios.index(max(ratios))
+    best_v, best_w = [ratios[i]], [(swept[i].witness, ts[i], swept[i].value)]
+    params = np.append(angles[i], ts[i])[None, :]      # (theta1, theta2, t)
+
+    def probe(ci: int):
+        def fun(ks: list[int], batches: list[list[float]]):
+            rows = params.repeat(len(batches[0]), axis=0)
+            rows[:, ci] = batches[0]
+            X1, X2 = np.split(_points_2d(space, Region.SPHERE, rows[:, :2].T.reshape(-1, 1)), 2)
+            T = np.minimum(np.maximum(rows[:, 2], 0.0), 1.0)
+            inner = family((T if mode == "gamma" else (1.0 - T) / 2.0)[:, None]).eval_batch(X1, X2)
+            return [(scale * inner / (1.0 + T ** p), _JointRows(X1, X2, T, inner))]
+
+        return fun
+
+    widths = [TWO_PI / strat.resolution] * 2 + [1.0 / (len(ts) - 1)]
+    refined = _refine(best_v, best_w, params, widths, probe, strat.refine, _GRID_LOOKAHEAD)
+    witness, t_star, inner = best_w[0]
+    meta = {"iso_pair": _iso_pair(witness)} if mode == "cinj" else {}
+    return Estimate(best_v[0], witness, "Grid2D", False,
+                    sum(est.evaluations for est in swept) + refined,
+                    {**meta, "t_star": t_star, "mode": mode, "inner_value": inner})
+
+
 def cnj_p(space: NormedSpace, p: float, strategy=None, t_grid: int = 33,
           t_refine: int = 20, mode: str = "gamma") -> Estimate:
-    """Generalized NJ constant via a sweep over the offset t in [0, 1].
+    """Generalized NJ constant: the supremum over the offset t in [0, 1].
 
     ``mode="gamma"`` maximizes gamma_p(t) / (1 + t^p); ``mode="cinj"`` is the
-    cross-check form 2 * cinj_iso((1-t)/2) / (1 + t^p).  The reported witness
-    is the inner witness at the best offset, recorded in ``meta['t_star']``.
+    cross-check form 2 * cinj_iso((1-t)/2) / (1 + t^p).  Both scan the
+    ``t_grid`` offsets of [0, 1] first.  On ``exact`` and ``multistart``
+    ``t_sweep`` then runs ``t_refine`` golden iterations over t, each a full
+    inner supremum; the witness is the inner witness at the best offset
+    ``meta['t_star']``, and ``meta['inner_value']`` its inner value.  On
+    ``grid2d`` the offsets run as one stacked search, and the refinement
+    moves x1, x2 and t together for the strategy's ``refine`` rounds (see
+    ``_cnj_joint``); ``t_refine`` is checked but unused.  ``t_star`` is then
+    the offset of the witness, and ``meta['inner_value']`` the inner
+    objective (gamma_p's, or cinj_iso's) at the witness and ``t_star``.
     """
     p = _check_p(p)
     if mode not in ("gamma", "cinj"):
         raise ValueError(f"mode must be 'gamma' or 'cinj', got {mode!r}")
     strat = resolve_strategy(strategy, space)
-    # every swept offset, t_star among them; the scan grid in one stacked run
     ts = _sweep_grid(0.0, 1.0, t_grid, t_refine)
+    if isinstance(strat, Grid2DStrategy):
+        return _cnj_joint(space, p, strat, ts, mode)
+    # every swept offset, t_star among them
     if mode == "gamma":
         swept = _estimates_along("gamma_p", space, strat, "t", ts, p=p)
     else:

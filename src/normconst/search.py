@@ -33,9 +33,12 @@ two moves one after the other.
 ``_golden`` is a generator: it yields each batch of points it needs and is
 sent their values, so one loop can run many searches side by side.  Each
 batch's candidates are built level by level as one flat heap-ordered list.
-``_golden_max`` drives one search with a probe function; ``_refine`` drives
-the coordinate-wise refinement of K searches in lockstep, one probe call
-per step for all of them.  On that, the 2-D grid engine is a K-objective
+``_golden_max`` drives one search with a probe function; its one caller is
+``t_sweep``, which ``cnj_p`` runs over t on ``exact`` and ``multistart``.
+``_refine`` drives the coordinate-wise refinement of K searches in
+lockstep, one probe call per step for all of them; ``cnj_p`` on ``grid2d``
+also runs it with K = 1 over (angle of x1, angle of x2, t).  On that, the
+2-D grid engine is a K-objective
 engine: ``_sup_pairs_2d_stack`` takes a family of objectives that share the
 space and the region and differ in one scalar parameter, scans each grid
 block once for all of them and refines them in lockstep.  Every objective
@@ -485,9 +488,12 @@ def _scan_2d(fbs, P1: np.ndarray, P2: np.ndarray):
 
 def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective],
                         thetas: Sequence[float], region, resolution: int, refine_iters: int,
-                        radial: int) -> list[Estimate]:
+                        radial: int, with_params: bool = False):
     """``sup_pairs_2d`` of the objectives ``family(theta)`` for each theta of
     ``thetas``, in one run: the Estimates K separate runs give, bit for bit.
+    With ``with_params`` it returns (Estimates, params), where ``params[k]``
+    holds the grid parameters (angle, and in the ball radius, of x1 then of
+    x2) at which search k ended: the exact bits its witness was built from.
 
     ``family`` takes a float, or an ``(n, 1)`` column of per-row parameters,
     and returns an Objective whose rows are computed elementwise, so a row
@@ -502,7 +508,7 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     reg1, reg2 = _region_pair(region)
     thetas = np.array(thetas, dtype=float)
     if thetas.size == 0:
-        return []
+        return ([], np.empty((0, 0))) if with_params else []
     P1, par1 = _grid_axes_2d(space, reg1, resolution, radial)
     P2, par2 = _grid_axes_2d(space, reg2, resolution, radial)
 
@@ -542,8 +548,9 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     refined = _refine(best_v, best_w, params, widths, probe_rows, refine_iters,
                       _GRID_LOOKAHEAD)
     evaluations = P1.shape[0] * P2.shape[0] + refined
-    return [Estimate(value=v, witness=w, strategy="Grid2D", exact=False,
+    ests = [Estimate(value=v, witness=w, strategy="Grid2D", exact=False,
                      evaluations=evaluations) for v, w in zip(best_v, best_w)]
+    return (ests, params) if with_params else ests
 
 
 def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEFAULT_RESOLUTION,

@@ -107,28 +107,38 @@ def default_suite_spaces() -> tuple[NormedSpace, ...]:
 # execution context: strategies, slacks, and an estimate cache
 
 
-# Profile fields that no strategy holds, with their least values
-_PROFILE_FLOORS = (("t_grid", 3), ("t_refine", 0), ("lemma_pairs", 1), ("psi_samples", 1))
+# least value of each strategy field, by field name
+_LEAST = {name: least for cls in (Grid2DStrategy, MultiStartStrategy)
+          for _, name, least in cls.FIELDS}
+
+# Every numeric Profile field with its least value; a field that fills a
+# strategy field takes that field's
+_PROFILE_FLOORS = (
+    ("resolution", _LEAST["resolution"]), ("refine", _LEAST["refine"]),
+    ("radial", _LEAST["radial"]), ("ball_resolution", _LEAST["resolution"]),
+    ("ball_radial", _LEAST["radial"]), ("starts", _LEAST["starts"]),
+    ("steps", _LEAST["steps"]),
+    ("t_grid", 3), ("t_refine", 0), ("lemma_pairs", 1), ("psi_samples", 1))
 
 
 class _Context:
-    """A profile's strategies, built once, and the estimate cache.  Building
-    them checks every numeric field of the profile, so an out-of-range
-    profile is refused before any check runs."""
+    """A profile's strategies, built once, and the estimate cache.  Every
+    numeric field of the profile is checked first, and an out-of-range one
+    is refused by its profile field name before any check runs."""
 
     def __init__(self, profile: Profile, seed: int):
         self.profile = profile
         self.seed = seed
         self._cache: dict = {}
+        for name, least in _PROFILE_FLOORS:
+            if getattr(profile, name) < least:
+                raise ValueError(f"profile field out of range: need {name} >= {least}, "
+                                 f"got {name}={getattr(profile, name)}")
         self.grid = Grid2DStrategy(profile.resolution, profile.refine, profile.radial)
         # the ball x ball grid of sphere_ball_equal
         self.ball_grid = Grid2DStrategy(profile.ball_resolution, profile.refine,
                                         profile.ball_radial)
         self.multistart = MultiStartStrategy(profile.starts, profile.steps, seed)
-        for name, least in _PROFILE_FLOORS:
-            if getattr(profile, name) < least:
-                raise ValueError(f"profile field out of range: need {name} >= {least}, "
-                                 f"got {name}={getattr(profile, name)}")
 
     def strategy_for(self, space: NormedSpace, vertex_ok: bool) -> Strategy:
         if vertex_ok and supports_extreme_points(space):

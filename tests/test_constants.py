@@ -214,6 +214,26 @@ def _cnj_reference(space, p, strat, t_grid, t_refine, mode):
         **at_best.meta, "t_star": t_star, "mode": mode, "inner_value": at_best.value}
 
 
+def _assert_joint_contract(space, p, strat, t_grid, t_refine, mode):
+    # grid2d cnj_p refines (x1, x2, t) jointly: it reaches at least the value
+    # of t_sweep over full inner suprema, at a feasible witness and offset
+    est = nc.cnj_p(space, p, strat, t_grid=t_grid, t_refine=t_refine, mode=mode)
+    reference = _cnj_reference(space, p, strat, t_grid, t_refine, mode)[0]
+    assert est.value >= reference - 1e-12
+    for x in est.witness:
+        assert abs(nc.norm(space, x) - 1.0) <= 1e-12
+    t = est.meta["t_star"]
+    assert 0.0 <= t <= 1.0
+    if mode == "gamma":
+        inner = _family("gamma_p", space, p)(t).eval(*est.witness)
+    else:
+        inner = _family("cinj_iso", space, p)((1.0 - t) / 2.0).eval(*est.witness)
+    scale = 1.0 if mode == "gamma" else 2.0
+    assert est.value == pytest.approx(scale * inner / (1.0 + t ** p), rel=1e-12)
+    assert est.meta["inner_value"] == pytest.approx(inner, rel=1e-12)
+    assert (est.meta["mode"], est.exact) == (mode, False)
+
+
 @pytest.mark.parametrize("sp, strat", [
     (L2, "grid2d:res=32,refine=2"), (L3, "grid2d:res=24,refine=3"),
     (HEX, "grid2d:res=48,refine=1"), (HEX, "exact"), (L1, "exact"),
@@ -221,11 +241,49 @@ def _cnj_reference(space, p, strat, t_grid, t_refine, mode):
 @pytest.mark.parametrize("mode", ["gamma", "cinj"])
 def test_cnj_prefilled_grid_matches_reference(sp, strat, mode):
     strat = nc.parse_strategy(strat)
+    if isinstance(strat, Grid2DStrategy):
+        # no longer t_sweep's result bit for bit: the joint refinement's contract
+        _assert_joint_contract(sp, 2.0, strat, 9, 5, mode)
+        return
     est = nc.cnj_p(sp, 2.0, strat, t_grid=9, t_refine=5, mode=mode)
     value, witness, evaluations, meta = _cnj_reference(sp, 2.0, strat, 9, 5, mode)
     assert (est.value, est.witness, est.evaluations) == (value, witness, evaluations)
     assert repr(est.meta) == repr(meta)
     assert est.exact is False
+
+
+JOINT_SPACES = {
+    **{f"lp:q={q}": nc.lp_space(q, 2) for q in (1.5, 2.0, 3.0, 6.0)},
+    "wlp:q=3,w=1;2": nc.parse_space("wlp:q=3,dim=2,w=1;2"),
+    "hexagon": HEX,
+    "rotated octagon": nc.regular_polygon_space(8, phase=0.3),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(JOINT_SPACES)), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       st.sampled_from(["gamma", "cinj"]), st.integers(min_value=32, max_value=48),
+       st.integers(min_value=2, max_value=4), st.sampled_from([(5, 3), (9, 5)]))
+def test_cnj_grid2d_joint_refinement_contract(name, p, mode, res, refine, t_budget):
+    strat = Grid2DStrategy(resolution=res, refine=refine)
+    _assert_joint_contract(JOINT_SPACES[name], p, strat, *t_budget, mode)
+
+
+def test_cnj_grid2d_runs_no_per_t_search(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("grid2d cnj_p runs no search per offset")
+
+    sweeps = []
+    t_sweep_real = nc.constants.t_sweep
+    monkeypatch.setattr(nc.constants, "t_sweep",
+                        lambda *a, **k: sweeps.append(1) or t_sweep_real(*a, **k))
+    nc.cnj_p(HEX, 2.0, "exact", t_grid=5, t_refine=2)
+    assert sweeps == [1]
+    for name in ("t_sweep", "gamma_p", "cinj_iso"):
+        monkeypatch.setattr(nc.constants, name, never)
+    for mode in ("gamma", "cinj"):
+        est = nc.cnj_p(L3, 2.0, "grid2d:res=32,refine=2", t_grid=5, t_refine=3, mode=mode)
+        assert 0.0 <= est.meta["t_star"] <= 1.0
 
 
 def test_cnj_modes_agree():

@@ -115,6 +115,14 @@ def test_out_of_range_profile_rejected_before_any_check(monkeypatch, field, leas
         run_suite([L2], profile=dataclasses.replace(MINI, **{field: least}))
 
 
+@pytest.mark.parametrize("field,least", sorted(PROFILE_FLOORS.items()))
+def test_out_of_range_profile_error_names_the_profile_field(field, least):
+    bad = dataclasses.replace(MINI, **{field: least - 1})
+    with pytest.raises(ValueError, match=rf"^profile field out of range: "
+                                         rf"need {field} >= {least}, got {field}={least - 1}$"):
+        run_suite([L2], profile=bad)
+
+
 def test_single_space_mini_suite_passes():
     rep = run_suite([L2], seed=5, profile=MINI)
     assert rep.summary["failed"] == 0
