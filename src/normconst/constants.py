@@ -97,7 +97,7 @@ def _two_sided(space: NormedSpace, t, combine, convex_flag: bool,
     def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
         return combine(space.norm_rows(X1 + t * X2), space.norm_rows(X1 - t * X2))
 
-    return batch_objective(evb, convex_flag=convex_flag, name=name)
+    return batch_objective(evb, convex_flag=convex_flag, name=name, isometry_invariant=True)
 
 
 def _power_mean(p: float, scale: float):
@@ -131,7 +131,7 @@ def _half_sum_ratio(space: NormedSpace, a, b, p: float, scale: float,
         out[ok] = (na[ok] ** p + nb[ok] ** p) / (scale * s[ok] ** p)
         return out
 
-    return batch_objective(evb, convex_flag=True, name=name)
+    return batch_objective(evb, convex_flag=True, name=name, isometry_invariant=True)
 
 
 def _family(name: str, space: NormedSpace, p: float):
@@ -184,7 +184,8 @@ def _nu_objective(space: NormedSpace, p: float) -> Objective:
         out[ok] = num[ok] / den[ok]
         return out
 
-    return batch_objective(evb, convex_flag=False, name=f"nu_p(p={p})")
+    return batch_objective(evb, convex_flag=False, name=f"nu_p(p={p})",
+                           isometry_invariant=True)
 
 
 def _omega_objective(space: NormedSpace) -> Objective:

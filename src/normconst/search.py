@@ -45,7 +45,12 @@ block once for all of them and refines them in lockstep.  Every objective
 row is computed elementwise, so each of its Estimates is bit for bit the
 one a separate run gives; ``sup_pairs_2d`` is its one-objective call.  Its
 probe rows (``_points_2d``) are built with array ``cos`` / ``sin``, which
-give each row the bits of a per-row ``math`` call.
+give each row the bits of a per-row ``math`` call.  For objectives that
+declare ``isometry_invariant`` it scans x1 over one fundamental domain of
+its angle grid under the space's isometries (``spaces.isometry_domain``)
+against all of x2's grid: the grid maximum is the full grid's to rounding,
+the tie-break picks the smallest witness among the pairs scanned, and
+``evaluations`` counts the pairs scanned.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spaces import TWO_PI, NormedSpace, Region, SpaceError, Vector, extreme_points
+from .spaces import (TWO_PI, NormedSpace, Region, SpaceError, Vector, extreme_points,
+                     isometry_domain)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -91,12 +97,18 @@ class Objective:
     convex in the pair, and for monotone transforms of such objectives.
     ``eval_batch``, when given, takes two matching ``(n, dim)`` arrays and
     returns ``(n,)`` values; rows may be NaN to mark guarded points.
+    ``isometry_invariant`` asserts that the value is unchanged when one
+    linear isometry of the space is applied to both vectors, as any
+    function of the norms of linear combinations of the pair is; the 2-D
+    grid engine then scans x1 over one fundamental domain of its grid
+    (``spaces.isometry_domain``) only.
     """
 
     eval: Callable[[Vector, Vector], float]
     convex_flag: bool = False
     eval_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     name: str = ""
+    isometry_invariant: bool = False
 
 
 def scalar_objective(fn: Callable[[Vector, Vector], float], convex_flag: bool = False,
@@ -111,13 +123,15 @@ def scalar_objective(fn: Callable[[Vector, Vector], float], convex_flag: bool = 
 
 
 def batch_objective(evb: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    convex_flag: bool = False, name: str = "") -> Objective:
+                    convex_flag: bool = False, name: str = "",
+                    isometry_invariant: bool = False) -> Objective:
     """Build an Objective from a batch evaluator; the scalar form delegates."""
 
     def ev(x1: Sequence[float], x2: Sequence[float]) -> float:
         return float(evb(np.asarray([x1], dtype=float), np.asarray([x2], dtype=float))[0])
 
-    return Objective(eval=ev, convex_flag=convex_flag, eval_batch=evb, name=name)
+    return Objective(eval=ev, convex_flag=convex_flag, eval_batch=evb, name=name,
+                     isometry_invariant=isometry_invariant)
 
 
 @dataclass(frozen=True)
@@ -424,13 +438,17 @@ def _refine(best_v: list, best_w: list, params: np.ndarray, widths: Sequence[flo
 # 2D angular grid engine
 
 
-def _grid_axes_2d(space: NormedSpace, region: Region, resolution: int, radial: int):
-    thetas = np.arange(resolution) * (TWO_PI / resolution)
+def _grid_axes_2d(space: NormedSpace, region: Region, resolution: int, radial: int,
+                  ks: np.ndarray | None = None):
+    """Grid points and their parameters: the angles k * 2 pi / resolution for
+    k in ``ks`` (all of them by default), times every radius in the ball.
+    Each row has the bits of the same row of the full grid."""
+    thetas = (np.arange(resolution) if ks is None else ks) * (TWO_PI / resolution)
     unit = _points_2d(space, Region.SPHERE, thetas[:, None])
     if region is Region.SPHERE:
         return unit, thetas[:, None]
     # _points_2d's ball rows, with each angle normalized once for all radii
-    radii = np.repeat(np.linspace(0.0, 1.0, radial), resolution)
+    radii = np.repeat(np.linspace(0.0, 1.0, radial), thetas.size)
     params = np.stack([np.tile(thetas, radial), radii], axis=1)
     return np.tile(unit, (radial, 1)) * radii[:, None], params
 
@@ -497,10 +515,13 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
 
     ``family`` takes a float, or an ``(n, 1)`` column of per-row parameters,
     and returns an Objective whose rows are computed elementwise, so a row
-    has the same bits whichever rows it is stacked with.  The scan builds
-    each block of grid pairs once for all K objectives; the refinement
-    runs the K searches in lockstep (see ``_refine``), one ``_points_2d``
-    call and one objective call per step for all of them.
+    has the same bits whichever rows it is stacked with.  x1's grid is the
+    angles of ``isometry_domain`` (at every radius in the ball) when every
+    objective of the family declares ``isometry_invariant``, and the whole
+    grid otherwise.  The scan builds each block of grid pairs once for all
+    K objectives; the refinement runs the K searches in lockstep (see
+    ``_refine``), one ``_points_2d`` call and one objective call per step
+    for all of them.
     """
     if space.dim != 2:
         raise SpaceError(f"sup_pairs_2d needs a 2-dimensional space, got dim={space.dim}")
@@ -509,10 +530,13 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     thetas = np.array(thetas, dtype=float)
     if thetas.size == 0:
         return ([], np.empty((0, 0))) if with_params else []
-    P1, par1 = _grid_axes_2d(space, reg1, resolution, radial)
+    objs = [family(float(th)) for th in thetas]
+    invariant = all(obj.isometry_invariant for obj in objs)
+    P1, par1 = _grid_axes_2d(space, reg1, resolution, radial,
+                             isometry_domain(space, resolution) if invariant else None)
     P2, par2 = _grid_axes_2d(space, reg2, resolution, radial)
 
-    scans = _scan_2d([_batch(family(float(th))) for th in thetas], P1, P2)
+    scans = _scan_2d([_batch(obj) for obj in objs], P1, P2)
     if any(scan is None for scan in scans):
         raise ValueError("objective returned no finite value on the grid")
     best_v, best_w, _, _ = map(list, zip(*scans))
@@ -558,10 +582,14 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
     """Angular-grid scan over pairs, then coordinate-wise golden refinement.
 
     Sphere variables are parametrized by one angle, ball variables by an
-    angle and a radius in [0, 1].  The scan reduces with the max-value /
-    lexicographic-witness rule; refinement never accepts a worse sample, so
-    the returned value dominates the raw grid maximum.  This is the
-    one-objective run of ``_sup_pairs_2d_stack``.
+    angle and a radius in [0, 1].  An objective that declares
+    ``isometry_invariant`` has x1 scanned over one fundamental domain of the
+    grid under the space's isometries only.  The scan reduces with the
+    max-value / lexicographic-witness rule over the pairs it scans, and
+    ``evaluations`` counts those pairs and the golden-path probes;
+    refinement never accepts a worse sample, so the returned value
+    dominates the raw grid maximum.  This is the one-objective run of
+    ``_sup_pairs_2d_stack``.
     """
     return _sup_pairs_2d_stack(space, lambda _: f, [0.0], region, resolution,
                                refine_iters, radial)[0]

@@ -229,6 +229,38 @@ def unit_vector(space: NormedSpace, v: Sequence[float]) -> Vector:
     return tuple(float(x) for x in row[0] / n)
 
 
+def isometry_domain(space: NormedSpace, resolution: int) -> np.ndarray:
+    """The indices k of one fundamental domain of the angle grid
+    k * 2 pi / resolution of a 2-D space under its linear isometries that
+    map the grid onto itself: every grid angle is the image of one of them
+    under such an isometry.
+
+    * ``lp`` with q = 2: rotations, so k = 0 alone, at any resolution;
+    * ``lp`` with any other q: the 8 signed permutations of the coordinates
+      (Lamperti 1958), 0 <= k <= resolution / 8 when 8 divides resolution;
+    * ``lp`` and ``wlp``: the 4 sign flips, 0 <= k <= resolution / 4 when 4
+      divides resolution, or else -x, k < resolution / 2 when it is even;
+    * ``lp`` with q != 2 and ``wlp`` at an odd resolution, and ``poly2d``,
+      whose symmetries hold only to the rounding of its vertex table: the
+      whole grid.
+
+    Sign flips and coordinate swaps leave an ``lp`` or ``wlp`` norm the same
+    bit for bit; a rotated or reflected grid point matches its grid point
+    to rounding.
+    """
+    if space.kind == "poly2d":
+        return np.arange(resolution)
+    if space.kind == "lp" and space.q == 2.0:
+        return np.arange(1)
+    if resolution % 2:
+        return np.arange(resolution)
+    if space.kind == "lp" and resolution % 8 == 0:
+        return np.arange(resolution // 8 + 1)
+    if resolution % 4 == 0:
+        return np.arange(resolution // 4 + 1)
+    return np.arange(resolution // 2)
+
+
 def supports_extreme_points(space: NormedSpace) -> bool:
     """True when the unit ball has a finite, enumerable extreme-point set."""
     if space.kind == "poly2d":

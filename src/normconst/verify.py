@@ -22,7 +22,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -295,6 +295,19 @@ def _check_sphere_ball_equal(ctx: _Context, space, params):
                     abs(sphere.value - ball.value), SEARCH_SLACK)
 
 
+def _check_isometry_invariance(ctx: _Context, space, params):
+    """A grid2d ``gamma_p``, whose scan puts x1 on one fundamental domain of
+    the space's isometries only, against the full scan of its objective."""
+    p, t = float(params["p"]), float(params["t"])
+    g = ctx.grid
+    reduced = ctx.estimate("gamma_p", space, g, p=p, t=t)
+    obj = replace(cns.gamma_objective(space, p, t), isometry_invariant=False)
+    full = sup_pairs_2d(space, obj, Region.SPHERE, g.resolution, g.refine, g.radial)
+    values = {"reduced": reduced.value, "full": full.value,
+              "reduced_evaluations": reduced.evaluations, "full_evaluations": full.evaluations}
+    return _verdict(values, abs(reduced.value - full.value), SEARCH_SLACK)
+
+
 def _check_pq_ordering(ctx: _Context, space, params):
     alpha, p, q = float(params["alpha"]), float(params["p"]), float(params["q"])
     strat = ctx.strategy_for(space, vertex_ok=True)
@@ -516,6 +529,13 @@ def _params_sphere_ball(ctx, space):
     return [{"p": p, "t": t} for p in P_GRID for t in OFFSET_GRID]
 
 
+def _params_isometry(ctx, space):
+    # thorough only: the fast profile's reports keep their checks
+    if ctx.profile.name != "thorough" or space.dim != 2:
+        return []
+    return [{"p": p, "t": 0.5} for p in P_GRID]
+
+
 def _params_pq(ctx, space):
     return [{"alpha": a, "p": p, "q": q}
             for a in ALPHA_GRID for p in P_GRID for q in Q_GRID if p <= q]
@@ -576,6 +596,7 @@ CHECKS: dict[str, tuple[Callable, Callable]] = {
     "alpha_monotone_convex": (_check_alpha_monotone_convex, _grid_p),
     "gamma_monotone_t": (_check_gamma_monotone_t, _grid_p),
     "sphere_ball_equal": (_check_sphere_ball_equal, _params_sphere_ball),
+    "isometry_invariance": (_check_isometry_invariance, _params_isometry),
     "pq_ordering": (_check_pq_ordering, _params_pq),
     "rho_sandwich": (_check_rho_sandwich, _grid_alpha_p),
     "james_sandwich": (_check_james_sandwich, _grid_alpha_p),

@@ -34,8 +34,10 @@ from normconst.search import (
     _sup_pairs_2d_stack,
     _unit_rows,
 )
+from normconst import constants as cns
 from normconst.constants import _arc_directions, _family
-from normconst.spaces import Region, lp_space, parse_space, regular_polygon_space
+from normconst.spaces import (Region, isometry_domain, lp_space, parse_space,
+                              regular_polygon_space)
 
 L1 = lp_space(1, 2)
 L2 = lp_space(2, 2)
@@ -804,6 +806,69 @@ def test_scan_calls_stay_within_the_block():
                  resolution=1024, refine_iters=0, radial=9)
     assert max(sizes) <= _SCAN_BLOCK
     assert sum(sizes) == 1024 * 1024 * 9
+
+
+# ------------------------------------- x1 on one fundamental domain of the grid
+
+
+def _catalog_objectives(space):
+    # every objective builder of the constants catalog, each declared invariant
+    return [cns.gamma_objective(space, 2.0, 0.3), _family("cinj_iso", space, 3.0)(0.2),
+            _family("cinj_via_gamma", space, 1.5)(0.1), cns._min_form_objective(space),
+            cns._rho_objective(space, 0.7), cns._cnj_modified_objective(space, 2.0),
+            cns._jxp_objective(space, 3.0, 0.5), cns._nu_objective(space, 2.0),
+            cns._omega_objective(space)]
+
+
+@pytest.mark.parametrize("space", [L1, lp_space(1.5, 2), L2, lp_space(3, 2), LINF,
+                                   parse_space("wlp:q=3,dim=2,w=1;2")], ids=str)
+@pytest.mark.parametrize("res", [48, 36, 30, 33])
+def test_reduced_scan_matches_the_full_scan(space, res):
+    # 8 | 48; 36 and 30 fall back to the sign flips and to -x, and 33 to the
+    # whole grid (l2 fixes x1 at angle 0 at every res): the raw grid maximum
+    # over the scanned pairs is the full grid's to rounding
+    for obj in _catalog_objectives(space):
+        assert obj.isometry_invariant
+        for region in (Region.SPHERE, Region.BALL, (Region.SPHERE, Region.BALL)):
+            got = sup_pairs_2d(space, obj, region, resolution=res, refine_iters=0, radial=3)
+            want = sup_pairs_2d(space, dataclasses.replace(obj, isometry_invariant=False),
+                                region, resolution=res, refine_iters=0, radial=3)
+            assert abs(got.value - want.value) <= 1e-12 * abs(want.value), (obj.name, region)
+            rows1 = 1 if region is Region.SPHERE or isinstance(region, tuple) else 3
+            rows2 = 1 if region is Region.SPHERE else 3
+            n1 = rows1 * isometry_domain(space, res).size
+            assert (got.evaluations, want.evaluations) == (n1 * rows2 * res,
+                                                           rows1 * rows2 * res * res)
+
+
+def test_declared_scan_covers_the_domain_within_the_block():
+    # nu_p's sphere x ball scan at the default resolution on l1: the 129
+    # angles of x1's domain against all 9216 ball points, in calls of at most
+    # _SCAN_BLOCK rows that cover every scanned pair once
+    sizes = []
+    nu = cns._nu_objective(L1, 2.0)
+
+    def counted(X1, X2):
+        sizes.append(X1.shape[0])
+        return nu.eval_batch(X1, X2)
+
+    est = sup_pairs_2d(L1, dataclasses.replace(nu, eval_batch=counted),
+                       (Region.SPHERE, Region.BALL), resolution=1024, refine_iters=0, radial=9)
+    assert isometry_domain(L1, 1024).size == 1024 // 8 + 1
+    assert max(sizes) <= _SCAN_BLOCK
+    assert sum(sizes) == est.evaluations == (1024 // 8 + 1) * 1024 * 9
+
+
+def test_polygons_and_undeclared_objectives_keep_the_full_scan():
+    hexagon = cns._min_form_objective(HEX)
+    assert hexagon.isometry_invariant
+    assert sup_pairs_2d(HEX, hexagon, Region.SPHERE, resolution=48,
+                        refine_iters=0).evaluations == 48 * 48
+    for obj in (batch_objective(lambda X1, X2: L1.norm_rows(X1 + X2)),
+                scalar_objective(lambda x1, x2: abs(x1[0] - x2[1]))):
+        assert not obj.isometry_invariant
+        assert sup_pairs_2d(L1, obj, Region.SPHERE, resolution=16,
+                            refine_iters=0).evaluations == 16 * 16
 
 
 # ----------------------------------------- K objectives in one lockstep run

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from normconst.spaces import (
     MAX_SIGN_ENUM_DIM,
+    TWO_PI,
     SpaceError,
     descriptor,
     extreme_points,
+    isometry_domain,
     lp_space,
     make_polyhedral_2d,
     norm,
@@ -225,3 +227,86 @@ def test_dimension_2_norm_rows_match_the_axis_reduction(q):
             for V in rows:
                 got = space.norm_rows(V)
                 assert got.tobytes() == _axis_reduction_norms(space, V).tobytes()
+
+
+# ------------------------------------------------ isometries of the angle grid
+
+# moderate magnitudes: no power of a coordinate over- or underflows
+_MODERATE = st.one_of(st.just(0.0), st.floats(1e-50, 1e50), st.floats(-1e50, -1e-50))
+_ROWS = st.lists(st.tuples(_MODERATE, _MODERATE), min_size=1, max_size=20).map(np.array)
+_FLIPS = ((1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]), _ROWS)
+def test_sign_flips_and_lp_swaps_keep_the_norm_bitwise(q, V):
+    lp = lp_space(q, 2)
+    for space in (lp, weighted_lp_space(q, (1.0, 2.0)), weighted_lp_space(q, (0.3, 5.0))):
+        want = space.norm_rows(V).tobytes()
+        for flip in _FLIPS:
+            assert space.norm_rows(V * flip).tobytes() == want
+    want = lp.norm_rows(V).tobytes()
+    for flip in ((1.0, 1.0), *_FLIPS):
+        assert lp.norm_rows((V * flip)[:, ::-1]).tobytes() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4096).flatmap(lambda res: st.tuples(st.just(res), st.integers(0, res - 1))),
+       _ROWS)
+def test_l2_rotations_by_grid_angles_keep_the_norm(res_k, V):
+    res, k = res_k
+    theta = k * (TWO_PI / res)
+    c, s = math.cos(theta), math.sin(theta)
+    R = np.stack([c * V[:, 0] - s * V[:, 1], s * V[:, 0] + c * V[:, 1]], axis=1)
+    l2 = lp_space(2, 2)
+    n = l2.norm_rows(V)
+    assert np.all(np.abs(l2.norm_rows(R) - n) <= 1e-15 * n)
+
+
+def _isometries(space, res):
+    """The space's linear isometries that isometry_domain may use, as 2 x 2
+    matrices: the rotations by grid angles on l2, the signed permutations
+    on any other lp, the sign flips on wlp."""
+    if space.kind == "lp" and space.q == 2.0:
+        return [np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+                for a in np.arange(res) * (TWO_PI / res)]
+    flips = [np.diag(f) for f in ((1.0, 1.0), *_FLIPS)]
+    if space.kind == "wlp":
+        return flips
+    return flips + [f @ np.array([[0.0, 1.0], [1.0, 0.0]]) for f in flips]
+
+
+@pytest.mark.parametrize("space", [lp_space(1, 2), lp_space(1.5, 2), lp_space(2, 2),
+                                   lp_space(3, 2), lp_space(math.inf, 2),
+                                   parse_space("wlp:q=3,dim=2,w=1;2"), HEX], ids=str)
+@pytest.mark.parametrize("res", [8, 9, 12, 30, 33, 36, 48])
+def test_isometry_domain_covers_the_grid(space, res):
+    # every grid point is the image of a domain point under an isometry that
+    # maps the whole grid onto itself (to rounding), so the pairs (domain
+    # point, grid point) reach every grid pair's value
+    theta = np.arange(res) * (TWO_PI / res)
+    P = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    P /= space.norm_rows(P)[:, None]
+    domain = isometry_domain(space, res)
+    covered = set(domain.tolist())
+    for g in (_isometries(space, res) if space.kind != "poly2d" else []):
+        G = P @ g.T
+        dist = np.abs(G[:, None, :] - P[None, :, :]).max(axis=2)
+        if (dist.min(axis=1) > 1e-12).any():
+            continue        # g does not map this grid onto itself
+        covered |= set(dist[domain].argmin(axis=1).tolist())
+    assert covered == set(range(res))
+
+
+@pytest.mark.parametrize("space, sizes", [
+    (lp_space(3, 2), {48: 7, 36: 10, 30: 15, 33: 33}),
+    (lp_space(math.inf, 2), {48: 7, 36: 10, 30: 15, 33: 33}),
+    (lp_space(2, 2), {48: 1, 36: 1, 30: 1, 33: 1}),
+    (parse_space("wlp:q=3,dim=2,w=1;2"), {48: 13, 36: 10, 30: 15, 33: 33}),
+    (HEX, {48: 48, 36: 36, 30: 30, 33: 33}),
+], ids=lambda x: str(x) if not isinstance(x, dict) else "")
+def test_isometry_domain_sizes(space, sizes):
+    # the 8 signed permutations need 8 | res, the 4 sign flips 4 | res, -x an
+    # even res; rotations fix x1 on l2 at any res; polygons keep the grid
+    for res, size in sizes.items():
+        assert isometry_domain(space, res).tolist() == list(range(size))

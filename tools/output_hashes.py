@@ -39,18 +39,32 @@ missing on one side, and exits 1 if there is any.  A group the record does
 not hold is not compared: ``sweep`` before ``BENCH_9.json``, ``iso_nd``
 before ``BENCH_10.json``, and ``csv`` in every record up to
 ``BENCH_10.json``.
+
+A change that moves outputs by design is checked value by value instead:
+
+    python3 tools/output_hashes.py --values > values.json
+
+prints, in place of each hash, the numeric leaves of that output as one
+object from leaf path to value: ``"checks/12/values/estimate"`` in a JSON
+output, ``"row 3/value"`` or ``"row 3/witness1/0"`` in a CSV one.  The
+non-finite values a report writes as strings (``"NaN"``, ``"Infinity"``,
+``"-Infinity"``) are leaves too, and ``"exit code"`` is added when a command
+exits nonzero.  Every leaf is printed on a line of its own, so ``diff`` of
+the files of two checkouts lists each moved value.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -88,55 +102,107 @@ OPTIONAL_GROUPS = {"sweep": "sweep_output_sha256", "iso_nd": "iso_nd_output_sha2
                    "csv": "csv_output_sha256"}
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _sha(data: bytes | None, rc: int = 0) -> str:
+    """The hash of an output (``None``: there is none), its exit code
+    appended when nonzero."""
+    digest = "no output" if data is None else hashlib.sha256(data).hexdigest()
+    return digest if rc == 0 else f"{digest} (exit code {rc})"
 
 
-def suite_hashes() -> dict[str, str]:
-    return {descriptor(space): _sha(verify.report_json(
+def _number(text: str):
+    """``text`` as a float, or None if it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def numeric_leaves(data: bytes | None, rc: int = 0) -> dict:
+    """The numeric leaves of a JSON or CSV output, keyed by their paths (see
+    the module docstring), plus ``"exit code"`` when ``rc`` is nonzero."""
+    leaves = {}
+
+    def walk(node, path: str):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}/{key}" if path else str(key))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{path}/{i}" if path else str(i))
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            leaves[path] = node
+        elif node in ("NaN", "Infinity", "-Infinity"):
+            leaves[path] = node
+
+    if data is not None:
+        text = data.decode("utf-8")
+        try:
+            walk(json.loads(text), "")
+        except json.JSONDecodeError:
+            for i, row in enumerate(csv.DictReader(io.StringIO(text))):
+                for column, cell in row.items():
+                    # a witness cell is a tuple, "(x, y)": one leaf per coordinate
+                    numbers = [_number(part) for part in cell.strip("()").split(",")]
+                    if None in numbers:
+                        continue
+                    if cell.startswith("("):
+                        leaves.update({f"row {i}/{column}/{k}": x for k, x in enumerate(numbers)})
+                    else:
+                        leaves[f"row {i}/{column}"] = numbers[0]
+    if rc != 0:
+        leaves["exit code"] = rc
+    return leaves
+
+
+Summary = Callable[..., object]
+
+
+def suite_hashes(summary: Summary = _sha) -> dict[str, object]:
+    return {descriptor(space): summary(verify.report_json(
                 verify.run_suite([space], SUITE_SEED, "fast")).encode("utf-8"))
             for space in verify.default_suite_spaces()}
 
 
-def _cli_hash(argv: list[str], out: Path) -> str:
-    """The hash of what ``cli.main(argv)`` writes to ``out``, its exit code
-    appended when nonzero."""
+def _cli_hash(argv: list[str], out: Path, summary: Summary = _sha):
+    """``summary`` of what ``cli.main(argv)`` writes to ``out`` and of its
+    exit code."""
     out.unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
-    digest = _sha(out.read_bytes()) if out.exists() else "no output"
-    return digest if rc == 0 else f"{digest} (exit code {rc})"
+    return summary(out.read_bytes() if out.exists() else None, rc)
 
 
-def cli_hashes(tmp: Path) -> dict[str, dict[str, str]]:
+def cli_hashes(tmp: Path, summary: Summary = _sha) -> dict[str, dict[str, object]]:
     out = tmp / "out.json"
     hashes = {}
     for workload, make_ops in (("compute-2d", wl.compute_2d_ops),
                                ("compute-nd", wl.compute_nd_ops)):
         for seed in CLI_SEEDS:
             hashes[f"{workload}/seed{seed}"] = {
-                op.label: _cli_hash(op.argv(wl.multistart_seed(seed), str(out)), out)
+                op.label: _cli_hash(op.argv(wl.multistart_seed(seed), str(out)), out, summary)
                 for op in make_ops(seed)}
     return hashes
 
 
-def sweep_hashes(tmp: Path) -> dict[str, str]:
+def sweep_hashes(tmp: Path, summary: Summary = _sha) -> dict[str, object]:
     out = tmp / "sweep.json"
-    return {label: _cli_hash(["sweep", *argv, "--out", str(out)], out)
+    return {label: _cli_hash(["sweep", *argv, "--out", str(out)], out, summary)
             for label, argv in SWEEP_OPS.items()}
 
 
-def iso_nd_hashes(tmp: Path) -> dict[str, str]:
+def iso_nd_hashes(tmp: Path, summary: Summary = _sha) -> dict[str, object]:
     out = tmp / "iso.json"
     seed = str(wl.multistart_seed(ISO_ND_SEED))
     return {f"{constant}/{space}": _cli_hash(["compute", "--space", space, "--constant",
-                                              constant, "--seed", seed, "--out", str(out)], out)
+                                              constant, "--seed", seed, "--out", str(out)],
+                                             out, summary)
             for constant in ("james", "schaffer") for space in ISO_ND_SPACES}
 
 
-def csv_hashes(tmp: Path) -> dict[str, str]:
+def csv_hashes(tmp: Path, summary: Summary = _sha) -> dict[str, object]:
     out = tmp / "out.csv"
-    return {label: _cli_hash([*argv, "--out", str(out)], out) for label, argv in CSV_OPS.items()}
+    return {label: _cli_hash([*argv, "--out", str(out)], out, summary)
+            for label, argv in CSV_OPS.items()}
 
 
 def recorded_hashes(bench: dict) -> dict:
@@ -178,16 +244,21 @@ def differences(got: dict, want: dict) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--against", metavar="BENCH_N.json", default=None,
-                        help="compare with the hashes of this benchmark record")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--against", metavar="BENCH_N.json", default=None,
+                      help="compare with the hashes of this benchmark record")
+    mode.add_argument("--values", action="store_true",
+                      help="print each output's numeric leaves instead of its hash")
     args = parser.parse_args(argv)
     want = None
     if args.against is not None:
         want = recorded_hashes(json.loads(Path(args.against).read_text()))
+    summary = numeric_leaves if args.values else _sha
     with tempfile.TemporaryDirectory() as tmp:
-        result = {"suite": suite_hashes(), "cli": cli_hashes(Path(tmp)),
-                  "sweep": sweep_hashes(Path(tmp)), "iso_nd": iso_nd_hashes(Path(tmp)),
-                  "csv": csv_hashes(Path(tmp))}
+        result = {"suite": suite_hashes(summary), "cli": cli_hashes(Path(tmp), summary),
+                  "sweep": sweep_hashes(Path(tmp), summary),
+                  "iso_nd": iso_nd_hashes(Path(tmp), summary),
+                  "csv": csv_hashes(Path(tmp), summary)}
     if want is None:
         json.dump(result, sys.stdout, indent=1)
         sys.stdout.write("\n")
