@@ -25,10 +25,10 @@ import numpy as np
 
 from .orthogonality import SUM_NORM_FLOOR, _iso_partner_rows
 from .search import (_GRID_LOOKAHEAD, DEFAULT_SEED, Estimate, ExactStrategy, Grid2DStrategy,
-                     MultiStartStrategy, Objective, Strategy, _Strategy, _ascend, _best_row,
-                     _grid_axes_2d, _points_2d, _refine, _start_draws, _sup_pairs_2d_stack,
-                     _sweep_grid, _WitnessRows, batch_objective, parse_strategy, sup_pairs_2d,
-                     sup_pairs_nd, sup_vertex_pairs, t_sweep)
+                     MultiStartStrategy, Objective, Strategy, _Strategy, _ascend, _best_offset,
+                     _best_row, _grid_axes_2d, _points_2d, _refine, _start_draws,
+                     _sup_pairs_2d_stack, _sweep_grid, _WitnessRows, batch_objective,
+                     parse_strategy, sup_pairs_2d, sup_pairs_nd, sup_vertex_pairs, t_sweep)
 from .spaces import (TWO_PI, NormedSpace, Region, SpaceError,
                      supports_extreme_points)
 
@@ -237,8 +237,7 @@ def _swept(name: str, space: NormedSpace, strategy, values, p) -> list[Estimate]
     strat = resolve_strategy(strategy, space)
     family = _family(name, space, p)
     if isinstance(strat, Grid2DStrategy) and len(thetas) > 1:
-        ests = _sup_pairs_2d_stack(space, family, thetas, Region.SPHERE,
-                                   strat.resolution, strat.refine, strat.radial)
+        ests, _ = _sup_pairs_2d_stack(space, family, thetas, Region.SPHERE, strat)
     else:
         ests = [_run_sup(space, family(theta), Region.SPHERE, strat) for theta in thetas]
     if name == "cinj_iso":
@@ -256,7 +255,7 @@ def _iso_pair(witness):
     return tuple(a + b for a, b in zip(u1, u2)), tuple(a - b for a, b in zip(u1, u2))
 
 
-# constant -> the parameter a grid2d stack of it runs over
+# constant -> the keyword of its swept parameter, which a grid2d stack of it runs over
 _STACKED_AXIS = {"gamma_p": "t", "cinj_iso": "alpha", "cinj_via_gamma": "alpha"}
 
 
@@ -275,16 +274,9 @@ def _estimates_along(name: str, space: NormedSpace, strat, axis: str, values, **
     return [single(space, strategy=strat, **fixed, **{axis: v}) for v in values]
 
 
-class _JointRows(_WitnessRows):
-    """Payloads of ``_cnj_joint``'s refinement, (witness, t, inner value) per
-    row, each built when indexed."""
-
-    def __init__(self, X1: np.ndarray, X2: np.ndarray, T: np.ndarray, inner: np.ndarray):
-        super().__init__(X1, X2)
-        self.T, self.inner = T, inner
-
-    def __getitem__(self, i):
-        return super().__getitem__(i), float(self.T[i]), float(self.inner[i])
+# cnj_p's mode -> (the inner constant, the scale of its value, t -> its swept parameter)
+_CNJ_MODES = {"gamma": ("gamma_p", 1.0, lambda t: t),
+              "cinj": ("cinj_iso", 2.0, lambda t: (1.0 - t) / 2.0)}
 
 
 def _cnj_joint(space: NormedSpace, p: float, strat: Grid2DStrategy, ts: list[float],
@@ -292,23 +284,18 @@ def _cnj_joint(space: NormedSpace, p: float, strat: Grid2DStrategy, ts: list[flo
     """:func:`cnj_p` on a grid2d strategy.
 
     The offsets ``ts`` run as one stacked search of the inner constant.  From
-    the offset with the best ratio (the smallest t among equal ones) one
-    ``_refine`` search moves the angles of x1 and x2 and the offset t
-    together on the ratio objective, ``strat.refine`` rounds with t's width
-    one offset step.  It starts at the exact angles the stacked search ended
-    at; every probe evaluates t clamped to [0, 1] and carries that t.
+    the offset with the best ratio (the first largest, by ``_best_offset``
+    as in ``t_sweep``) one ``_refine`` search moves the angles of x1 and x2
+    and the offset t together on the ratio objective, ``strat.refine``
+    rounds with t's width one offset step.  It starts at the exact angles
+    the stacked search ended at; every probe evaluates t clamped to [0, 1]
+    and carries that t.
     """
-    name, scale = ("gamma_p", 1.0) if mode == "gamma" else ("cinj_iso", 2.0)
+    name, scale, theta = _CNJ_MODES[mode]
     family = _family(name, space, p)
-    thetas = ts if mode == "gamma" else [(1.0 - t) / 2.0 for t in ts]
-    swept, angles = _sup_pairs_2d_stack(space, family, thetas, Region.SPHERE, strat.resolution,
-                                        strat.refine, strat.radial, with_params=True)
-    ratios = [scale * est.value / (1.0 + t ** p) for t, est in zip(ts, swept)]
-    for t, v in zip(ts, ratios):
-        if not math.isfinite(v):
-            raise ValueError(f"sweep objective returned a non-finite value at t={t}")
-    i = ratios.index(max(ratios))
-    best_v, best_w = [ratios[i]], [(swept[i].witness, ts[i], swept[i].value)]
+    swept, angles = _sup_pairs_2d_stack(space, family, list(map(theta, ts)), Region.SPHERE, strat)
+    i, ratio = _best_offset(ts, [scale * est.value / (1.0 + t ** p) for t, est in zip(ts, swept)])
+    best_v, best_w = [ratio], [(swept[i].witness, ts[i], swept[i].value)]
     params = np.append(angles[i], ts[i])[None, :]      # (theta1, theta2, t)
 
     def probe(ci: int):
@@ -317,15 +304,15 @@ def _cnj_joint(space: NormedSpace, p: float, strat: Grid2DStrategy, ts: list[flo
             rows[:, ci] = batches[0]
             X1, X2 = np.split(_points_2d(space, Region.SPHERE, rows[:, :2].T.reshape(-1, 1)), 2)
             T = np.minimum(np.maximum(rows[:, 2], 0.0), 1.0)
-            inner = family((T if mode == "gamma" else (1.0 - T) / 2.0)[:, None]).eval_batch(X1, X2)
-            return [(scale * inner / (1.0 + T ** p), _JointRows(X1, X2, T, inner))]
+            inner = family(theta(T)[:, None]).eval_batch(X1, X2)
+            return [(scale * inner / (1.0 + T ** p), _WitnessRows(X1, X2, T, inner))]
 
         return fun
 
     widths = [TWO_PI / strat.resolution] * 2 + [1.0 / (len(ts) - 1)]
     refined = _refine(best_v, best_w, params, widths, probe, strat.refine, _GRID_LOOKAHEAD)
     witness, t_star, inner = best_w[0]
-    meta = {"iso_pair": _iso_pair(witness)} if mode == "cinj" else {}
+    meta = {"iso_pair": _iso_pair(witness)} if name == "cinj_iso" else {}
     return Estimate(best_v[0], witness, "Grid2D", False,
                     sum(est.evaluations for est in swept) + refined,
                     {**meta, "t_star": t_star, "mode": mode, "inner_value": inner})
@@ -338,40 +325,32 @@ def cnj_p(space: NormedSpace, p: float, strategy=None, t_grid: int = 33,
     ``mode="gamma"`` maximizes gamma_p(t) / (1 + t^p); ``mode="cinj"`` is the
     cross-check form 2 * cinj_iso((1-t)/2) / (1 + t^p).  Both scan the
     ``t_grid`` offsets of [0, 1] first.  On ``exact`` and ``multistart``
-    ``t_sweep`` then runs ``t_refine`` golden iterations over t, each a full
-    inner supremum; the witness is the inner witness at the best offset
-    ``meta['t_star']``, and ``meta['inner_value']`` its inner value.  On
-    ``grid2d`` the offsets run as one stacked search, and the refinement
-    moves x1, x2 and t together for the strategy's ``refine`` rounds (see
-    ``_cnj_joint``); ``t_refine`` is checked but unused.  ``t_star`` is then
-    the offset of the witness, and ``meta['inner_value']`` the inner
-    objective (gamma_p's, or cinj_iso's) at the witness and ``t_star``.
+    ``t_sweep`` then runs ``t_refine`` golden iterations over t; each offset
+    it asks for is one call of the inner constant, made the first time.  The
+    witness is the inner witness at the best offset ``meta['t_star']``, and
+    ``meta['inner_value']`` its inner value.  On ``grid2d`` the offsets run
+    as one stacked search, and the refinement moves x1, x2 and t together
+    for the strategy's ``refine`` rounds (see ``_cnj_joint``); ``t_refine``
+    is checked but unused.  ``t_star`` is then the offset of the witness,
+    and ``meta['inner_value']`` the inner objective (gamma_p's, or
+    cinj_iso's) at the witness and ``t_star``.
     """
     p = _check_p(p)
-    if mode not in ("gamma", "cinj"):
+    if mode not in _CNJ_MODES:
         raise ValueError(f"mode must be 'gamma' or 'cinj', got {mode!r}")
     strat = resolve_strategy(strategy, space)
     ts = _sweep_grid(0.0, 1.0, t_grid, t_refine)
     if isinstance(strat, Grid2DStrategy):
         return _cnj_joint(space, p, strat, ts, mode)
-    # every swept offset, t_star among them
-    if mode == "gamma":
-        swept = _estimates_along("gamma_p", space, strat, "t", ts, p=p)
-    else:
-        swept = _estimates_along("cinj_iso", space, strat, "alpha",
-                                 [(1.0 - t) / 2.0 for t in ts], p=p)
-    inner: dict[float, Estimate] = dict(zip(ts, swept))
+    name, scale, theta = _CNJ_MODES[mode]
+    inner: dict[float, Estimate] = {}
 
     def g(t: float) -> float:
-        est = inner.get(t)
-        if est is None:
-            if mode == "gamma":
-                est = gamma_p(space, p, t, strat)
-            else:
-                est = cinj_iso(space, (1.0 - t) / 2.0, p, strat)
-            inner[t] = est
-        num = est.value if mode == "gamma" else 2.0 * est.value
-        return num / (1.0 + t ** p)
+        if t not in inner:
+            # the module attribute, as callers look it up
+            inner[t] = globals()[name](space, p=p, strategy=strat,
+                                       **{_STACKED_AXIS[name]: theta(t)})
+        return scale * inner[t].value / (1.0 + t ** p)
 
     t_star, value = t_sweep(g, 0.0, 1.0, grid=t_grid, refine_iters=t_refine)
     at_best = inner[t_star]

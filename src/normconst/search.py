@@ -35,19 +35,21 @@ sent their values, so one loop can run many searches side by side.  Each
 batch's candidates are built level by level as one flat heap-ordered list.
 ``_golden_max`` drives one search with a probe function; its one caller is
 ``t_sweep``, which ``cnj_p`` runs over t on ``exact`` and ``multistart``.
-``_refine`` drives the coordinate-wise refinement of K searches in
-lockstep, one probe call per step for all of them; ``cnj_p`` on ``grid2d``
-also runs it with K = 1 over (angle of x1, angle of x2, t).  On that, the
-2-D grid engine is a K-objective
-engine: ``_sup_pairs_2d_stack`` takes a family of objectives that share the
-space and the region and differ in one scalar parameter, scans each grid
-block once for all of them and refines them in lockstep.  Every objective
-row is computed elementwise, so each of its Estimates is bit for bit the
-one a separate run gives; ``sup_pairs_2d`` is its one-objective call.  Its
-probe rows (``_points_2d``) are built with array ``cos`` / ``sin``, which
-give each row the bits of a per-row ``math`` call.  For objectives that
-declare ``isometry_invariant`` it scans x1 over one fundamental domain of
-its angle grid under the space's isometries (``spaces.isometry_domain``)
+``t_sweep``'s grid stage and ``cnj_p`` on ``grid2d`` pick the best offset
+by one rule, ``_best_offset``.  ``_refine`` drives the coordinate-wise
+refinement of K searches in lockstep, one probe call per step for all of
+them; ``cnj_p`` on ``grid2d`` also runs it with K = 1 over (angle of x1,
+angle of x2, t).  On that, the 2-D grid engine is a K-objective engine:
+``_sup_pairs_2d_stack`` runs a family of objectives that share the space
+and the region and differ in one scalar parameter on one
+``Grid2DStrategy``, scans each grid block once for all of them and
+refines them in lockstep.  Every objective row is computed elementwise,
+so each of its Estimates is bit for bit the one a separate run gives;
+``sup_pairs_2d`` is its one-objective call.  Its probe rows
+(``_points_2d``) are built with array ``cos`` / ``sin``, which give each
+row the bits of a per-row ``math`` call.  For objectives that declare
+``isometry_invariant`` it scans x1 over one fundamental domain of its
+angle grid under the space's isometries (``spaces.isometry_domain``)
 against all of x2's grid: the grid maximum is the full grid's to rounding,
 the tie-break picks the smallest witness among the pairs scanned, and
 ``evaluations`` counts the pairs scanned.
@@ -75,6 +77,10 @@ DEFAULT_RADIAL = 9
 DEFAULT_STARTS = 128
 DEFAULT_STEPS = 400
 DEFAULT_SEED = 7
+
+# The largest count a strategy field may hold, numpy's largest index: a
+# larger one would fail inside numpy with a message that names no field.
+_MOST = int(np.iinfo(np.intp).max)
 
 # Golden-section iterations per refinement pass.
 _GOLDEN_ITERS = 12
@@ -157,20 +163,21 @@ class Estimate:
 @dataclass(frozen=True)
 class _Strategy:
     """A search strategy's one declaration: its selector head ``HEAD`` and
-    its ``FIELDS``, rows of (selector key, field, least value).  Parsing,
-    describing and the engines' argument checks all read them; building a
-    strategy checks every field against its least value, so a strategy
+    its ``FIELDS``, rows of (selector key, field, least value, largest value).
+    Parsing, describing and the engines' argument checks all read them;
+    building a strategy checks every field against its bounds, so a strategy
     built by hand and one parsed from a selector are refused alike."""
 
     HEAD = ""
     FIELDS = ()
 
     def __post_init__(self):
-        for key, name, least in self.FIELDS:
+        for key, name, least, most in self.FIELDS:
             value = getattr(self, name)
-            if value < least:
+            if not least <= value <= most:
+                need = f">= {least}" if value < least else f"<= {most}"
                 raise ValueError(f"{self.HEAD} parameter out of range: "
-                                 f"need {key} >= {least}, got {key}={value}")
+                                 f"need {key} {need}, got {key}={value}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,8 @@ class Grid2DStrategy(_Strategy):
     refine: int = DEFAULT_REFINE
     radial: int = DEFAULT_RADIAL
     HEAD = "grid2d"
-    FIELDS = (("res", "resolution", 8), ("refine", "refine", 0), ("radial", "radial", 2))
+    FIELDS = (("res", "resolution", 8, _MOST), ("refine", "refine", 0, _MOST),
+              ("radial", "radial", 2, _MOST))
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,9 @@ class MultiStartStrategy(_Strategy):
     steps: int = DEFAULT_STEPS
     seed: int = DEFAULT_SEED
     HEAD = "multistart"
-    FIELDS = (("starts", "starts", 1), ("steps", "steps", 1), ("seed", "seed", 0))
+    # a seed of any size seeds numpy's SeedSequence
+    FIELDS = (("starts", "starts", 1, _MOST), ("steps", "steps", 1, _MOST),
+              ("seed", "seed", 0, math.inf))
 
 
 Strategy = ExactStrategy | Grid2DStrategy | MultiStartStrategy
@@ -201,7 +211,7 @@ _STRATEGY_CLASSES = {cls.HEAD: cls for cls in (ExactStrategy, Grid2DStrategy, Mu
 
 
 def strategy_descriptor(strategy: Strategy) -> str:
-    fields = ",".join(f"{key}={getattr(strategy, name)}" for key, name, _ in strategy.FIELDS)
+    fields = ",".join(f"{key}={getattr(strategy, name)}" for key, name, _, _ in strategy.FIELDS)
     return f"{strategy.HEAD}:{fields}" if fields else strategy.HEAD
 
 
@@ -223,7 +233,7 @@ def parse_strategy(text: str) -> Strategy:
     cls = _STRATEGY_CLASSES.get(head)
     if cls is None:
         raise ValueError(f"unknown strategy: {text!r}")
-    names = {key: name for key, name, _ in cls.FIELDS}
+    names = {key: name for key, name, _, _ in cls.FIELDS}
     unknown = set(fields) - set(names)
     if unknown:
         raise ValueError(f"unknown {head} parameter(s): {sorted(unknown)}")
@@ -283,13 +293,15 @@ def _best_row(vals: np.ndarray, X1: np.ndarray, X2: np.ndarray):
 
 
 class _WitnessRows:
-    """Witness pairs of matching rows of two arrays, each built when indexed."""
+    """Payloads of matching rows of arrays, each built when indexed: the witness
+    (X1[i], X2[i]), or with ``extra`` arrays the tuple of it and each one's float at i."""
 
-    def __init__(self, X1: np.ndarray, X2: np.ndarray):
-        self.X1, self.X2 = X1, X2
+    def __init__(self, X1: np.ndarray, X2: np.ndarray, *extra: np.ndarray):
+        self.X1, self.X2, self.extra = X1, X2, extra
 
     def __getitem__(self, i):
-        return _as_witness(self.X1[i], self.X2[i])
+        witness = _as_witness(self.X1[i], self.X2[i])
+        return (witness, *(float(a[i]) for a in self.extra)) if self.extra else witness
 
 
 def _golden(lo: float, hi: float, iters: int, lookahead: int = 1):
@@ -505,13 +517,12 @@ def _scan_2d(fbs, P1: np.ndarray, P2: np.ndarray):
 
 
 def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective],
-                        thetas: Sequence[float], region, resolution: int, refine_iters: int,
-                        radial: int, with_params: bool = False):
-    """``sup_pairs_2d`` of the objectives ``family(theta)`` for each theta of
-    ``thetas``, in one run: the Estimates K separate runs give, bit for bit.
-    With ``with_params`` it returns (Estimates, params), where ``params[k]``
-    holds the grid parameters (angle, and in the ball radius, of x1 then of
-    x2) at which search k ended: the exact bits its witness was built from.
+                        thetas: Sequence[float], region, strat: Grid2DStrategy):
+    """``sup_pairs_2d`` on ``strat``'s grid of the objectives ``family(theta)``
+    for each theta of ``thetas``, in one run: (Estimates, params), the
+    Estimates K separate runs give, bit for bit, and in ``params[k]`` the
+    grid parameters (angle, and in the ball radius, of x1 then of x2) at
+    which search k ended, the exact bits its witness was built from.
 
     ``family`` takes a float, or an ``(n, 1)`` column of per-row parameters,
     and returns an Objective whose rows are computed elementwise, so a row
@@ -525,16 +536,15 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     """
     if space.dim != 2:
         raise SpaceError(f"sup_pairs_2d needs a 2-dimensional space, got dim={space.dim}")
-    Grid2DStrategy(resolution, refine_iters, radial)    # refuses fields out of range
     reg1, reg2 = _region_pair(region)
     thetas = np.array(thetas, dtype=float)
     if thetas.size == 0:
-        return ([], np.empty((0, 0))) if with_params else []
+        return [], np.empty((0, 0))
     objs = [family(float(th)) for th in thetas]
     invariant = all(obj.isometry_invariant for obj in objs)
-    P1, par1 = _grid_axes_2d(space, reg1, resolution, radial,
-                             isometry_domain(space, resolution) if invariant else None)
-    P2, par2 = _grid_axes_2d(space, reg2, resolution, radial)
+    P1, par1 = _grid_axes_2d(space, reg1, strat.resolution, strat.radial,
+                             isometry_domain(space, strat.resolution) if invariant else None)
+    P2, par2 = _grid_axes_2d(space, reg2, strat.resolution, strat.radial)
 
     scans = _scan_2d([_batch(obj) for obj in objs], P1, P2)
     if any(scan is None for scan in scans):
@@ -544,7 +554,7 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     regs = (reg1, reg2)
     k1 = par1.shape[1]
     # each coordinate's grid step: the angle's, and in the ball the radius's
-    steps = (TWO_PI / resolution, 1.0 / (radial - 1))
+    steps = (TWO_PI / strat.resolution, 1.0 / (strat.radial - 1))
     widths = [w for par in (par1, par2) for w in steps[:par.shape[1]]]
     params = np.array([np.concatenate([par1[i], par2[j]]) for _, _, i, j in scans])
 
@@ -569,12 +579,11 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
 
         return fun
 
-    refined = _refine(best_v, best_w, params, widths, probe_rows, refine_iters,
+    refined = _refine(best_v, best_w, params, widths, probe_rows, strat.refine,
                       _GRID_LOOKAHEAD)
     evaluations = P1.shape[0] * P2.shape[0] + refined
-    ests = [Estimate(value=v, witness=w, strategy="Grid2D", exact=False,
-                     evaluations=evaluations) for v, w in zip(best_v, best_w)]
-    return (ests, params) if with_params else ests
+    return [Estimate(value=v, witness=w, strategy="Grid2D", exact=False,
+                     evaluations=evaluations) for v, w in zip(best_v, best_w)], params
 
 
 def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEFAULT_RESOLUTION,
@@ -591,8 +600,8 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
     dominates the raw grid maximum.  This is the one-objective run of
     ``_sup_pairs_2d_stack``.
     """
-    return _sup_pairs_2d_stack(space, lambda _: f, [0.0], region, resolution,
-                               refine_iters, radial)[0]
+    strat = Grid2DStrategy(resolution, refine_iters, radial)   # refuses fields out of range
+    return _sup_pairs_2d_stack(space, lambda _: f, [0.0], region, strat)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +808,18 @@ def _sweep_grid(lo: float, hi: float, grid: int, refine_iters: int) -> list[floa
     return [float(t) for t in np.linspace(lo, hi, grid)]
 
 
+def _best_offset(ts: Sequence[float], values) -> tuple[int, float]:
+    """(index, value) of the first largest of ``values`` at the offsets
+    ``ts``, read in order; a non-finite value raises with its t."""
+    best = None
+    for i, (t, v) in enumerate(zip(ts, map(float, values))):
+        if not math.isfinite(v):
+            raise ValueError(f"sweep objective returned a non-finite value at t={t}")
+        if best is None or v > best[1]:
+            best = i, v
+    return best
+
+
 def t_sweep(g: Callable[[float], float], lo: float, hi: float, grid: int = 33,
             refine_iters: int = 20) -> tuple[float, float]:
     """Maximize a scalar function on [lo, hi]: grid scan plus golden refinement.
@@ -806,13 +827,9 @@ def t_sweep(g: Callable[[float], float], lo: float, hi: float, grid: int = 33,
     Returns ``(t_star, value)``; ties prefer the smallest t, so a constant
     function reports its left endpoint.  Non-finite values raise.
     """
-    best_t, best_v = None, None
-    for t in _sweep_grid(lo, hi, grid, refine_iters):
-        v = float(g(t))
-        if not math.isfinite(v):
-            raise ValueError(f"sweep objective returned a non-finite value at t={t}")
-        if best_v is None or v > best_v:
-            best_t, best_v = t, v
+    ts = _sweep_grid(lo, hi, grid, refine_iters)
+    i, best_v = _best_offset(ts, map(g, ts))
+    best_t = ts[i]
     cell = (hi - lo) / (grid - 1)
     a = max(lo, best_t - cell)
     b = min(hi, best_t + cell)

@@ -45,6 +45,8 @@ Q_GRID = (2.0, 4.0)
 OFFSET_GRID = (0.0, 0.5, 1.0)      # t values for the sphere/ball comparison
 MONOTONE_POINTS = 21               # alpha and t resolution for monotonicity scans
 SMOOTHNESS_ALPHAS = (0.45, 0.49, 0.499)
+# share of the rate min(q, 2) - 1 that an l_q quotient must fall at (smoothness_limit)
+SMOOTHNESS_RATE_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ def default_suite_spaces() -> tuple[NormedSpace, ...]:
 
 # least value of each strategy field, by field name
 _LEAST = {name: least for cls in (Grid2DStrategy, MultiStartStrategy)
-          for _, name, least in cls.FIELDS}
+          for _, name, least, _ in cls.FIELDS}
 
 # Every numeric Profile field with its least value; a field that fills a
 # strategy field takes that field's
@@ -475,20 +477,21 @@ def _check_smoothness_limit(ctx: _Context, space, params):
     strat = ctx.strategy_for(space, vertex_ok=True)
     quotients = [cns.smoothness_quotient(space, p, a, strat)
                  for a in SMOOTHNESS_ALPHAS]
-    smooth_norm = space.kind in ("lp", "wlp") and 2.0 <= space.q < math.inf
-    rough_norm = space.kind in ("lp", "wlp") and space.q in (1.0, math.inf)
     values = {"alphas": list(SMOOTHNESS_ALPHAS), "quotients": quotients}
-    if smooth_norm:
-        decreasing = all(quotients[i + 1] < quotients[i]
-                         for i in range(len(quotients) - 1))
-        final_ok = quotients[-1] <= 0.01
-        values.update(branch="vanishing", final_cap=0.01)
-        passed = decreasing and final_ok
-        return values, passed, _excess(quotients[-1] - 0.01)
-    if rough_norm:
-        floor = 0.9
-    else:
-        floor = 0.1        # any non-smooth polygon keeps a positive limit
+    if space.kind in ("lp", "wlp") and 1.0 < space.q < math.inf:
+        # l_q's modulus of smoothness is of order tau^min(q, 2), so its quotient
+        # vanishes like (1 - 2 alpha)^rate: it must fall at every alpha, with a
+        # log-log slope from the first alpha to the last of a share of that rate
+        rate = min(space.q, 2.0) - 1.0
+        required = SMOOTHNESS_RATE_SHARE * rate
+        first, last = quotients[0], quotients[-1]
+        span = math.log((1.0 - 2.0 * SMOOTHNESS_ALPHAS[0]) / (1.0 - 2.0 * SMOOTHNESS_ALPHAS[-1]))
+        slope = math.log(first / last) / span if 0.0 < last <= first < math.inf else math.nan
+        decreasing = all(b < a for a, b in zip(quotients, quotients[1:]))
+        values.update(branch="vanishing", rate=rate, required_slope=required, slope=slope)
+        return values, decreasing and slope >= required, _excess(required - slope)
+    # l1 and l_inf (the lp and wlp norms left), or any polygon: a positive limit
+    floor = 0.9 if space.kind in ("lp", "wlp") else 0.1
     # numpy's min, unlike min(), keeps a NaN quotient wherever it stands
     lowest = float(np.min(quotients))
     values.update(branch="bounded_away", floor=floor, lowest=lowest)

@@ -102,6 +102,25 @@ def test_compute_rejects_negative_seed(capsys):
     assert "seed >= 0" in err and "non-negative integer" not in err
 
 
+@pytest.mark.parametrize("space, selector, key", [
+    ("lp:q=3,dim=3", "multistart:starts=99999999999999999999", "starts"),
+    ("lp:q=3,dim=2", "grid2d:res=99999999999999999999", "res"),
+])
+def test_compute_refuses_an_oversized_strategy_field_by_key(capsys, space, selector, key):
+    code, out, err = run_cli(capsys, "compute", "--space", space, "--constant", "gamma_p",
+                             "--p", "2", "--t", "0.5", "--strategy", selector)
+    assert code == 2 and out == ""
+    assert f"parameter out of range: need {key} <= " in err
+
+
+def test_compute_takes_a_seed_of_any_size(capsys):
+    code, out, err = run_cli(capsys, "compute", "--space", "lp:q=3,dim=3",
+                             "--constant", "gamma_p", "--p", "2", "--t", "0.5", "--strategy",
+                             "multistart:starts=2,steps=3,seed=99999999999999999999")
+    assert code == 0 and err == ""
+    assert json.loads(out)["strategy"].endswith("seed=99999999999999999999")
+
+
 def test_unknown_constant_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--space", "lp:q=1,dim=2", "--constant", "nope"])

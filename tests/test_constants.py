@@ -169,23 +169,32 @@ def test_cnj_l3_at_p3_is_one():
 
 
 def test_cnj_runs_each_offset_once(monkeypatch):
-    # the estimate at t_star is the one the sweep computed, not a rerun
-    calls = []
-    gamma_p = nc.constants.gamma_p
+    # each offset the sweep asks for is one call of the inner constant, made
+    # the first time, with no prefill; the estimate at t_star is that call's
+    def never(*args, **kwargs):
+        raise AssertionError("cnj_p prefills no offsets")
 
-    def counted(space, p, t, strategy=None):
-        est = gamma_p(space, p, t, strategy)
-        calls.append((t, est))
-        return est
+    monkeypatch.setattr(nc.constants, "_estimates_along", never)
+    for space, strat in ((HEX, "exact"),
+                         (nc.lp_space(3, 3), MultiStartStrategy(starts=3, steps=12, seed=5))):
+        for mode, name, axis in (("gamma", "gamma_p", "t"), ("cinj", "cinj_iso", "alpha")):
+            inner = getattr(nc, name)
+            calls = []
 
-    monkeypatch.setattr(nc.constants, "gamma_p", counted)
-    est = nc.cnj_p(HEX, p=2.0, strategy="exact", t_grid=9, t_refine=5)
-    ts = [t for t, _ in calls]
-    assert len(ts) == len(set(ts)) == 9 + 5 + 2
-    at_best = dict(calls)[est.meta["t_star"]]
-    assert est.witness == at_best.witness
-    assert est.meta["inner_value"] == at_best.value
-    assert est.evaluations == sum(e.evaluations for _, e in calls)
+            def counted(space, p, strategy=None, **at):
+                est = inner(space, p=p, strategy=strategy, **at)
+                calls.append((at[axis], est))
+                return est
+
+            monkeypatch.setattr(nc.constants, name, counted)
+            est = nc.cnj_p(space, p=2.0, strategy=strat, t_grid=9, t_refine=5, mode=mode)
+            thetas = [theta for theta, _ in calls]
+            assert len(thetas) == len(set(thetas)) == 9 + 5 + 2
+            t = est.meta["t_star"]
+            at_best = dict(calls)[t if mode == "gamma" else (1.0 - t) / 2.0]
+            assert est.witness == at_best.witness
+            assert est.meta["inner_value"] == at_best.value
+            assert est.evaluations == sum(e.evaluations for _, e in calls)
 
 
 def test_cnj_rejects_negative_t_refine_before_any_sweep(monkeypatch):

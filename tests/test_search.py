@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from normconst.search import (
     _GOLDEN_ITERS,
     _INV_PHI,
+    _MOST,
     _SCAN_BLOCK,
     Estimate,
     ExactStrategy,
@@ -263,6 +264,25 @@ def test_parse_strategy_errors():
         key, value = text.split(":")[1].split("=")
         assert str(parsed.value) == (f"{text.split(':')[0]} parameter out of range: "
                                      f"need {key} >= {int(value) + 1}, got {key}={value}")
+
+
+def test_oversized_strategy_fields_are_refused_by_key():
+    # a count beyond numpy's index type is refused where the strategy is
+    # built, parsed or by hand, by its selector key; the bound itself is
+    # accepted (built only, never run), and a seed has no upper bound
+    huge = 10 ** 20
+    for cls in BOUNDS:
+        for key, name, _, _ in cls.FIELDS:
+            if name == "seed":
+                assert parse_strategy(f"{cls.HEAD}:seed={huge}").seed == huge
+                continue
+            refusal = (rf"^{cls.HEAD} parameter out of range: "
+                       rf"need {key} <= {_MOST}, got {key}={huge}$")
+            with pytest.raises(ValueError, match=refusal):
+                parse_strategy(f"{cls.HEAD}:{key}={huge}")
+            with pytest.raises(ValueError, match=refusal):
+                cls(**{name: huge})
+            assert getattr(parse_strategy(f"{cls.HEAD}:{key}={_MOST}"), name) == _MOST
 
 
 def test_engine_validation():
@@ -903,23 +923,47 @@ def _stack_family(kind, space, p):
 def test_stacked_engine_matches_single_runs(space, region, kind, thetas, p, res, refine,
                                             radial):
     family = _stack_family(kind, space, p)
-    got = _sup_pairs_2d_stack(space, family, thetas, region, res, refine, radial)
+    got, _ = _sup_pairs_2d_stack(space, family, thetas, region,
+                                 Grid2DStrategy(res, refine, radial))
     want = [sup_pairs_2d(space, family(theta), region, resolution=res, refine_iters=refine,
                          radial=radial) for theta in thetas]
     # repr keeps the sign of zero, which == does not
     assert [repr(e) for e in got] == [repr(e) for e in want]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_ENGINE_SPACES),
+       st.sampled_from([Region.SPHERE, (Region.SPHERE, Region.BALL),
+                        (Region.BALL, Region.BALL)]),
+       st.sampled_from(["gamma_p", "cinj_iso", "nan_gapped"]),
+       st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5]), min_size=1, max_size=4),
+       st.integers(8, 48), st.integers(0, 3), st.integers(2, 5))
+def test_stacked_engine_end_params_rebuild_each_witness(space, region, kind, thetas, res,
+                                                        refine, radial):
+    # params[k] holds the grid parameters search k ended at: x1's (angle, and
+    # in the ball radius) then x2's, which rebuild its witness bit for bit
+    ests, params = _sup_pairs_2d_stack(space, _stack_family(kind, space, 2.0), thetas, region,
+                                       Grid2DStrategy(res, refine, radial))
+    reg1, reg2 = (region, region) if isinstance(region, Region) else region
+    k1 = 1 if reg1 is Region.SPHERE else 2
+    assert params.shape == (len(thetas), k1 + (1 if reg2 is Region.SPHERE else 2))
+    for est, row in zip(ests, params):
+        x1 = _points_2d(space, reg1, row[None, :k1])
+        x2 = _points_2d(space, reg2, row[None, k1:])
+        assert np.concatenate([x1, x2]).tobytes() == np.array(est.witness).tobytes()
+
+
 def test_stacked_engine_edge_cases():
     family = _stack_family("gamma_p", L2, 2.0)
-    assert _sup_pairs_2d_stack(L2, family, [], Region.SPHERE, 16, 1, 2) == []
+    strat = Grid2DStrategy(16, 1, 2)
+    assert _sup_pairs_2d_stack(L2, family, [], Region.SPHERE, strat)[0] == []
     with pytest.raises(ValueError):
-        _sup_pairs_2d_stack(lp_space(2, 3), family, [0.5], Region.SPHERE, 16, 1, 2)
+        _sup_pairs_2d_stack(lp_space(2, 3), family, [0.5], Region.SPHERE, strat)
     # one objective with no finite value fails the run, as its own run would
     nowhere = batch_objective(lambda X1, X2: np.full(X1.shape[0], np.nan))
     with pytest.raises(ValueError, match="no finite value"):
         _sup_pairs_2d_stack(L2, lambda th: nowhere if th == 1.0 else family(th),
-                            [0.5, 1.0], Region.SPHERE, 16, 1, 2)
+                            [0.5, 1.0], Region.SPHERE, strat)
 
 
 @pytest.mark.parametrize("space", [lp_space(3, 2), parse_space("wlp:q=3,dim=2,w=1;2"),

@@ -9,7 +9,7 @@ import pytest
 
 from normconst import constants as cns
 from normconst.search import ExactStrategy, Grid2DStrategy
-from normconst.spaces import NormedSpace, lp_space, regular_polygon_space
+from normconst.spaces import NormedSpace, lp_space, parse_space, regular_polygon_space
 from normconst.verify import (
     CHECKS,
     CheckResult,
@@ -205,6 +205,28 @@ def test_smoothness_check_branches():
     assert res_smooth.passed and res_smooth.values["branch"] == "vanishing"
     res_sharp = run_check("smoothness_limit", L1, {"p": 1.0}, profile=MINI)
     assert res_sharp.passed and res_sharp.values["branch"] == "bounded_away"
+
+
+@pytest.mark.parametrize("desc", ["lp:q=1.1,dim=2", "lp:q=1.5,dim=2", "lp:q=1.8,dim=2",
+                                  "lp:q=20,dim=2", "wlp:q=1.5,dim=2,w=1;2"])
+def test_smoothness_limit_vanishes_on_every_smooth_lq(desc):
+    # l_q is uniformly smooth for 1 < q < inf: its quotient falls at the
+    # rate min(q, 2) - 1, near 1 or below it, well above the required share
+    space = parse_space(desc)
+    res = run_check("smoothness_limit", space, {"p": 2.0}, profile=MINI)
+    assert res.passed and res.values["branch"] == "vanishing"
+    assert res.values["rate"] == min(space.q, 2.0) - 1.0
+    assert res.values["slope"] == pytest.approx(res.values["rate"], abs=0.15)
+    assert res.values["required_slope"] == 0.5 * res.values["rate"]
+
+
+@pytest.mark.parametrize("space, p", [(L1, 1.0), (lp_space(math.inf, 2), 1.0),
+                                      (regular_polygon_space(6), 2.0)],
+                         ids=["l1", "linf", "hex"])
+def test_smoothness_limit_stays_bounded_away_on_polygons(space, p):
+    res = run_check("smoothness_limit", space, {"p": p}, profile=MINI)
+    assert res.passed and res.values["branch"] == "bounded_away"
+    assert res.values["floor"] == (0.1 if space.kind == "poly2d" else 0.9)
 
 
 @pytest.mark.parametrize("space", [L2, regular_polygon_space(6)], ids=["l2", "hex"])
