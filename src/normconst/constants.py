@@ -11,9 +11,9 @@ min-form supremum that ``james`` and ``schaffer`` run first).
 
 The two NJ-type routes are deliberately independent: ``cinj_iso`` evaluates
 the defining ratio on isosceles pairs sampled through the half-sum
-parametrization, while ``cinj_via_gamma`` maximizes the two-sided norm
-power mean and halves it.  Their agreement is a cross-check of the
-underlying identity, not a shared objective.
+parametrization, while ``cinj_via_gamma`` runs ``gamma_p``'s search at
+t = 1 - 2 alpha and halves its value.  Their agreement is a cross-check of
+the underlying identity, not a shared objective.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ import numpy as np
 from .orthogonality import SUM_NORM_FLOOR, _iso_partner_rows
 from .search import (_GRID_LOOKAHEAD, DEFAULT_SEED, Estimate, ExactStrategy, Grid2DStrategy,
                      MultiStartStrategy, Objective, Strategy, _Strategy, _ascend, _best_offset,
-                     _best_row, _grid_axes_2d, _points_2d, _refine, _start_draws,
-                     _sup_pairs_2d_stack, _sweep_grid, _WitnessRows, batch_objective,
-                     parse_strategy, sup_pairs_2d, sup_pairs_nd, sup_vertex_pairs, t_sweep)
+                     _best_row, _points_2d, _refine, _start_draws, _sup_pairs_2d_stack,
+                     _sweep_grid, _WitnessRows, batch_objective, parse_strategy, sup_pairs_2d,
+                     sup_pairs_nd, sup_vertex_pairs, t_sweep)
 from .spaces import (TWO_PI, NormedSpace, Region, SpaceError,
                      supports_extreme_points)
 
@@ -136,9 +136,9 @@ def _half_sum_ratio(space: NormedSpace, a, b, p: float, scale: float,
 
 def _family(name: str, space: NormedSpace, p: float):
     """theta -> the objective of constant ``name`` at its swept parameter
-    theta: t for ``gamma_p``, alpha for ``cinj_iso`` and ``cinj_via_gamma``.
-    theta is a float or an ``(n, 1)`` column of per-row values; every row is
-    computed elementwise, so it has the same bits in a stack of rows.  The
+    theta: t for ``gamma_p``, alpha for ``cinj_iso``.  theta is a float or
+    an ``(n, 1)`` column of per-row values; every row is computed
+    elementwise, so it has the same bits in a stack of rows.  The
     objective's name is ``name`` alone, so no value is formatted per call.
     """
     if name == "cinj_iso":
@@ -147,13 +147,8 @@ def _family(name: str, space: NormedSpace, p: float):
         # coincides with a jointly convex function and vertex enumeration
         # attains its supremum
         return lambda alpha: _half_sum_ratio(space, alpha, 1.0 - alpha, p, 1.0, name)
-    if name == "gamma_p":
-        gamma = _power_mean(p, 2.0 ** (p - 1.0))
-        return lambda t: _two_sided(space, t, gamma, True, name)
-    # gamma's scale doubled, which is exact: every row is half of gamma's
-    # row at t = 1 - 2 alpha, bit for bit (2.0 ** p is not always 2 * 2^(p-1))
-    half = _power_mean(p, 2.0 * 2.0 ** (p - 1.0))
-    return lambda alpha: _two_sided(space, 1.0 - 2.0 * alpha, half, True, name)
+    gamma = _power_mean(p, 2.0 ** (p - 1.0))
+    return lambda t: _two_sided(space, t, gamma, True, name)
 
 
 def _min_form_objective(space: NormedSpace) -> Objective:
@@ -221,10 +216,13 @@ def _swept(name: str, space: NormedSpace, strategy, values, p) -> list[Estimate]
     exponent ``p`` and each swept parameter of ``values``: t for ``gamma_p``,
     alpha for the other two.  The constants are its one-value calls.
 
-    Several values on a grid2d strategy run as one stacked engine call,
-    ``_sup_pairs_2d_stack``, whose Estimates are bit for bit those of the
-    single runs; every other case runs ``_run_sup`` per value.
+    ``cinj_via_gamma`` is ``gamma_p``'s search at t = 1 - 2 alpha with each
+    value halved, which is exact.  Several values on a grid2d strategy run
+    as one stacked engine call, ``_sup_pairs_2d_stack``, whose Estimates are
+    bit for bit those of the single runs; every other case runs ``_run_sup``
+    per value.
     """
+    via = name == "cinj_via_gamma"
     thetas = []
     for v in values:
         # in the order the constant checks its arguments
@@ -232,10 +230,11 @@ def _swept(name: str, space: NormedSpace, strategy, values, p) -> list[Estimate]
             p = _check_p(p)
             thetas.append(_check_t(v))
         else:
-            thetas.append(_check_alpha(v))
+            alpha = _check_alpha(v)
             p = _check_p(p)
+            thetas.append(1.0 - 2.0 * alpha if via else alpha)
     strat = resolve_strategy(strategy, space)
-    family = _family(name, space, p)
+    family = _family("gamma_p" if via else name, space, p)
     if isinstance(strat, Grid2DStrategy) and len(thetas) > 1:
         ests, _ = _sup_pairs_2d_stack(space, family, thetas, Region.SPHERE, strat)
     else:
@@ -243,9 +242,10 @@ def _swept(name: str, space: NormedSpace, strategy, values, p) -> list[Estimate]
     if name == "cinj_iso":
         ests = [replace(est, meta={**est.meta, "iso_pair": _iso_pair(est.witness)})
                 for est in ests]
-    elif name == "cinj_via_gamma":
-        ests = [replace(est, meta={**est.meta, "route": "via_gamma", "t": 1.0 - 2.0 * alpha})
-                for est, alpha in zip(ests, thetas)]
+    elif via:
+        ests = [replace(est, value=0.5 * est.value,
+                        meta={**est.meta, "route": "via_gamma", "t": t})
+                for est, t in zip(ests, thetas)]
     return ests
 
 
@@ -485,22 +485,22 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
         if space.dim != 2:
             raise SpaceError("grid2d strategy needs a 2-dimensional space")
 
-        def pairs(thetas: list[float]):
-            # golden probe: x1 at each angle and its partner along the arc
-            # towards the quarter-turned direction, one partner search for all rows
+        def pairs(thetas):
+            # the grid scan and each golden probe: x1 at each angle and its partner
+            # along the arc towards the quarter-turned direction, one partner search
             t = np.array(thetas)
             x1 = _points_2d(space, Region.SPHERE, t[:, None])
             c = _iso_partner_rows(space, x1, _arc_directions(space, t))
             return fb(x1, c), _WitnessRows(x1, c)
 
-        X1, params = _grid_axes_2d(space, Region.SPHERE, strat.resolution, 2)
-        C = _iso_partner_rows(space, X1, _arc_directions(space, params[:, 0]))
-        best = _best_row(fb(X1, C), X1, C)
+        thetas = np.arange(strat.resolution) * (TWO_PI / strat.resolution)
+        vals, rows = pairs(thetas)
+        best = _best_row(vals, rows.X1, rows.X2)
         if best is None:
             raise ValueError("no feasible isosceles pair found on the grid")
         value, witness, i = best
         best_v, best_w = [value], [witness]
-        refined = _refine(best_v, best_w, params[i:i + 1].copy(), [TWO_PI / strat.resolution],
+        refined = _refine(best_v, best_w, thetas[i:i + 1, None], [TWO_PI / strat.resolution],
                           lambda ci: lambda ks, batches: [pairs(batches[0])], strat.refine,
                           _ISO_LOOKAHEAD)
         return sign * best_v[0], best_w[0], strat.resolution + refined

@@ -12,7 +12,8 @@ Three engines share one contract:
 ``sup_vertex_pairs`` is exact: for an objective that attains its maximum at
 extreme points of the ball (jointly convex in the pair, or a monotone
 transform of such a function), enumerating extreme-point pairs computes the
-supremum over the sphere and the ball alike.
+supremum over the sphere and the ball alike, reducing the pairs with the
+2-D grid engine's block scan.
 
 Objectives may mark points as out of scope by returning NaN; engines skip
 those.  Batch evaluation (``eval_batch`` on ``(n, dim)`` row arrays) is the
@@ -173,11 +174,14 @@ class _Strategy:
 
     def __post_init__(self):
         for key, name, least, most in self.FIELDS:
-            value = getattr(self, name)
-            if not least <= value <= most:
-                need = f">= {least}" if value < least else f"<= {most}"
-                raise ValueError(f"{self.HEAD} parameter out of range: "
-                                 f"need {key} {need}, got {key}={value}")
+            _check_range(f"{self.HEAD} parameter", key, getattr(self, name), least, most)
+
+
+def _check_range(what: str, key: str, value, least, most) -> None:
+    """Refuse a ``value`` of ``key`` outside [least, most], naming the bound it breaks."""
+    if not least <= value <= most:
+        need = f">= {least}" if value < least else f"<= {most}"
+        raise ValueError(f"{what} out of range: need {key} {need}, got {key}={value}")
 
 
 @dataclass(frozen=True)
@@ -329,7 +333,10 @@ def _golden(lo: float, hi: float, iters: int, lookahead: int = 1):
     the points a one-probe-at-a-time loop evaluates.  No point is yielded
     twice in one run: golden brackets can reach one float by two routes,
     and a candidate that two branches share, or that an earlier batch
-    held, is yielded once and its value and payload reused.
+    held, is yielded once and its value and payload reused.  A batch with no
+    new point that repeats an earlier one's bracket ends the run: the walk
+    is periodic from there and has probed a whole period, so no later probe
+    changes the result, whatever ``iters``.
     """
     if lookahead < 1:
         raise ValueError("lookahead must be at least 1")
@@ -338,6 +345,7 @@ def _golden(lo: float, hi: float, iters: int, lookahead: int = 1):
     # compare by value: a golden point is a sum or difference of bracket
     # points, so it is -0.0 only when every point of the run is.
     seen = {}
+    stalled = set()     # brackets of the batches that held no new point
 
     def probe(x: float):
         nonlocal best_v, best_x, best_at
@@ -373,6 +381,10 @@ def _golden(lo: float, hi: float, iters: int, lookahead: int = 1):
         if new:
             values, payloads = yield new
             seen.update({x: (values, payloads, i) for i, x in enumerate(new)})
+        elif (a, b, c, d) in stalled:
+            break
+        else:
+            stalled.add((a, b, c, d))
         i = 1
         if fc is None:
             fc, fd = probe(c), probe(d)
@@ -482,8 +494,9 @@ def _points_2d(space: NormedSpace, region: Region, params: np.ndarray) -> np.nda
 
 
 def _scan_2d(fbs, P1: np.ndarray, P2: np.ndarray):
-    """Grid maximum of each objective of ``fbs`` over all pairs (P1[i], P2[j]):
-    one (value, witness, i, j), or None if no value is finite, per objective.
+    """Maximum of each objective of ``fbs`` over all pairs (P1[i], P2[j]) of
+    two point sets, grid points or extreme points: one (value, witness, i,
+    j), or None if no value is finite, per objective.
 
     Blocks of whole P1 rows are built once and evaluated against all of P2
     by every objective in turn, at most ``_SCAN_BLOCK`` objective rows per
@@ -775,21 +788,19 @@ def sup_vertex_pairs(space: NormedSpace, f: Objective) -> Estimate:
     Requires ``f.convex_flag`` (the supremum is attained at extreme points)
     and a space with a finite extreme set; the result is the exact supremum
     over sphere and ball pairs alike.  This is where every constant refuses
-    an exact run of an objective that is not vertex-attaining.
+    an exact run of an objective that is not vertex-attaining.  The pairs
+    are reduced one block at a time by ``_scan_2d``, whose value for a zero
+    maximum has the sign of its row reduction.
     """
     if not f.convex_flag:
         raise ValueError(f"objective {f.name!r} is not declared vertex-attaining, so exact "
                          "enumeration cannot bound it; need a search strategy (grid2d or multistart)")
-    ext = extreme_points(space)
-    E = np.asarray(ext, dtype=float)
-    n = E.shape[0]
-    X1 = np.repeat(E, n, axis=0)
-    X2 = np.tile(E, (n, 1))
-    best = _best_row(_batch(f)(X1, X2), X1, X2)
+    E = np.asarray(extreme_points(space), dtype=float)
+    best = _scan_2d([_batch(f)], E, E)[0]
     if best is None:
         raise ValueError("objective returned no finite value at extreme points")
     return Estimate(value=best[0], witness=best[1], strategy="VertexExact", exact=True,
-                    evaluations=n * n)
+                    evaluations=E.shape[0] ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -72,23 +72,14 @@ class NormedSpace:
         if self.kind == "wlp":
             A = A * self._w
         q = self.q
-        if self.dim == 2:
-            # the reductions below as two-term expressions: A is non-negative,
-            # so these have the same bits, without a reduction call
-            if q == math.inf:
-                return np.maximum(A[..., 0], A[..., 1])
-            if q == 1.0:
-                return A[..., 0] + A[..., 1]
-            S = A * A if q == 2.0 else A ** q
-            S = S[..., 0] + S[..., 1]
-            return np.sqrt(S) if q == 2.0 else S ** (1.0 / q)
+        # in dimension 2 each reduction is a two-term expression: A is
+        # non-negative, so it has the same bits, without a reduction call
+        two = self.dim == 2
         if q == math.inf:
-            return A.max(axis=-1)
-        if q == 1.0:
-            return A.sum(axis=-1)
-        if q == 2.0:
-            return np.sqrt((A * A).sum(axis=-1))
-        return (A ** q).sum(axis=-1) ** (1.0 / q)
+            return np.maximum(A[..., 0], A[..., 1]) if two else A.max(axis=-1)
+        S = A if q == 1.0 else A * A if q == 2.0 else A ** q
+        S = S[..., 0] + S[..., 1] if two else S.sum(axis=-1)
+        return S if q == 1.0 else np.sqrt(S) if q == 2.0 else S ** (1.0 / q)
 
     def __str__(self) -> str:
         return descriptor(self)

@@ -28,8 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import constants as cns
-from .search import (Estimate, ExactStrategy, Grid2DStrategy, MultiStartStrategy,
-                     Strategy, _unit_rows, strategy_descriptor, sup_pairs_2d, sup_pairs_nd)
+from .search import (_MOST, Estimate, ExactStrategy, Grid2DStrategy, MultiStartStrategy,
+                     Strategy, _check_range, _unit_rows, strategy_descriptor, sup_pairs_2d,
+                     sup_pairs_nd)
 from .spaces import (NormedSpace, Region, descriptor, lp_space,
                      regular_polygon_space, supports_extreme_points)
 
@@ -109,18 +110,14 @@ def default_suite_spaces() -> tuple[NormedSpace, ...]:
 # execution context: strategies, slacks, and an estimate cache
 
 
-# least value of each strategy field, by field name
-_LEAST = {name: least for cls in (Grid2DStrategy, MultiStartStrategy)
-          for _, name, least, _ in cls.FIELDS}
-
-# Every numeric Profile field with its least value; a field that fills a
-# strategy field takes that field's
-_PROFILE_FLOORS = (
-    ("resolution", _LEAST["resolution"]), ("refine", _LEAST["refine"]),
-    ("radial", _LEAST["radial"]), ("ball_resolution", _LEAST["resolution"]),
-    ("ball_radial", _LEAST["radial"]), ("starts", _LEAST["starts"]),
-    ("steps", _LEAST["steps"]),
-    ("t_grid", 3), ("t_refine", 0), ("lemma_pairs", 1), ("psi_samples", 1))
+# Every numeric Profile field with its (least, largest) value: a field that
+# fills a strategy field takes that field's bounds, the other counts are
+# capped as strategy fields are
+_PROFILE_BOUNDS = {name: (least, most) for cls in (Grid2DStrategy, MultiStartStrategy)
+                   for _, name, least, most in cls.FIELDS if name in Profile.__dataclass_fields__}
+_PROFILE_BOUNDS.update(ball_resolution=_PROFILE_BOUNDS["resolution"],
+                       ball_radial=_PROFILE_BOUNDS["radial"], t_grid=(3, _MOST),
+                       t_refine=(0, _MOST), lemma_pairs=(1, _MOST), psi_samples=(1, _MOST))
 
 
 class _Context:
@@ -132,10 +129,8 @@ class _Context:
         self.profile = profile
         self.seed = seed
         self._cache: dict = {}
-        for name, least in _PROFILE_FLOORS:
-            if getattr(profile, name) < least:
-                raise ValueError(f"profile field out of range: need {name} >= {least}, "
-                                 f"got {name}={getattr(profile, name)}")
+        for name, (least, most) in _PROFILE_BOUNDS.items():
+            _check_range("profile field", name, getattr(profile, name), least, most)
         self.grid = Grid2DStrategy(profile.resolution, profile.refine, profile.radial)
         # the ball x ball grid of sphere_ball_equal
         self.ball_grid = Grid2DStrategy(profile.ball_resolution, profile.refine,

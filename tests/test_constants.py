@@ -7,6 +7,7 @@ Oracle provenance, all independent of the search engines:
   * James values are cross-checked by a dense brute-force scan coded here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -567,19 +568,36 @@ def test_estimates_along_matches_one_call_per_value(name, kind, data, values, p)
     assert [repr(e) for e in got] == [repr(e) for e in want]
 
 
+_VIA_CASES = [(L3, Grid2DStrategy(resolution=16, refine=2)),
+              (HEX, Grid2DStrategy(resolution=24, refine=1)), (L1, "exact"), (HEX, "exact"),
+              (nc.lp_space(1.5, 3), MultiStartStrategy(starts=3, steps=12, seed=5))]
+
+
+def _halved(est, t):
+    return dataclasses.replace(est, value=0.5 * est.value,
+                               meta={**est.meta, "route": "via_gamma", "t": t})
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=1.0, max_value=12.0), st.floats(min_value=0.0, max_value=0.5),
-       st.sampled_from([L2, L3, HEX, nc.lp_space(1.5, 3)]), st.integers(0, 2 ** 32 - 1))
+@given(st.floats(min_value=1.0, max_value=12.0),
+       st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=1, max_size=3),
+       st.sampled_from(range(len(_VIA_CASES))))
 # exponents where 2.0 ** p and 2.0 * 2.0 ** (p - 1.0) differ in the last bit
-@example(11.097158030182067, 0.3, L3, 0)
-@example(3.277224048450284, 0.1, L2, 1)
-@example(3.2223724957642927, 0.25, HEX, 2)
-def test_cinj_via_gamma_rows_are_half_of_gamma_rows(p, alpha, space, seed):
-    rng = np.random.default_rng(seed)
-    X1, X2 = rng.standard_normal((2, 64, space.dim))
-    gamma = _family("gamma_p", space, p)(1.0 - 2.0 * alpha).eval_batch(X1, X2)
-    via = _family("cinj_via_gamma", space, p)(alpha).eval_batch(X1, X2)
-    assert (0.5 * gamma).tobytes() == via.tobytes()
+@example(11.097158030182067, [0.3], 0)
+@example(3.277224048450284, [0.1, 0.4], 1)
+@example(3.2223724957642927, [0.25], 3)
+def test_cinj_via_gamma_is_half_of_gamma_p(p, alphas, case):
+    # the identity route runs gamma_p's search at t = 1 - 2 alpha and halves
+    # its value: the same witness and evaluations, the value bit for bit
+    space, strat = _VIA_CASES[case]
+    ts = [1.0 - 2.0 * alpha for alpha in alphas]
+    for alpha, t in zip(alphas, ts):
+        assert repr(nc.cinj_via_gamma(space, alpha, p, strat)) == repr(
+            _halved(nc.gamma_p(space, p, t, strat), t))
+    # a sweep over alpha runs gamma's sweep over t, stacked on grid2d
+    got = _estimates_along("cinj_via_gamma", space, strat, "alpha", alphas, p=p)
+    want = _estimates_along("gamma_p", space, strat, "t", ts, p=p)
+    assert [repr(e) for e in got] == [repr(_halved(e, t)) for e, t in zip(want, ts)]
 
 
 @settings(max_examples=60, deadline=None)

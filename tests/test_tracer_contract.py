@@ -56,3 +56,17 @@ def test_each_engine_call_is_counted_once_with_its_evaluations(traced):
         assert m[f"search.{layer}.evals"] == est.evaluations > 0, layer
     assert m["constants.gamma_p.calls"] == 2
     assert m["constants.cinj_iso.calls"] == 1
+
+
+@pytest.mark.parametrize("strategy,layer", [("exact", "sup_vertex_pairs"),
+                                            ("grid2d:res=32,refine=2", "sup_pairs_2d")])
+def test_cinj_via_gamma_runs_its_engine_without_a_gamma_p_call(traced, strategy, layer):
+    # cinj_via_gamma runs gamma_p's search itself: a call through the
+    # gamma_p module attribute would count as a gamma_p call too
+    tracing, tracer = traced
+    est = normconst.constants.cinj_via_gamma(normconst.lp_space(1, 2), 0.25, 2.0, strategy)
+    m = tracing.layer_metrics(tracer, 1)
+    assert m["constants.cinj_via_gamma.calls"] == 1
+    assert m[f"search.{layer}.calls"] == 1
+    assert m[f"search.{layer}.evals"] == est.evaluations > 0
+    assert m["constants.gamma_p.calls"] == 0

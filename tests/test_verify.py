@@ -118,10 +118,14 @@ def test_out_of_range_profile_rejected_before_any_check(monkeypatch, field, leas
 
 @pytest.mark.parametrize("field,least", sorted(PROFILE_FLOORS.items()))
 def test_out_of_range_profile_error_names_the_profile_field(field, least):
-    bad = dataclasses.replace(MINI, **{field: least - 1})
-    with pytest.raises(ValueError, match=rf"^profile field out of range: "
-                                         rf"need {field} >= {least}, got {field}={least - 1}$"):
-        run_suite([L2], profile=bad)
+    # every field is capped at numpy's largest index, as strategy fields are
+    most = int(np.iinfo(np.intp).max)
+    for value, need in ((least - 1, f">= {least}"), (most + 1, f"<= {most}"),
+                        (10 ** 20, f"<= {most}")):
+        bad = dataclasses.replace(MINI, **{field: value})
+        with pytest.raises(ValueError, match=rf"^profile field out of range: "
+                                             rf"need {field} {need}, got {field}={value}$"):
+            run_suite([L2], profile=bad)
 
 
 def test_single_space_mini_suite_passes():
