@@ -25,8 +25,8 @@ import numpy as np
 
 from .orthogonality import SUM_NORM_FLOOR, _iso_partner_rows
 from .search import (_GRID_LOOKAHEAD, DEFAULT_SEED, Estimate, ExactStrategy, Grid2DStrategy,
-                     MultiStartStrategy, Objective, Strategy, _Strategy, _ascend, _best_offset,
-                     _best_row, _points_2d, _refine, _start_draws, _sup_pairs_2d_stack,
+                     MultiStartStrategy, Objective, Strategy, _Strategy, _ascend, _best_offsets,
+                     _best_row, _points_2d, _refine, _replies, _start_draws, _sup_pairs_2d_stack,
                      _sweep_grid, _WitnessRows, batch_objective, parse_strategy, sup_pairs_2d,
                      sup_pairs_nd, sup_vertex_pairs, t_sweep)
 from .spaces import (TWO_PI, NormedSpace, Region, SpaceError,
@@ -284,37 +284,44 @@ def _cnj_joint(space: NormedSpace, p: float, strat: Grid2DStrategy, ts: list[flo
     """:func:`cnj_p` on a grid2d strategy.
 
     The offsets ``ts`` run as one stacked search of the inner constant.  From
-    the offset with the best ratio (the first largest, by ``_best_offset``
-    as in ``t_sweep``) one ``_refine`` search moves the angles of x1 and x2
-    and the offset t together on the ratio objective, ``strat.refine``
-    rounds with t's width one offset step.  It starts at the exact angles
-    the stacked search ended at; every probe evaluates t clamped to [0, 1]
-    and carries that t.
+    each of the two offsets with the best ratios (ties to the smaller t, by
+    ``_best_offsets`` as in ``t_sweep``) one ``_refine`` search moves the
+    angles of x1 and x2 and the offset t together on the ratio objective,
+    the two in lockstep, at most ``strat.refine`` rounds with t's width one
+    offset step; the better end wins, ties to the smaller t.  Two starts,
+    because coordinate-wise golden from the best offset alone can stall
+    below the end of the golden t-sweep over full inner suprema.  Each
+    search starts at the exact angles the stacked search ended at; every
+    probe evaluates t clamped to [0, 1] and carries that t.
     """
     name, scale, theta = _CNJ_MODES[mode]
     family = _family(name, space, p)
     swept, angles = _sup_pairs_2d_stack(space, family, list(map(theta, ts)), Region.SPHERE, strat)
-    i, ratio = _best_offset(ts, [scale * est.value / (1.0 + t ** p) for t, est in zip(ts, swept)])
-    best_v, best_w = [ratio], [(swept[i].witness, ts[i], swept[i].value)]
-    params = np.append(angles[i], ts[i])[None, :]      # (theta1, theta2, t)
+    starts = _best_offsets(ts, [scale * est.value / (1.0 + t ** p)
+                                for t, est in zip(ts, swept)], 2)
+    best_v = [ratio for _, ratio in starts]
+    best_w = [(swept[i].witness, ts[i], swept[i].value) for i, _ in starts]
+    params = np.array([np.append(angles[i], ts[i]) for i, _ in starts])    # (theta1, theta2, t)
 
     def probe(ci: int):
         def fun(ks: list[int], batches: list[list[float]]):
-            rows = params.repeat(len(batches[0]), axis=0)
-            rows[:, ci] = batches[0]
+            counts = [len(xs) for xs in batches]
+            rows = params[ks].repeat(counts, axis=0)
+            rows[:, ci] = [x for xs in batches for x in xs]
             X1, X2 = np.split(_points_2d(space, Region.SPHERE, rows[:, :2].T.reshape(-1, 1)), 2)
             T = np.minimum(np.maximum(rows[:, 2], 0.0), 1.0)
             inner = family(theta(T)[:, None]).eval_batch(X1, X2)
-            return [(scale * inner / (1.0 + T ** p), _WitnessRows(X1, X2, T, inner))]
+            return _replies(counts, scale * inner / (1.0 + T ** p), X1, X2, T, inner)
 
         return fun
 
     widths = [TWO_PI / strat.resolution] * 2 + [1.0 / (len(ts) - 1)]
     refined = _refine(best_v, best_w, params, widths, probe, strat.refine, _GRID_LOOKAHEAD)
-    witness, t_star, inner = best_w[0]
+    k = max(range(len(starts)), key=lambda k: (best_v[k], -best_w[k][1]))
+    witness, t_star, inner = best_w[k]
     meta = {"iso_pair": _iso_pair(witness)} if name == "cinj_iso" else {}
-    return Estimate(best_v[0], witness, "Grid2D", False,
-                    sum(est.evaluations for est in swept) + refined,
+    return Estimate(best_v[k], witness, "Grid2D", False,
+                    sum(est.evaluations for est in swept) + sum(refined),
                     {**meta, "t_star": t_star, "mode": mode, "inner_value": inner})
 
 
@@ -330,10 +337,10 @@ def cnj_p(space: NormedSpace, p: float, strategy=None, t_grid: int = 33,
     witness is the inner witness at the best offset ``meta['t_star']``, and
     ``meta['inner_value']`` its inner value.  On ``grid2d`` the offsets run
     as one stacked search, and the refinement moves x1, x2 and t together
-    for the strategy's ``refine`` rounds (see ``_cnj_joint``); ``t_refine``
-    is checked but unused.  ``t_star`` is then the offset of the witness,
-    and ``meta['inner_value']`` the inner objective (gamma_p's, or
-    cinj_iso's) at the witness and ``t_star``.
+    from the two best offsets for at most the strategy's ``refine`` rounds
+    (see ``_cnj_joint``); ``t_refine`` is checked but unused.  ``t_star``
+    is then the offset of the witness, and ``meta['inner_value']`` the inner
+    objective (gamma_p's, or cinj_iso's) at the witness and ``t_star``.
     """
     p = _check_p(p)
     if mode not in _CNJ_MODES:
@@ -500,9 +507,9 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
             raise ValueError("no feasible isosceles pair found on the grid")
         value, witness, i = best
         best_v, best_w = [value], [witness]
-        refined = _refine(best_v, best_w, thetas[i:i + 1, None], [TWO_PI / strat.resolution],
-                          lambda ci: lambda ks, batches: [pairs(batches[0])], strat.refine,
-                          _ISO_LOOKAHEAD)
+        [refined] = _refine(best_v, best_w, thetas[i:i + 1, None], [TWO_PI / strat.resolution],
+                            lambda ci: lambda ks, batches: [pairs(batches[0])], strat.refine,
+                            _ISO_LOOKAHEAD)
         return sign * best_v[0], best_w[0], strat.resolution + refined
 
     Z, _ = _start_draws(strat.seed, strat.starts, space.dim)

@@ -36,11 +36,12 @@ sent their values, so one loop can run many searches side by side.  Each
 batch's candidates are built level by level as one flat heap-ordered list.
 ``_golden_max`` drives one search with a probe function; its one caller is
 ``t_sweep``, which ``cnj_p`` runs over t on ``exact`` and ``multistart``.
-``t_sweep``'s grid stage and ``cnj_p`` on ``grid2d`` pick the best offset
-by one rule, ``_best_offset``.  ``_refine`` drives the coordinate-wise
+``t_sweep``'s grid stage and ``cnj_p`` on ``grid2d`` rank offsets by one
+rule, ``_best_offsets``.  ``_refine`` drives the coordinate-wise
 refinement of K searches in lockstep, one probe call per step for all of
-them; ``cnj_p`` on ``grid2d`` also runs it with K = 1 over (angle of x1,
-angle of x2, t).  On that, the 2-D grid engine is a K-objective engine:
+them, and stops each search once its rounds stop moving it; ``cnj_p`` on
+``grid2d`` also runs it with K = 2 over (angle of x1, angle of x2, t).
+On that, the 2-D grid engine is a K-objective engine:
 ``_sup_pairs_2d_stack`` runs a family of objectives that share the space
 and the region and differ in one scalar parameter on one
 ``Grid2DStrategy``, scans each grid block once for all of them and
@@ -85,6 +86,14 @@ _MOST = int(np.iinfo(np.intp).max)
 
 # Golden-section iterations per refinement pass.
 _GOLDEN_ITERS = 12
+
+# Rounds in a row that replace none of a search's bests before _refine stops
+# it.  Coordinate-wise golden can stall at a kink and move again on a
+# narrower bracket, so one idle round is too few.  Five-space fast suite,
+# 2-vCPU Xeon, three runs each: CPU 2.3-2.8 s without the stop; stopping
+# after 1, 2 or 3 idle rounds, 1.0-1.3, 1.1-1.3 and 1.2-1.3 s, moving 29, 9
+# and 7 report values, the largest by 9.7e-7, 1.0e-8 and 1.0e-8 (hexagon).
+_IDLE_ROUNDS = 3
 
 # Objective rows per call of sup_pairs_2d's grid scan.  Larger blocks are no
 # faster and raise peak memory (compute-2d workload: peak RSS 37 MB at 4096
@@ -191,6 +200,11 @@ class ExactStrategy(_Strategy):
 
 @dataclass(frozen=True)
 class Grid2DStrategy(_Strategy):
+    """The 2-D grid engine's settings: ``resolution`` angles per circle,
+    ``radial`` radii in the ball, and ``refine``, the most golden
+    refinement rounds a search runs; a search stops sooner once
+    ``_IDLE_ROUNDS`` rounds in a row leave it unmoved."""
+
     resolution: int = DEFAULT_RESOLUTION
     refine: int = DEFAULT_REFINE
     radial: int = DEFAULT_RADIAL
@@ -308,6 +322,14 @@ class _WitnessRows:
         return (witness, *(float(a[i]) for a in self.extra)) if self.extra else witness
 
 
+def _replies(counts: list[int], vals: np.ndarray, *rows: np.ndarray) -> list:
+    """One (values, payloads) per search from a probe's stacked rows, search
+    n holding the next ``counts[n]`` rows: the payloads are ``_WitnessRows``
+    of its slices of ``rows`` (X1, X2, then any extra arrays)."""
+    return [(vals[e - n:e], _WitnessRows(*(a[e - n:e] for a in rows)))
+            for n, e in zip(counts, itertools.accumulate(counts))]
+
+
 def _golden(lo: float, hi: float, iters: int, lookahead: int = 1):
     """Golden-section ascent on [lo, hi] as a generator; its return value is
     the best evaluated sample, (value, coordinate, payload), or three Nones.
@@ -417,7 +439,7 @@ def _golden_max(fun: Callable[[list[float]], tuple[Sequence[float], Sequence[obj
 
 
 def _refine(best_v: list, best_w: list, params: np.ndarray, widths: Sequence[float],
-            probe: Callable[[int], Callable], rounds: int, lookahead: int) -> int:
+            probe: Callable[[int], Callable], rounds: int, lookahead: int) -> list[int]:
     """Coordinate-wise golden refinement of K scanned maxima in lockstep.
 
     Search k starts from ``best_v[k]``, ``best_w[k]`` at ``params[k]``.
@@ -429,18 +451,27 @@ def _refine(best_v: list, best_w: list, params: np.ndarray, widths: Sequence[flo
     ``batches[n]``.  ``params[k]`` is read as it is updated in place; it
     changes only when search k's pass is over.  A sample replaces a best
     only with a larger value, or an equal one and a smaller witness, so
-    each search ends as a refinement of its own would.  Updates
-    ``best_v``, ``best_w`` and ``params``; returns each search's
-    evaluations.
+    each search ends as a refinement of its own would.
+
+    ``rounds`` is a cap: a search stops once ``_IDLE_ROUNDS`` rounds in a
+    row have replaced none of its bests, and the loop ends when every
+    search has stopped.  Updates ``best_v``, ``best_w`` and ``params``;
+    returns each search's evaluations, the golden-path probes of the rounds
+    it ran.
     """
-    evaluations = 0
+    evaluations = [0] * len(best_v)
+    idle = [0] * len(best_v)
+    live = list(range(len(best_v)))
     for rnd in range(rounds):
+        if not live:
+            break
         shrink = 0.6 ** rnd
+        moved = set()
         for ci in range(params.shape[1]):
             h = widths[ci] * shrink
             fun = probe(ci)
-            mids = params[:, ci].tolist()   # python floats: the same bits, faster
-            runs = {k: _golden(x - h, x + h, _GOLDEN_ITERS, lookahead) for k, x in enumerate(mids)}
+            mids = params[live, ci].tolist()    # python floats: the same bits, faster
+            runs = {k: _golden(x - h, x + h, _GOLDEN_ITERS, lookahead) for k, x in zip(live, mids)}
             asks = {k: next(run) for k, run in runs.items()}
             while asks:
                 ks = list(asks)
@@ -454,7 +485,11 @@ def _refine(best_v: list, best_w: list, params: np.ndarray, widths: Sequence[flo
                         if v is not None and (v > best_v[k] or (v == best_v[k] and w < best_w[k])):
                             best_v[k], best_w[k] = v, w
                             params[k, ci] = x
-            evaluations += _GOLDEN_ITERS + 2
+                            moved.add(k)
+        for k in live:
+            evaluations[k] += params.shape[1] * (_GOLDEN_ITERS + 2)
+            idle[k] = 0 if k in moved else idle[k] + 1
+        live = [k for k in live if idle[k] < _IDLE_ROUNDS]
     return evaluations
 
 
@@ -501,10 +536,10 @@ def _scan_2d(fbs, P1: np.ndarray, P2: np.ndarray):
     Blocks of whole P1 rows are built once and evaluated against all of P2
     by every objective in turn, at most ``_SCAN_BLOCK`` objective rows per
     call, and each objective's values are reduced apart.  The result is the
-    one a row-by-row loop gives: the largest finite value, the
-    lexicographically smallest witness among its pairs, the first (i, j)
-    among equal witnesses, and the value as the winning row's own maximum
-    (its sign, when it is zero, depends on the reduction).
+    one ``_best_row`` gives over all pairs at once: the largest finite
+    value, the lexicographically smallest witness among its pairs, the
+    first (i, j) among equal witnesses, and the value the objective took at
+    that pair (a zero keeps its sign there).
     """
     n2 = P2.shape[0]
     step = max(1, _SCAN_BLOCK // n2)
@@ -518,8 +553,7 @@ def _scan_2d(fbs, P1: np.ndarray, P2: np.ndarray):
             best = _best_row(vals, X1, X2)
             if best is not None:
                 i, j = divmod(best[2], n2)
-                row = vals[i * n2:(i + 1) * n2]
-                won.append((float(row[np.isfinite(row)].max()), i0 + i, j))
+                won.append((best[0], i0 + i, j))
 
     def final(won):
         vs, ii, jj = (np.array(col) for col in zip(*won))
@@ -545,7 +579,9 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     grid otherwise.  The scan builds each block of grid pairs once for all
     K objectives; the refinement runs the K searches in lockstep (see
     ``_refine``), one ``_points_2d`` call and one objective call per step
-    for all of them.
+    for all of them.  Each search stops on its own once its rounds stop
+    moving it, and its Estimate's ``evaluations`` counts the pairs scanned
+    and the probes of the rounds it ran.
     """
     if space.dim != 2:
         raise SpaceError(f"sup_pairs_2d needs a 2-dimensional space, got dim={space.dim}")
@@ -587,16 +623,15 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
             F = fixed[ks].repeat(counts, axis=0)
             X1, X2 = (R, F) if moving == 0 else (F, R)
             vals = _batch(family(thetas[ks].repeat(counts)[:, None]))(X1, X2)
-            return [(vals[e - n:e], _WitnessRows(X1[e - n:e], X2[e - n:e]))
-                    for n, e in zip(counts, itertools.accumulate(counts))]
+            return _replies(counts, vals, X1, X2)
 
         return fun
 
     refined = _refine(best_v, best_w, params, widths, probe_rows, strat.refine,
                       _GRID_LOOKAHEAD)
-    evaluations = P1.shape[0] * P2.shape[0] + refined
+    scanned = P1.shape[0] * P2.shape[0]
     return [Estimate(value=v, witness=w, strategy="Grid2D", exact=False,
-                     evaluations=evaluations) for v, w in zip(best_v, best_w)], params
+                     evaluations=scanned + n) for v, w, n in zip(best_v, best_w, refined)], params
 
 
 def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEFAULT_RESOLUTION,
@@ -607,8 +642,10 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
     angle and a radius in [0, 1].  An objective that declares
     ``isometry_invariant`` has x1 scanned over one fundamental domain of the
     grid under the space's isometries only.  The scan reduces with the
-    max-value / lexicographic-witness rule over the pairs it scans, and
-    ``evaluations`` counts those pairs and the golden-path probes;
+    max-value / lexicographic-witness rule over the pairs it scans.
+    ``refine_iters`` caps the refinement rounds: the search stops once
+    ``_IDLE_ROUNDS`` rounds in a row have not moved it.  ``evaluations``
+    counts the pairs scanned and the golden-path probes of the rounds run;
     refinement never accepts a worse sample, so the returned value
     dominates the raw grid maximum.  This is the one-objective run of
     ``_sup_pairs_2d_stack``.
@@ -789,8 +826,7 @@ def sup_vertex_pairs(space: NormedSpace, f: Objective) -> Estimate:
     and a space with a finite extreme set; the result is the exact supremum
     over sphere and ball pairs alike.  This is where every constant refuses
     an exact run of an objective that is not vertex-attaining.  The pairs
-    are reduced one block at a time by ``_scan_2d``, whose value for a zero
-    maximum has the sign of its row reduction.
+    are reduced one block at a time by ``_scan_2d``.
     """
     if not f.convex_flag:
         raise ValueError(f"objective {f.name!r} is not declared vertex-attaining, so exact "
@@ -819,16 +855,16 @@ def _sweep_grid(lo: float, hi: float, grid: int, refine_iters: int) -> list[floa
     return [float(t) for t in np.linspace(lo, hi, grid)]
 
 
-def _best_offset(ts: Sequence[float], values) -> tuple[int, float]:
-    """(index, value) of the first largest of ``values`` at the offsets
-    ``ts``, read in order; a non-finite value raises with its t."""
-    best = None
-    for i, (t, v) in enumerate(zip(ts, map(float, values))):
+def _best_offsets(ts: Sequence[float], values, n: int = 1) -> list[tuple[int, float]]:
+    """(index, value) of the ``n`` largest of ``values`` at the offsets
+    ``ts``, best first and equal values in the order of ``ts``; the values
+    are read in order, and a non-finite one raises with its t."""
+    vals = []
+    for t, v in zip(ts, map(float, values)):
         if not math.isfinite(v):
             raise ValueError(f"sweep objective returned a non-finite value at t={t}")
-        if best is None or v > best[1]:
-            best = i, v
-    return best
+        vals.append(v)
+    return [(i, vals[i]) for i in sorted(range(len(vals)), key=lambda i: -vals[i])[:n]]
 
 
 def t_sweep(g: Callable[[float], float], lo: float, hi: float, grid: int = 33,
@@ -839,7 +875,7 @@ def t_sweep(g: Callable[[float], float], lo: float, hi: float, grid: int = 33,
     function reports its left endpoint.  Non-finite values raise.
     """
     ts = _sweep_grid(lo, hi, grid, refine_iters)
-    i, best_v = _best_offset(ts, map(g, ts))
+    [(i, best_v)] = _best_offsets(ts, map(g, ts))
     best_t = ts[i]
     cell = (hi - lo) / (grid - 1)
     a = max(lo, best_t - cell)

@@ -274,6 +274,24 @@ JOINT_SPACES = {
 @given(st.sampled_from(sorted(JOINT_SPACES)), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
        st.sampled_from(["gamma", "cinj"]), st.integers(min_value=32, max_value=48),
        st.integers(min_value=2, max_value=4), st.sampled_from([(5, 3), (9, 5)]))
+# the draws on which one joint search from the best offset alone stalls below
+# the t-sweep reference (by 2.7e-8 to 7.4e-6); two starts reach it
+@example("hexagon", 3.0, "gamma", 35, 2, (5, 3))
+@example("hexagon", 3.0, "gamma", 35, 3, (5, 3))
+@example("hexagon", 3.0, "gamma", 35, 4, (5, 3))
+@example("hexagon", 3.0, "gamma", 37, 2, (5, 3))
+@example("hexagon", 3.0, "gamma", 37, 3, (5, 3))
+@example("hexagon", 3.0, "gamma", 43, 2, (5, 3))
+@example("hexagon", 3.0, "gamma", 43, 3, (5, 3))
+@example("hexagon", 3.0, "gamma", 47, 4, (5, 3))
+@example("hexagon", 3.0, "cinj", 35, 2, (5, 3))
+@example("hexagon", 3.0, "cinj", 35, 3, (5, 3))
+@example("hexagon", 3.0, "cinj", 35, 4, (5, 3))
+@example("hexagon", 3.0, "cinj", 37, 2, (5, 3))
+@example("hexagon", 3.0, "cinj", 37, 3, (5, 3))
+@example("hexagon", 3.0, "cinj", 43, 2, (5, 3))
+@example("hexagon", 3.0, "cinj", 43, 3, (5, 3))
+@example("hexagon", 3.0, "cinj", 47, 4, (5, 3))
 def test_cnj_grid2d_joint_refinement_contract(name, p, mode, res, refine, t_budget):
     strat = Grid2DStrategy(resolution=res, refine=refine)
     _assert_joint_contract(JOINT_SPACES[name], p, strat, *t_budget, mode)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from normconst.search import (
     _GOLDEN_ITERS,
+    _IDLE_ROUNDS,
     _INV_PHI,
     _MOST,
     _SCAN_BLOCK,
@@ -35,7 +36,7 @@ from normconst.search import (
     _sup_pairs_2d_stack,
     _unit_rows,
 )
-from normconst import constants as cns
+from normconst import constants as cns, search
 from normconst.constants import _arc_directions, _family
 from normconst.spaces import (Region, extreme_points, isometry_domain, lp_space,
                               parse_space, regular_polygon_space)
@@ -137,6 +138,8 @@ def _vertex_tie_objective(kind, space):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(_VERTEX_SPACES),
        st.sampled_from(["quantized", "constant", "nan_gapped", "signed_zero"]))
+# the witness's value is -0.0, and the maximum of its row +0.0
+@example(lp_space(1, 3), "signed_zero")
 def test_vertex_scan_matches_one_all_pairs_reduction(space, kind):
     # sup_vertex_pairs scans the extreme points in blocks (linf from dim 7 on
     # has more than _SCAN_BLOCK pairs); the plain reduction over every
@@ -147,9 +150,10 @@ def test_vertex_scan_matches_one_all_pairs_reduction(space, kind):
     X1, X2 = np.repeat(E, n, axis=0), np.tile(E, (n, 1))
     value, witness, _ = _best_row(evb(X1, X2), X1, X2)
     got = sup_vertex_pairs(space, batch_objective(evb, convex_flag=True))
-    assert repr((got.witness, got.evaluations)) == repr((witness, n * n))
-    # a zero maximum takes the sign of the scan's row reduction, as on the grid
-    assert got.value == value and (value == 0.0 or repr(got.value) == repr(value))
+    # repr keeps the sign of zero: the value is the objective's at the witness
+    assert repr((got.value, got.witness, got.evaluations)) == repr((value, witness, n * n))
+    at_witness = evb(np.array(witness[:1]), np.array(witness[1:]))[0]
+    assert repr(got.value) == repr(float(at_witness))
 
 
 def test_multistart_matches_grid():
@@ -758,8 +762,9 @@ def _sup_pairs_2d_reference(space, evb, region, resolution, refine_iters, radial
         idxs = np.flatnonzero(finite & (vals == vmax))
         j = min(idxs, key=lambda k: tuple(P2[k]))
         w = _as_witness(P1[i], P2[j])
-        if _improves(float(vmax), w, best_v, best_w):
-            best_v, best_w = float(vmax), w
+        # the value is the objective's at the witness: a zero keeps its sign
+        if _improves(float(vals[j]), w, best_v, best_w):
+            best_v, best_w = float(vals[j]), w
             best_par = np.concatenate([par1[i], par2[j]])
     evaluations = P1.shape[0] * P2.shape[0]
     k1 = par1.shape[1]
@@ -777,7 +782,9 @@ def _sup_pairs_2d_reference(space, evb, region, resolution, refine_iters, radial
         x2 = _point_2d(space, r2, trial[k1:])
         return float(evb(x1[None, :], x2[None, :])[0]), _as_witness(x1, x2)
 
+    idle = 0
     for rnd in range(refine_iters):
+        moved = False
         for ci in range(len(params)):
             h = widths[ci] * 0.6 ** rnd
             (v, x, payload), _ = _golden_reference(lambda x: at(ci, x), params[ci] - h,
@@ -786,6 +793,11 @@ def _sup_pairs_2d_reference(space, evb, region, resolution, refine_iters, radial
             if v is not None and _improves(v, payload, best_v, best_w):
                 best_v, best_w = v, payload
                 params[ci] = x
+                moved = True
+        # the search stops after _IDLE_ROUNDS rounds in a row that moved nothing
+        idle = 0 if moved else idle + 1
+        if idle == _IDLE_ROUNDS:
+            break
     return Estimate(value=best_v, witness=best_w, strategy="Grid2D", exact=False,
                     evaluations=evaluations)
 
@@ -850,7 +862,7 @@ def _engine_objective(kind, space):
 @given(st.sampled_from(_ENGINE_SPACES),
        st.sampled_from([Region.SPHERE, (Region.SPHERE, Region.BALL), Region.BALL]),
        st.sampled_from(["min_form", "quantized", "nan_gapped", "radius_0"]),
-       st.integers(8, 64), st.integers(0, 3), st.integers(2, 5))
+       st.integers(8, 64), st.sampled_from([0, 1, 2, 3, 10]), st.integers(2, 5))
 def test_block_scan_and_batched_refine_are_bit_identical(space, region, kind, res,
                                                          refine, radial):
     evb = _engine_objective(kind, space)
@@ -858,6 +870,52 @@ def test_block_scan_and_batched_refine_are_bit_identical(space, region, kind, re
     got = sup_pairs_2d(space, batch_objective(evb), region, resolution=res,
                        refine_iters=refine, radial=radial)
     # repr keeps the sign of zero, which == does not
+    assert repr(got) == repr(want)
+
+
+def test_refine_stops_after_idle_rounds():
+    # a constant objective never replaces the scan's witness, so every search
+    # runs _IDLE_ROUNDS rounds, however large the cap: the probe calls of a
+    # run capped there, and _IDLE_ROUNDS passes per coordinate counted
+    calls = []
+
+    def constant(X1, X2):
+        calls.append(X1.shape[0])
+        return np.ones(X1.shape[0])
+
+    for space, region, coords in ((L2, Region.SPHERE, 2), (HEX, (Region.SPHERE, Region.BALL), 3),
+                                  (lp_space(3, 2), Region.BALL, 4)):
+        counts, evaluations = {}, {}
+        for refine in (0, 1, _IDLE_ROUNDS, 40, 10 ** 9):
+            calls.clear()
+            est = sup_pairs_2d(space, batch_objective(constant), region, resolution=16,
+                               refine_iters=refine, radial=3)
+            counts[refine], evaluations[refine] = len(calls), est.evaluations
+        per_round = counts[1] - counts[0]
+        assert per_round > 0
+        assert counts[40] == counts[10 ** 9] == counts[0] + _IDLE_ROUNDS * per_round
+        assert counts[_IDLE_ROUNDS] == counts[40]
+        for refine, n in evaluations.items():
+            # evaluations[0] is the scanned pairs
+            rounds = min(refine, _IDLE_ROUNDS)
+            assert n == evaluations[0] + rounds * coords * (_GOLDEN_ITERS + 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_ENGINE_SPACES),
+       st.sampled_from([Region.SPHERE, (Region.SPHERE, Region.BALL), Region.BALL]),
+       st.sampled_from(["min_form", "quantized", "nan_gapped", "radius_0"]),
+       st.integers(8, 48), st.integers(0, _IDLE_ROUNDS), st.integers(2, 4))
+def test_caps_of_at_most_idle_rounds_keep_the_unstopped_bits(space, region, kind, res, refine,
+                                                            radial):
+    # a search stops only after _IDLE_ROUNDS idle rounds, so a cap of at most
+    # that many rounds runs every round, as the engine did before the stop
+    obj = batch_objective(_engine_objective(kind, space))
+    got = sup_pairs_2d(space, obj, region, resolution=res, refine_iters=refine, radial=radial)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_IDLE_ROUNDS", math.inf)
+        want = sup_pairs_2d(space, obj, region, resolution=res, refine_iters=refine,
+                            radial=radial)
     assert repr(got) == repr(want)
 
 
@@ -969,7 +1027,9 @@ def _stack_family(kind, space, p):
        st.sampled_from(["gamma_p", "cinj_iso", "nan_gapped"]),
        st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5]), min_size=1, max_size=6),
        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
-       st.integers(8, 64), st.integers(0, 3), st.integers(2, 5))
+       st.integers(8, 64), st.sampled_from([0, 1, 2, 3, 12]), st.integers(2, 5))
+# under a cap of 12 rounds these four searches run 10, 12, 12 and 3
+@example(HEX, Region.SPHERE, "cinj_iso", [0.1, 0.25, 0.3, 0.5], 3.0, 32, 12, 2)
 def test_stacked_engine_matches_single_runs(space, region, kind, thetas, p, res, refine,
                                             radial):
     family = _stack_family(kind, space, p)
@@ -977,7 +1037,8 @@ def test_stacked_engine_matches_single_runs(space, region, kind, thetas, p, res,
                                  Grid2DStrategy(res, refine, radial))
     want = [sup_pairs_2d(space, family(theta), region, resolution=res, refine_iters=refine,
                          radial=radial) for theta in thetas]
-    # repr keeps the sign of zero, which == does not
+    # repr keeps the sign of zero, which == does not, and holds evaluations,
+    # which count the rounds each search ran
     assert [repr(e) for e in got] == [repr(e) for e in want]
 
 

@@ -3,8 +3,10 @@
 ``_unit_iso_extremum`` and ``sup_pairs_nd`` run on ``search``'s one copy of
 the reduction (``_best_row``), the golden refinement (``_refine``) and the
 multi-start ascent (``_ascend``).  The references below are those functions
-as they were written before that fold, each with its own copy of the loops;
-the ``repr`` of value, witness and evaluations must match bit for bit.
+as they were written before that fold, each with its own copy of the loops
+(the grid reference also stops its refinement after ``_IDLE_ROUNDS`` idle
+rounds, as ``_refine`` does); the ``repr`` of value, witness and
+evaluations must match bit for bit.
 """
 
 import collections
@@ -19,7 +21,7 @@ from normconst import constants, search
 from normconst.constants import (_ISO_LOOKAHEAD, _iso_partner_rows, _min_form_objective,
                                  _nu_objective, _unit_iso_extremum, _unit_iso_pairs,
                                  gamma_objective)
-from normconst.search import (_GOLDEN_ITERS, Grid2DStrategy, MultiStartStrategy,
+from normconst.search import (_GOLDEN_ITERS, _IDLE_ROUNDS, Grid2DStrategy, MultiStartStrategy,
                               _WitnessRows, _as_witness, _ascend, _batch, _golden_max,
                               _region_pair, _start_draws, batch_objective, sup_pairs_nd)
 from normconst.spaces import TWO_PI, Region, lp_space, parse_space, regular_polygon_space
@@ -80,6 +82,7 @@ def _unit_iso_extremum_reference(space, sense, strat, edit=None):
             return sign * space.norm_rows(x1 + c), _WitnessRows(x1, c)
 
         cell = TWO_PI / res
+        idle = 0
         for rnd in range(refine):
             h = cell * (0.6 ** rnd)
             v, x, payload = _golden_max(fun, best_theta - h, best_theta + h, _GOLDEN_ITERS,
@@ -87,6 +90,12 @@ def _unit_iso_extremum_reference(space, sense, strat, edit=None):
             evaluations += _GOLDEN_ITERS + 2
             if v is not None and _improves(v, payload, best_v, best_w):
                 best_v, best_w, best_theta = v, payload, x
+                idle = 0
+            else:
+                # refinement stops after _IDLE_ROUNDS rounds in a row that moved nothing
+                idle += 1
+                if idle == _IDLE_ROUNDS:
+                    break
         return sign * best_v, best_w, evaluations
 
     starts, steps, seed = strat.starts, strat.steps, strat.seed
