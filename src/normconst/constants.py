@@ -29,7 +29,7 @@ from .search import (_GRID_LOOKAHEAD, DEFAULT_SEED, Estimate, ExactStrategy, Gri
                      _best_row, _points_2d, _refine, _replies, _start_draws, _sup_pairs_2d_stack,
                      _sweep_grid, _WitnessRows, batch_objective, parse_strategy, sup_pairs_2d,
                      sup_pairs_nd, sup_vertex_pairs, t_sweep)
-from .spaces import (TWO_PI, NormedSpace, Region, SpaceError,
+from .spaces import (TWO_PI, NormedSpace, Region, SpaceError, isometry_domain,
                      supports_extreme_points)
 
 CONSTANT_IDS = (
@@ -479,7 +479,12 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
     infima run the negated objective, so the result is an upper bound of
     the true infimum (mirror image of the engines' lower-bound semantics).
     The search runs on the engines' own loops: the grid scan's reduction and
-    golden refinement over x1's angle, or the multi-start ascent.  ``strat``
+    golden refinement over x1's angle, or the multi-start ascent.  The grid
+    scan puts x1 on one fundamental domain of the space's isometries
+    (``spaces.isometry_domain``): the value is the same for either partner
+    +-c of x1, and isosceles pairs map to isosceles pairs, so the grid
+    extremum is the full grid's to rounding; ``evaluations`` counts the
+    angles scanned.  ``strat``
     is never exact: :func:`james` and :func:`schaffer` run the min-form
     supremum first, and ``sup_vertex_pairs`` refuses its objective.
     """
@@ -500,7 +505,7 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
             c = _iso_partner_rows(space, x1, _arc_directions(space, t))
             return fb(x1, c), _WitnessRows(x1, c)
 
-        thetas = np.arange(strat.resolution) * (TWO_PI / strat.resolution)
+        thetas = isometry_domain(space, strat.resolution) * (TWO_PI / strat.resolution)
         vals, rows = pairs(thetas)
         best = _best_row(vals, rows.X1, rows.X2)
         if best is None:
@@ -510,7 +515,7 @@ def _unit_iso_extremum(space: NormedSpace, sense: str, strat: Strategy):
         [refined] = _refine(best_v, best_w, thetas[i:i + 1, None], [TWO_PI / strat.resolution],
                             lambda ci: lambda ks, batches: [pairs(batches[0])], strat.refine,
                             _ISO_LOOKAHEAD)
-        return sign * best_v[0], best_w[0], strat.resolution + refined
+        return sign * best_v[0], best_w[0], thetas.size + refined
 
     Z, _ = _start_draws(strat.seed, strat.starts, space.dim)
     best, evaluations = _ascend(fb, Z, lambda Z, v: _unit_iso_pairs(space, Z), strat.steps,

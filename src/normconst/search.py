@@ -51,10 +51,12 @@ so each of its Estimates is bit for bit the one a separate run gives;
 (``_points_2d``) are built with array ``cos`` / ``sin``, which give each
 row the bits of a per-row ``math`` call.  For objectives that declare
 ``isometry_invariant`` it scans x1 over one fundamental domain of its
-angle grid under the space's isometries (``spaces.isometry_domain``)
-against all of x2's grid: the grid maximum is the full grid's to rounding,
-the tie-break picks the smallest witness among the pairs scanned, and
-``evaluations`` counts the pairs scanned.
+angle grid under the space's isometries (``spaces.isometry_domain``: on
+a polygon, the maps that hold on its vertex table to rounding) against
+all of x2's grid: the grid maximum is the full grid's to rounding, the
+tie-break picks the smallest witness among the pairs scanned, and
+``evaluations`` counts the pairs scanned.  The unit-isosceles scan in
+``constants`` puts x1 on the same domain.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class Objective:
     linear isometry of the space is applied to both vectors, as any
     function of the norms of linear combinations of the pair is; the 2-D
     grid engine then scans x1 over one fundamental domain of its grid
-    (``spaces.isometry_domain``) only.
+    (``spaces.isometry_domain``) only, polygons included, whose isometries
+    hold to the rounding of their vertex tables.
     """
 
     eval: Callable[[Vector, Vector], float]

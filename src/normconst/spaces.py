@@ -59,10 +59,15 @@ class NormedSpace:
     q: float | None = None                      # exponent, math.inf for max norm
     weights: tuple[float, ...] | None = None    # wlp only
     vertices: tuple[Vector, ...] | None = None  # poly2d only, canonical order
-    # Derived polygon data (sector lookup tables), filled in by the factory.
+    # Derived polygon data (sector lookup tables: vertex angles and the two
+    # columns of each sector's functional), filled in by the factory.
     _angles: np.ndarray | None = field(default=None, repr=False)
-    _functionals: np.ndarray | None = field(default=None, repr=False)
+    _fx: np.ndarray | None = field(default=None, repr=False)
+    _fy: np.ndarray | None = field(default=None, repr=False)
     _w: np.ndarray | None = field(default=None, repr=False)
+    # (m, flips): the rotation by 2 pi / m is an isometry, and so are both
+    # sign flips if flips; filled in by the factory, read by isometry_domain
+    _symmetry: tuple[int, bool] = field(default=(1, False), repr=False)
 
     def norm_rows(self, V: np.ndarray) -> np.ndarray:
         """Norms of the rows of a ``(n, dim)`` float array. No validation."""
@@ -91,9 +96,11 @@ def _poly_gauge_rows(space: NormedSpace, V: np.ndarray) -> np.ndarray:
     # consecutive vertices p, q the gauge is a + b where a*p + b*q = v; the
     # map v -> a + b is linear per sector, so one dot product suffices.
     # (an angle before the first vertex's gets index -1: the last sector)
+    # Each column is gathered by a 1-D take: a (n, 2) row gather costs
+    # several times as much, for the same bits.
     theta = np.arctan2(V[..., 1], V[..., 0])
-    G = space._functionals[space._angles.searchsorted(theta, side="right") - 1]
-    return G[..., 0] * V[..., 0] + G[..., 1] * V[..., 1]
+    k = space._angles.searchsorted(theta, side="right") - 1
+    return space._fx.take(k) * V[..., 0] + space._fy.take(k) * V[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +112,7 @@ def lp_space(q: float, dim: int) -> NormedSpace:
     q = float(q)
     _check_exponent(q)
     _check_dim(dim)
-    return NormedSpace(kind="lp", dim=int(dim), q=q)
+    return NormedSpace(kind="lp", dim=int(dim), q=q, _symmetry=(4, True))
 
 
 def weighted_lp_space(q: float, weights: Sequence[float]) -> NormedSpace:
@@ -116,9 +123,8 @@ def weighted_lp_space(q: float, weights: Sequence[float]) -> NormedSpace:
     _check_dim(len(w))
     if any(not math.isfinite(x) or x <= 0.0 for x in w):
         raise SpaceError("weights must be finite and strictly positive")
-    sp = NormedSpace(kind="wlp", dim=len(w), q=q, weights=w)
-    object.__setattr__(sp, "_w", np.asarray(w, dtype=float))
-    return sp
+    return NormedSpace(kind="wlp", dim=len(w), q=q, weights=w, _w=np.asarray(w, dtype=float),
+                       _symmetry=(2, True))
 
 
 def make_polyhedral_2d(vertices: Iterable[Sequence[float]]) -> NormedSpace:
@@ -159,17 +165,29 @@ def make_polyhedral_2d(vertices: Iterable[Sequence[float]]) -> NormedSpace:
             raise SpaceError("polygon has duplicate or collinear vertices")
 
     angles = np.array([math.atan2(y, x) for x, y in pts])
-    funcs = np.empty((n, 2))
+    funcs = np.empty((2, n))
     for i in range(n):
         px, py = pts[i]
         qx, qy = pts[(i + 1) % n]
         det = px * qy - py * qx
-        funcs[i, 0] = (qy - py) / det
-        funcs[i, 1] = (px - qx) / det
-    sp = NormedSpace(kind="poly2d", dim=2, vertices=tuple(pts))
-    object.__setattr__(sp, "_angles", angles)
-    object.__setattr__(sp, "_functionals", funcs)
-    return sp
+        funcs[0, i] = (qy - py) / det
+        funcs[1, i] = (px - qx) / det
+
+    # A candidate map is an isometry when it takes every vertex to within 32
+    # ulps of the scale of a vertex: the rounding of a regular polygon's table
+    # (at most 26 ulps up to 78 sides, any phase), not sym_tol.
+    P = np.array(pts)
+
+    def holds(a: float, b: float, c: float, d: float) -> bool:
+        G = P @ np.array([[a, b], [c, d]]).T
+        return bool((abs(G[:, None] - P).max(axis=2).min(axis=1) <= 32 * math.ulp(scale)).all())
+
+    cos, sin = math.cos(TWO_PI / n), math.sin(TWO_PI / n)
+    flips = holds(1, 0, 0, -1) and holds(-1, 0, 0, 1)
+    order = (n if holds(cos, -sin, sin, cos) else 4 if flips and holds(0, 1, 1, 0)
+             else 2 if holds(-1, 0, 0, -1) else 1)
+    return NormedSpace(kind="poly2d", dim=2, vertices=tuple(pts), _angles=angles,
+                       _fx=funcs[0], _fy=funcs[1], _symmetry=(order, flips))
 
 
 def regular_polygon_space(sides: int, phase: float = 0.0) -> NormedSpace:
@@ -226,30 +244,36 @@ def isometry_domain(space: NormedSpace, resolution: int) -> np.ndarray:
     map the grid onto itself: every grid angle is the image of one of them
     under such an isometry.
 
-    * ``lp`` with q = 2: rotations, so k = 0 alone, at any resolution;
-    * ``lp`` with any other q: the 8 signed permutations of the coordinates
-      (Lamperti 1958), 0 <= k <= resolution / 8 when 8 divides resolution;
-    * ``lp`` and ``wlp``: the 4 sign flips, 0 <= k <= resolution / 4 when 4
-      divides resolution, or else -x, k < resolution / 2 when it is even;
-    * ``lp`` with q != 2 and ``wlp`` at an odd resolution, and ``poly2d``,
-      whose symmetries hold only to the rounding of its vertex table: the
-      whole grid.
+    ``lp`` with q = 2 has every rotation, so k = 0 alone, at any resolution.
+    Every other space records at construction the order m of a rotation by
+    2 pi / m that is an isometry, and whether both sign flips are: ``lp``
+    m = 4 with the flips, its 8 signed permutations (Lamperti 1958);
+    ``wlp`` m = 2 with the flips; ``poly2d`` what -x, the flips, the
+    coordinate swap and the rotation by 2 pi / n (n vertices) give where
+    they hold on its vertex table to rounding (the regular hexagon with a
+    vertex at (1, 0): m = 6 with the flips, its dihedral group of order
+    12).  One rule table then applies, first match:
+
+    * the sign flips with the rotation by 2 pi / m, the dihedral group of
+      order 2m: 0 <= k <= resolution / 2m when 2m divides resolution;
+    * the sign flips: 0 <= k <= resolution / 4 when 4 divides resolution;
+    * -x: k < resolution / 2 when resolution is even;
+    * otherwise the whole grid.
 
     Sign flips and coordinate swaps leave an ``lp`` or ``wlp`` norm the same
-    bit for bit; a rotated or reflected grid point matches its grid point
-    to rounding.
+    bit for bit; a rotated or reflected grid point, or a polygon's map,
+    matches its grid point to rounding.
     """
-    if space.kind == "poly2d":
-        return np.arange(resolution)
     if space.kind == "lp" and space.q == 2.0:
         return np.arange(1)
-    if resolution % 2:
-        return np.arange(resolution)
-    if space.kind == "lp" and resolution % 8 == 0:
-        return np.arange(resolution // 8 + 1)
-    if resolution % 4 == 0:
+    order, flips = space._symmetry
+    if flips and resolution % (2 * order) == 0:
+        return np.arange(resolution // (2 * order) + 1)
+    if flips and resolution % 4 == 0:
         return np.arange(resolution // 4 + 1)
-    return np.arange(resolution // 2)
+    if order % 2 == 0 and resolution % 2 == 0:
+        return np.arange(resolution // 2)
+    return np.arange(resolution)
 
 
 def supports_extreme_points(space: NormedSpace) -> bool:

@@ -293,13 +293,19 @@ def _check_sphere_ball_equal(ctx: _Context, space, params):
 
 
 def _check_isometry_invariance(ctx: _Context, space, params):
-    """A grid2d ``gamma_p``, whose scan puts x1 on one fundamental domain of
-    the space's isometries only, against the full scan of its objective."""
-    p, t = float(params["p"]), float(params["t"])
+    """A grid2d estimate whose scan puts x1 on one fundamental domain of the
+    space's isometries only, ``gamma_p`` at (p, t) or the James min-form
+    supremum, against the full scan of its objective."""
     g = ctx.grid
-    reduced = ctx.estimate("gamma_p", space, g, p=p, t=t)
-    obj = replace(cns.gamma_objective(space, p, t), isometry_invariant=False)
-    full = sup_pairs_2d(space, obj, Region.SPHERE, g.resolution, g.refine, g.radial)
+    if "p" in params:
+        p, t = float(params["p"]), float(params["t"])
+        reduced = ctx.estimate("gamma_p", space, g, p=p, t=t)
+        obj = cns.gamma_objective(space, p, t)
+    else:
+        reduced = ctx.estimate("_min_form_sup", space, g)
+        obj = cns._min_form_objective(space)
+    full = sup_pairs_2d(space, replace(obj, isometry_invariant=False), Region.SPHERE,
+                        g.resolution, g.refine, g.radial)
     values = {"reduced": reduced.value, "full": full.value,
               "reduced_evaluations": reduced.evaluations, "full_evaluations": full.evaluations}
     return _verdict(values, abs(reduced.value - full.value), SEARCH_SLACK)
@@ -531,7 +537,7 @@ def _params_isometry(ctx, space):
     # thorough only: the fast profile's reports keep their checks
     if ctx.profile.name != "thorough" or space.dim != 2:
         return []
-    return [{"p": p, "t": 0.5} for p in P_GRID]
+    return [{"p": p, "t": 0.5} for p in P_GRID] + [{"constant": "james"}]
 
 
 def _params_pq(ctx, space):

@@ -1,0 +1,53 @@
+"""``tools/output_hashes.py --compare``: the table of moved values."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "output_hashes.py"
+_SPEC = importlib.util.spec_from_file_location("output_hashes", _PATH)
+oh = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(oh)
+
+OLD = {"suite": {"hex": {"checks/0/values/a": 1.5, "checks/1/values/a": 2.0, "checks/2/x": 0.0}},
+       "cli": {"compute-2d/seed1": {"op": {"value": 1.0, "evaluations": 10, "gone": 3.0},
+                                    "same": {"value": 7.0}}}}
+NEW = {"suite": {"hex": {"checks/0/values/a": 1.5, "checks/1/values/a": 2.5, "checks/2/x": -0.0}},
+       "cli": {"compute-2d/seed1": {"op": {"value": 1.25, "evaluations": 4, "new": "NaN"},
+                                    "same": {"value": 7.0}}}}
+
+
+def test_moved_leaves_lists_each_changed_or_one_sided_leaf():
+    assert oh.moved_leaves(OLD, NEW) == [
+        ("cli / compute-2d/seed1 / op", "evaluations", 10, 4, -6),
+        ("cli / compute-2d/seed1 / op", "gone", 3.0, "missing", None),
+        ("cli / compute-2d/seed1 / op", "new", "missing", "NaN", None),
+        ("cli / compute-2d/seed1 / op", "value", 1.0, 1.25, 0.25),
+        ("suite / hex", "checks/1/values/a", 2.0, 2.5, 0.5),
+        # a zero that changes sign moves, by 0
+        ("suite / hex", "checks/2/x", 0.0, -0.0, -0.0),
+    ]
+    assert oh.moved_leaves(NEW, NEW) == []
+
+
+def test_compare_table_groups_by_output_and_starred_leaf_path(tmp_path, capsys):
+    lines = oh.compare_table(OLD, NEW)
+    assert lines[:6] == [f"{out} / {leaf}: {x!r} -> {y!r}, delta {d!r}"
+                         for out, leaf, x, y, d in oh.moved_leaves(OLD, NEW)]
+    assert lines[6:] == [
+        "largest |delta| per group:",
+        "cli / compute-2d/seed1 / op / evaluations: 6 over 1 moved leaf(s)",
+        "cli / compute-2d/seed1 / op / gone: None over 1 moved leaf(s)",
+        "cli / compute-2d/seed1 / op / new: None over 1 moved leaf(s)",
+        "cli / compute-2d/seed1 / op / value: 0.25 over 1 moved leaf(s)",
+        "suite / hex / checks/*/values/a: 0.5 over 1 moved leaf(s)",
+        "suite / hex / checks/*/x: 0.0 over 1 moved leaf(s)",
+        "6 moved leaf(s) of 7 in 2 output(s)",
+    ]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(OLD))
+    b.write_text(json.dumps(NEW))
+    assert oh.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
+    assert oh.main(["--compare", str(b), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 moved leaf(s) of 7 in 0 output(s)"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from normconst.search import (
 from normconst import constants as cns, search
 from normconst.constants import _arc_directions, _family
 from normconst.spaces import (Region, extreme_points, isometry_domain, lp_space,
-                              parse_space, regular_polygon_space)
+                              make_polyhedral_2d, parse_space, regular_polygon_space)
 
 L1 = lp_space(1, 2)
 L2 = lp_space(2, 2)
@@ -949,12 +950,13 @@ def _catalog_objectives(space):
 
 
 @pytest.mark.parametrize("space", [L1, lp_space(1.5, 2), L2, lp_space(3, 2), LINF,
-                                   parse_space("wlp:q=3,dim=2,w=1;2")], ids=str)
+                                   parse_space("wlp:q=3,dim=2,w=1;2"), HEX], ids=str)
 @pytest.mark.parametrize("res", [48, 36, 30, 33])
 def test_reduced_scan_matches_the_full_scan(space, res):
     # 8 | 48; 36 and 30 fall back to the sign flips and to -x, and 33 to the
-    # whole grid (l2 fixes x1 at angle 0 at every res): the raw grid maximum
-    # over the scanned pairs is the full grid's to rounding
+    # whole grid (l2 fixes x1 at angle 0 at every res; the hexagon's group of
+    # order 12 takes 48 and 36): the raw grid maximum over the scanned pairs
+    # is the full grid's to rounding
     for obj in _catalog_objectives(space):
         assert obj.isometry_invariant
         for region in (Region.SPHERE, Region.BALL, (Region.SPHERE, Region.BALL)):
@@ -987,16 +989,77 @@ def test_declared_scan_covers_the_domain_within_the_block():
     assert sum(sizes) == est.evaluations == (1024 // 8 + 1) * 1024 * 9
 
 
-def test_polygons_and_undeclared_objectives_keep_the_full_scan():
+def test_polygons_scan_one_domain_and_undeclared_objectives_the_full_grid():
+    # the hexagon's dihedral group of order 12 puts x1 on 0 <= k <= 48 / 12;
+    # an objective that does not declare invariance scans the whole grid
     hexagon = cns._min_form_objective(HEX)
     assert hexagon.isometry_invariant
     assert sup_pairs_2d(HEX, hexagon, Region.SPHERE, resolution=48,
-                        refine_iters=0).evaluations == 48 * 48
-    for obj in (batch_objective(lambda X1, X2: L1.norm_rows(X1 + X2)),
-                scalar_objective(lambda x1, x2: abs(x1[0] - x2[1]))):
-        assert not obj.isometry_invariant
-        assert sup_pairs_2d(L1, obj, Region.SPHERE, resolution=16,
-                            refine_iters=0).evaluations == 16 * 16
+                        refine_iters=0).evaluations == (48 // 12 + 1) * 48
+    for space in (L1, HEX):
+        for obj in (batch_objective(lambda X1, X2: space.norm_rows(X1 + X2)),
+                    scalar_objective(lambda x1, x2: abs(x1[0] - x2[1]))):
+            assert not obj.isometry_invariant
+            assert sup_pairs_2d(space, obj, Region.SPHERE, resolution=16,
+                                refine_iters=0).evaluations == 16 * 16
+
+
+_SQRT3_2 = math.sqrt(3.0) / 2.0
+_HEX_TABLE = [(1.0, 0.0), (0.5, _SQRT3_2), (-0.5, _SQRT3_2), (-1.0, 0.0), (-0.5, -_SQRT3_2),
+              (0.5, -_SQRT3_2)]
+
+
+def _moved_hexagon(moves):
+    # the hexagon with vertex i moved by dx along x for each (i, dx) of moves
+    table = list(_HEX_TABLE)
+    for i, dx in moves:
+        table[i] = (table[i][0] + dx, table[i][1])
+    return make_polyhedral_2d(table)
+
+
+# polygons whose maps hold only in part, with x1's domain size per res: a
+# vertex pair of the hexagon moved by 1e-10 keeps -x to rounding and loses the
+# rest; one vertex moved keeps none, though the constructor's 1e-9 tolerance
+# accepts it; an octagon with the square's symmetry but not regular keeps the
+# sign flips and the swap, the 8 signed permutations, but not the rotation by
+# 45 degrees
+_HALF = {96: 48, 48: 24, 36: 18, 30: 15}
+_PARTLY_SYMMETRIC = {
+    "hexagon-pair-moved": (_moved_hexagon([(1, 1e-10), (4, -1e-10)]), _HALF),
+    "hexagon-vertex-moved": (_moved_hexagon([(1, 1e-10)]), {96: 96, 48: 48, 36: 36, 30: 30}),
+    "octagon-0.3": (regular_polygon_space(8, 0.3), _HALF),
+    "irregular-hexagon": (make_polyhedral_2d([(1, 0), (-1, 0), (0.3, 1), (-0.3, -1),
+                                              (-0.8, 0.6), (0.8, -0.6)]), _HALF),
+    "octagon-2-1": (make_polyhedral_2d([(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2),
+                                        (1, -2), (2, -1)]), {96: 13, 48: 7, 36: 10, 30: 15}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARTLY_SYMMETRIC))
+@pytest.mark.parametrize("res", [96, 48, 36, 30])
+def test_polygon_domains_use_only_the_maps_that_hold_to_rounding(name, res):
+    # the domain scan's raw grid maximum is the full scan's to 8 ulps of the
+    # value or of 1, whichever is larger, on every catalog objective (the
+    # grid's own rounding: the point at k + res / 2 is minus the point at k
+    # to rounding only; rho's value is a difference of norms near 1), and
+    # the unit-isosceles scan's extremum to 4 ulps
+    space, sizes = _PARTLY_SYMMETRIC[name]
+    size = sizes[res]
+    assert isometry_domain(space, res).tolist() == list(range(size))
+    for obj in _catalog_objectives(space):
+        for region in (Region.SPHERE, Region.BALL, (Region.SPHERE, Region.BALL)):
+            got = sup_pairs_2d(space, obj, region, resolution=res, refine_iters=0, radial=3)
+            want = sup_pairs_2d(space, dataclasses.replace(obj, isometry_invariant=False),
+                                region, resolution=res, refine_iters=0, radial=3)
+            assert abs(got.value - want.value) <= 8 * math.ulp(max(abs(want.value), 1.0)), \
+                (obj.name, region)
+    strat = Grid2DStrategy(resolution=res, refine=0)
+    for sense in ("sup", "inf"):
+        got = cns._unit_iso_extremum(space, sense, strat)
+        with mock.patch.object(cns, "isometry_domain", lambda space, res: np.arange(res)):
+            want = cns._unit_iso_extremum(space, sense, strat)
+        assert abs(got[0] - want[0]) <= 4 * math.ulp(want[0])
+        assert (got[2], want[2]) == (size, res)
 
 
 # ----------------------------------------- K objectives in one lockstep run

@@ -5,8 +5,8 @@ the reduction (``_best_row``), the golden refinement (``_refine``) and the
 multi-start ascent (``_ascend``).  The references below are those functions
 as they were written before that fold, each with its own copy of the loops
 (the grid reference also stops its refinement after ``_IDLE_ROUNDS`` idle
-rounds, as ``_refine`` does); the ``repr`` of value, witness and
-evaluations must match bit for bit.
+rounds, as ``_refine`` does, and scans x1 over ``isometry_domain`` only);
+the ``repr`` of value, witness and evaluations must match bit for bit.
 """
 
 import collections
@@ -24,7 +24,8 @@ from normconst.constants import (_ISO_LOOKAHEAD, _iso_partner_rows, _min_form_ob
 from normconst.search import (_GOLDEN_ITERS, _IDLE_ROUNDS, Grid2DStrategy, MultiStartStrategy,
                               _WitnessRows, _as_witness, _ascend, _batch, _golden_max,
                               _region_pair, _start_draws, batch_objective, sup_pairs_nd)
-from normconst.spaces import TWO_PI, Region, lp_space, parse_space, regular_polygon_space
+from normconst.spaces import (TWO_PI, Region, isometry_domain, lp_space, parse_space,
+                              regular_polygon_space)
 from test_search import _improves
 
 
@@ -55,18 +56,19 @@ def _unit_iso_extremum_reference(space, sense, strat, edit=None):
     sign = 1.0 if sense == "sup" else -1.0
     if isinstance(strat, Grid2DStrategy):
         res, refine = strat.resolution, strat.refine
-        thetas = np.arange(res) * (TWO_PI / res)
+        # x1 on one fundamental domain of the grid under the isometries
+        thetas = isometry_domain(space, res) * (TWO_PI / res)
         D = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         X1 = D / space.norm_rows(D)[:, None]
         DW = np.stack([-np.sin(thetas), np.cos(thetas)], axis=1)
         W = DW / space.norm_rows(DW)[:, None]
         C = _iso_partner_rows(space, X1, W)
         vals = sign * space.norm_rows(X1 + C)
-        evaluations = res
+        evaluations = thetas.size
         best_v = None
         best_w = None
         best_theta = None
-        for i in range(res):
+        for i in range(thetas.size):
             if not math.isfinite(vals[i]):
                 continue
             w = (tuple(float(x) for x in X1[i]), tuple(float(x) for x in C[i]))

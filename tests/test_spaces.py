@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from normconst.spaces import (
     MAX_SIGN_ENUM_DIM,
@@ -28,6 +28,7 @@ SQUARE = make_polyhedral_2d([(1, 1), (-1, 1), (-1, -1), (1, -1)])
 
 finite_coord = st.floats(min_value=-50.0, max_value=50.0,
                          allow_nan=False, allow_infinity=False)
+_MODERATE_COORD = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
 
 
 def _vec(dim):
@@ -229,6 +230,56 @@ def test_dimension_2_norm_rows_match_the_axis_reduction(q):
                 assert got.tobytes() == _axis_reduction_norms(space, V).tobytes()
 
 
+# ------------------------------------------------ the polygon gauge's gather
+
+_GAUGE_SPACES = {
+    "hexagon": HEX,
+    "square": SQUARE,
+    "octagon-0.3": regular_polygon_space(8, 0.3),
+    "irregular-hexagon": make_polyhedral_2d([(1, 0), (-1, 0), (0.3, 1), (-0.3, -1),
+                                             (-0.8, 0.6), (0.8, -0.6)]),
+}
+
+
+def _row_gather_gauge(space, V):
+    # the gauge as a (n, 2) row gather of each sector's functional, its table
+    # built from the canonical vertex list
+    pts = space.vertices
+    n = len(pts)
+    table = np.empty((n, 2))
+    for i in range(n):
+        (px, py), (qx, qy) = pts[i], pts[(i + 1) % n]
+        det = px * qy - py * qx
+        table[i] = ((qy - py) / det, (px - qx) / det)
+    angles = np.array([math.atan2(y, x) for x, y in pts])
+    G = table[angles.searchsorted(np.arctan2(V[..., 1], V[..., 0]), side="right") - 1]
+    return G[..., 0] * V[..., 0] + G[..., 1] * V[..., 1]
+
+
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_GAUGE_SPACES)), st.integers(1, 5000), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(_MODERATE_COORD, _MODERATE_COORD), max_size=6))
+@example("hexagon", 1, 0, [(0.0, 0.0)])
+@example("square", 1, 0, [(-0.0, -0.0)])
+@example("hexagon", 2, 0, [(-1.0, 0.0), (-1.0, -0.0)])
+@example("irregular-hexagon", 1, 0, [(-0.8, 0.6)])
+def test_gauge_take_matches_the_row_gather(name, n, seed, head):
+    space = _GAUGE_SPACES[name]
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 1)).astype(float)
+    kind = rng.integers(0, 5, n)
+    verts = np.array(space.vertices)
+    scale = 10.0 ** rng.integers(-100, 100, (n, 1)).astype(float)
+    V = np.where((kind == 1)[:, None], verts[rng.integers(0, len(verts), n)] * scale, V)
+    V = np.where((kind == 2)[:, None], rng.choice([0.0, -0.0], (n, 2)), V)
+    cut = np.stack([-np.abs(V[:, 0]), rng.choice([0.0, -0.0, 5e-324, -5e-324], n)], axis=1)
+    V = np.where((kind == 3)[:, None], cut, V)
+    V[:min(len(head), n)] = np.array(head, dtype=float).reshape(-1, 2)[:n]
+    assert space.norm_rows(V).tobytes() == _row_gather_gauge(space, V).tobytes()
+
+
 # ------------------------------------------------ isometries of the angle grid
 
 # moderate magnitudes: no power of a coordinate over- or underflows
@@ -263,14 +314,24 @@ def test_l2_rotations_by_grid_angles_keep_the_norm(res_k, V):
     assert np.all(np.abs(l2.norm_rows(R) - n) <= 1e-15 * n)
 
 
+def _rotation(a):
+    return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+
+
 def _isometries(space, res):
     """The space's linear isometries that isometry_domain may use, as 2 x 2
     matrices: the rotations by grid angles on l2, the signed permutations
-    on any other lp, the sign flips on wlp."""
+    on any other lp, the sign flips on wlp, and on the regular hexagon the
+    rotations taking its first vertex to each vertex (by multiples of 60
+    degrees), each also after the flip of y."""
     if space.kind == "lp" and space.q == 2.0:
-        return [np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-                for a in np.arange(res) * (TWO_PI / res)]
+        return [_rotation(a) for a in np.arange(res) * (TWO_PI / res)]
     flips = [np.diag(f) for f in ((1.0, 1.0), *_FLIPS)]
+    if space.kind == "poly2d":
+        V = np.array(space.vertices)
+        turns = np.arctan2(V[:, 1], V[:, 0]) - np.arctan2(V[0, 1], V[0, 0])
+        rotations = [_rotation(a) for a in turns]
+        return rotations + [r @ flips[1] for r in rotations]
     if space.kind == "wlp":
         return flips
     return flips + [f @ np.array([[0.0, 1.0], [1.0, 0.0]]) for f in flips]
@@ -289,7 +350,11 @@ def test_isometry_domain_covers_the_grid(space, res):
     P /= space.norm_rows(P)[:, None]
     domain = isometry_domain(space, res)
     covered = set(domain.tolist())
-    for g in (_isometries(space, res) if space.kind != "poly2d" else []):
+    X = np.random.default_rng(res).standard_normal((64, 2))
+    for g in _isometries(space, res):
+        # each map is an isometry of the space, to rounding
+        n = space.norm_rows(X)
+        assert np.all(np.abs(space.norm_rows(X @ g.T) - n) <= 1e-14 * n)
         G = P @ g.T
         dist = np.abs(G[:, None, :] - P[None, :, :]).max(axis=2)
         if (dist.min(axis=1) > 1e-12).any():
@@ -303,10 +368,11 @@ def test_isometry_domain_covers_the_grid(space, res):
     (lp_space(math.inf, 2), {48: 7, 36: 10, 30: 15, 33: 33}),
     (lp_space(2, 2), {48: 1, 36: 1, 30: 1, 33: 1}),
     (parse_space("wlp:q=3,dim=2,w=1;2"), {48: 13, 36: 10, 30: 15, 33: 33}),
-    (HEX, {48: 48, 36: 36, 30: 30, 33: 33}),
+    (HEX, {96: 9, 48: 5, 36: 4, 40: 11, 30: 15, 33: 33}),
 ], ids=lambda x: str(x) if not isinstance(x, dict) else "")
 def test_isometry_domain_sizes(space, sizes):
-    # the 8 signed permutations need 8 | res, the 4 sign flips 4 | res, -x an
-    # even res; rotations fix x1 on l2 at any res; polygons keep the grid
+    # the 8 signed permutations need 8 | res, the hexagon's dihedral group of
+    # order 12 needs 12 | res, the 4 sign flips 4 | res, -x an even res;
+    # rotations fix x1 on l2 at any res
     for res, size in sizes.items():
         assert isometry_domain(space, res).tolist() == list(range(size))

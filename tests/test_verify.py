@@ -340,16 +340,19 @@ def test_smoothness_check_fails_on_a_nan_quotient(monkeypatch):
 
 def test_isometry_invariance_runs_on_the_thorough_profile_only():
     # a thorough-named profile at MINI's sizes: one check per p on the 2-D
-    # space, each comparing the reduced scan with the full scan of gamma_p
+    # space, each comparing the reduced scan with the full scan of gamma_p,
+    # and one of the James min-form supremum
     l3 = lp_space(3, 2)
     thorough = dataclasses.replace(MINI, name="thorough")
-    rows = [r for r in run_suite([l3], seed=7, profile=thorough).checks
-            if r.check_id == "isometry_invariance"]
-    assert [r.params for r in rows] == [{"p": p, "t": 0.5} for p in (1.0, 2.0, 3.0)]
-    for r in rows:
-        assert r.passed and r.slack_used <= 1e-12 * r.values["full"]
-        assert r.values["reduced_evaluations"] < r.values["full_evaluations"]
-        assert r.values["declared_slack"] == 1e-3
+    for space in (l3, regular_polygon_space(6)):
+        rows = [r for r in run_suite([space], seed=7, profile=thorough).checks
+                if r.check_id == "isometry_invariance"]
+        assert [r.params for r in rows] == ([{"constant": "james"}]
+                                            + [{"p": p, "t": 0.5} for p in (1.0, 2.0, 3.0)])
+        for r in rows:
+            assert r.passed and r.slack_used <= 1e-12 * r.values["full"]
+            assert r.values["reduced_evaluations"] < r.values["full_evaluations"]
+            assert r.values["declared_slack"] == 1e-3
     for profile in (MINI, "fast"):
         ctx = _Context(PROFILES[profile] if isinstance(profile, str) else profile, 7)
         assert CHECKS["isometry_invariance"][1](ctx, l3) == []

@@ -50,7 +50,14 @@ output, ``"row 3/value"`` or ``"row 3/witness1/0"`` in a CSV one.  The
 non-finite values a report writes as strings (``"NaN"``, ``"Infinity"``,
 ``"-Infinity"``) are leaves too, and ``"exit code"`` is added when a command
 exits nonzero.  Every leaf is printed on a line of its own, so ``diff`` of
-the files of two checkouts lists each moved value.
+the files of two checkouts lists each moved value.  Two such files, of the
+parent and of the change, are tabled by
+
+    python3 tools/output_hashes.py --compare parent.json change.json
+
+which prints each leaf whose value differs, or that one side lacks, with
+its old value, its new value and the difference, then each output's
+largest |difference|, and exits 1 if any leaf moved.  It runs no op.
 """
 
 from __future__ import annotations
@@ -242,6 +249,61 @@ def differences(got: dict, want: dict) -> list[str]:
             for key in sorted(got.keys() | want.keys()) if got.get(key) != want.get(key)]
 
 
+def _outputs(tree: dict, prefix: str = "") -> dict[str, dict]:
+    """The leaf objects of a ``--values`` file, keyed by the path of their
+    output, as ``differences`` writes it."""
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict) and any(isinstance(v, dict) for v in value.values()):
+            out.update(_outputs(value, f"{prefix}{key} / "))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def moved_leaves(old: dict, new: dict) -> list[tuple]:
+    """Each leaf whose value differs between two ``--values`` files, or that
+    one side lacks (its value there is ``"missing"``), as (output path, leaf
+    path, old value, new value, new - old or None if either is not a
+    number), in sorted order."""
+    old, new = _outputs(old), _outputs(new)
+    rows = []
+    for out in sorted(old.keys() | new.keys()):
+        a, b = old.get(out, {}), new.get(out, {})
+        for leaf in sorted(a.keys() | b.keys()):
+            x, y = a.get(leaf, "missing"), b.get(leaf, "missing")
+            if repr(x) != repr(y):
+                numeric = all(isinstance(v, (int, float)) for v in (x, y))
+                rows.append((out, leaf, x, y, y - x if numeric else None))
+    return rows
+
+
+def compare_table(old: dict, new: dict) -> list[str]:
+    """The ``--compare`` lines: each moved leaf, then the largest |difference|
+    (None if no moved leaf of the group has one) and the count of moved
+    leaves per group, then the totals.  A group is an
+    output and a leaf path with its list indices starred, so that, say, a
+    sweep's values (``rows/*/value``) are not summed up with its witnesses
+    (``rows/*/witness/*/*``) or evaluation counts."""
+    rows = moved_leaves(old, new)
+    lines = [f"{out} / {leaf}: {x!r} -> {y!r}, delta {d!r}" for out, leaf, x, y, d in rows]
+    largest: dict[str, list] = {}
+    for out, leaf, _, _, d in rows:
+        kind = "/".join("*" if part.isdigit() else part for part in leaf.split("/"))
+        entry = largest.setdefault(f"{out} / {kind}", [0, None])
+        entry[0] += 1
+        if d is not None:
+            entry[1] = abs(d) if entry[1] is None else max(entry[1], abs(d))
+    if largest:
+        lines.append("largest |delta| per group:")
+        lines += [f"{group}: {size!r} over {n} moved leaf(s)"
+                  for group, (n, size) in largest.items()]
+    total = sum(map(len, _outputs(new).values()))
+    outputs = len({out for out, *_ in rows})
+    lines.append(f"{len(rows)} moved leaf(s) of {total} in {outputs} output(s)")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group()
@@ -249,7 +311,14 @@ def main(argv: list[str] | None = None) -> int:
                       help="compare with the hashes of this benchmark record")
     mode.add_argument("--values", action="store_true",
                       help="print each output's numeric leaves instead of its hash")
+    mode.add_argument("--compare", nargs=2, metavar=("OLD.json", "NEW.json"), default=None,
+                      help="table the leaves that moved between two --values files")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        old, new = (json.loads(Path(name).read_text()) for name in args.compare)
+        for line in compare_table(old, new):
+            print(line)
+        return 1 if moved_leaves(old, new) else 0
     want = None
     if args.against is not None:
         want = recorded_hashes(json.loads(Path(args.against).read_text()))
