@@ -690,12 +690,15 @@ def _ascend(fb, Z: np.ndarray, lift, steps: int, keeps_params: bool = False):
     the final pairs, evaluations).
 
     Each step tries a move of +h, then a move of -h from the point that
-    step reached, keeping strict improvements.  ``keeps_params`` says that
-    ``lift`` returns the parameters it is given and lifts each row on its
-    own, whatever ``v`` and the other rows.  The step then lifts all its
-    candidates in one call (``_paired_step``), with the same result.
-    ``evaluations`` counts two moves per start and step either way; the
-    extra rows the paired step lifts are not counted.
+    step reached, keeping strict improvements; a -h move back onto the
+    pre-step parameters bit for bit is not tried.  ``keeps_params`` says
+    that ``lift`` returns the parameters it is given and lifts each row on
+    its own, whatever ``v`` and the other rows, from the directions of its
+    raw rows Z[i, 0] and Z[i, 1] alone.  The step then lifts all its
+    candidates in one call (``_paired_step``), with the same result, and
+    the raw rows go back to Euclidean norm 1 after it.  ``evaluations``
+    counts two moves per start and step either way; the extra rows the
+    paired step lifts are not counted.
     """
     starts, _, d = Z.shape
     Z, X1, X2, ok = lift(Z, None)
@@ -726,6 +729,10 @@ def _ascend(fb, Z: np.ndarray, lift, steps: int, keeps_params: bool = False):
         evaluations += 2 * starts
         if keeps_params:
             improved = _paired_step(Z, vals, h, v, c, lifted, keep)
+            # the lift is scale-free: growing raw rows would shrink the step
+            # unseen, so h would never need to shrink
+            e = np.sqrt((Z * Z).sum(axis=-1, keepdims=True))
+            Z /= np.where(e > 0.0, e, 1.0)
         else:
             improved = np.zeros(starts, dtype=bool)
             for sgn in (1.0, -1.0):
@@ -752,7 +759,9 @@ def _paired_step(Z, vals, h, v: int, c: int, lifted, keep) -> np.ndarray:
     or nothing if R would be its pre-step point: that point's value is the
     pre-step value, which the +h value strictly beat.  A start that stays
     tries M.  These are the moves, values and pairs of the sequential step.
-    Returns the mask of starts that moved.
+    (After ``_ascend`` renormalizes the raw rows, the pre-step point lifts
+    to the pre-step pair to rounding only, so the sequential step skips that
+    move too.)  Returns the mask of starts that moved.
     """
     starts = len(vals)
     a = Z[:, v, c]

@@ -21,9 +21,10 @@ from normconst import constants, search
 from normconst.constants import (_ISO_LOOKAHEAD, _iso_partner_rows, _min_form_objective,
                                  _nu_objective, _unit_iso_extremum, _unit_iso_pairs,
                                  gamma_objective)
-from normconst.search import (_GOLDEN_ITERS, _IDLE_ROUNDS, Grid2DStrategy, MultiStartStrategy,
-                              _WitnessRows, _as_witness, _ascend, _batch, _golden_max,
-                              _region_pair, _start_draws, batch_objective, sup_pairs_nd)
+from normconst.search import (DEFAULT_STEPS, _GOLDEN_ITERS, _IDLE_ROUNDS, Grid2DStrategy,
+                              MultiStartStrategy, _WitnessRows, _as_witness, _ascend, _batch,
+                              _golden_max, _region_pair, _start_draws, batch_objective,
+                              sup_pairs_nd)
 from normconst.spaces import (TWO_PI, Region, isometry_domain, lp_space, parse_space,
                               regular_polygon_space)
 from test_search import _improves
@@ -118,27 +119,34 @@ def _unit_iso_extremum_reference(space, sense, strat, edit=None):
     bestX1, bestC = X1.copy(), C.copy()
     for it in range(steps):
         v, c = divmod(it % ncoord, d)
-        improved = np.zeros(starts, dtype=bool)
+        before = Z[:, v, c].copy()
+        improved = np.zeros(len(Z), dtype=bool)
         for sgn in (1.0, -1.0):
             cand = Z.copy()
             cand[:, v, c] += sgn * h
             cv, cX1, cC = _unit_iso_eval_rows(space, cand)
-            evaluations += starts
+            evaluations += len(Z)
             cv = np.where(np.isfinite(cv), sign * cv, -np.inf)
             adv = cv > vals
+            if sgn < 0:
+                # a start that moved at +h does not step back onto its pre-step point
+                adv &= ~(improved & (cand[:, v, c].view(np.int64) == before.view(np.int64)))
             if adv.any():
                 Z[adv] = cand[adv]
                 vals[adv] = cv[adv]
                 bestX1[adv] = cX1[adv]
                 bestC[adv] = cC[adv]
                 improved |= adv
+        # the lift sees only each raw row's direction: back to Euclidean norm 1
+        e = np.linalg.norm(Z, axis=-1, keepdims=True)
+        Z = Z / np.where(e > 0.0, e, 1.0)
         stall = np.where(improved, 0, stall + 1)
         shrink = stall >= ncoord
         h = np.where(shrink, h * 0.6, h)
         stall = np.where(shrink, 0, stall)
     best_v = None
     best_w = None
-    for i in range(starts):
+    for i in range(len(Z)):
         if not math.isfinite(vals[i]):
             continue
         w = (tuple(float(x) for x in bestX1[i]), tuple(float(x) for x in bestC[i]))
@@ -179,7 +187,7 @@ def _sup_pairs_nd_reference(space, f, region, starts, steps, seed):
 
     for it in range(steps):
         v, c = divmod(it % ncoord, d)
-        improved = np.zeros(starts, dtype=bool)
+        improved = np.zeros(len(Z), dtype=bool)
         for sgn in (1.0, -1.0):
             cand = Z.copy()
             cand[:, v, c] += sgn * h
@@ -190,11 +198,11 @@ def _sup_pairs_nd_reference(space, f, region, starts, steps, seed):
                 safe = np.where(ok, nv, 1.0)
                 cand[:, v, :] = Vv / safe[:, None]
             else:
-                ok = np.ones(starts, dtype=bool)
+                ok = np.ones(len(Z), dtype=bool)
                 scale = np.maximum(nv, 1.0)
                 cand[:, v, :] = Vv / scale[:, None]
             cv = fb(cand[:, 0, :], cand[:, 1, :])
-            evaluations += starts
+            evaluations += len(Z)
             cv = np.where(ok & np.isfinite(cv), cv, -np.inf)
             adv = cv > vals
             if adv.any():
@@ -208,7 +216,7 @@ def _sup_pairs_nd_reference(space, f, region, starts, steps, seed):
 
     best_v = None
     best_w = None
-    for i in range(starts):
+    for i in range(len(Z)):
         if not math.isfinite(vals[i]):
             continue
         w = _as_witness(Z[i, 0], Z[i, 1])
@@ -241,10 +249,13 @@ _ISO_ND_SPACES = [f"lp:q={q},dim={dim}" for q in ("1", "1.5", "3", "4", "inf")
 
 
 def _degenerate(Z):
-    # start 0: zero x1 direction; start 1: arc direction parallel to x1
+    # start 0: zero x1 direction; start 1: arc direction parallel to x1;
+    # start 2: zero arc direction, so its moves of x1 stay infeasible
     Z[0, 0] = 0.0
     if len(Z) > 1:
         Z[1, 1] = 2.5 * Z[1, 0]
+    if len(Z) > 2:
+        Z[2, 1] = 0.0
 
 
 def _counting_paired_step(paths):
@@ -309,6 +320,24 @@ def test_unit_iso_multistart_matches_reference(dim, sense, seed):
 def test_unit_iso_multistart_property(name, sense, starts, steps, seed, degenerate, path):
     paths = _check_unit_iso_multistart(name, sense, starts, steps, seed, degenerate)
     assert path is None or paths[path] > 0
+
+
+@pytest.mark.parametrize("sense, bound", [("sup", 1e-3), ("inf", 1e-6)])
+def test_unit_iso_ascent_shrinks_its_step(sense, bound):
+    # the unit-isosceles lift is scale-free, so raw rows kept at Euclidean
+    # norm 1 let the stall rule shrink h; where they grew instead, every start
+    # of this ascent (the default 128 starts x 400 steps) ended at h = 0.5
+    hs = []
+    real = search._paired_step
+
+    def step(Z, vals, h, *args):
+        hs.append(h.copy())
+        return real(Z, vals, h, *args)
+
+    with mock.patch.object(search, "_paired_step", step):
+        _unit_iso_extremum(lp_space(3, 3), sense, MultiStartStrategy())
+    assert len(hs) == DEFAULT_STEPS
+    assert np.median(hs[-1]) < bound
 
 
 def test_multistart_lifts_per_step():
@@ -404,7 +433,7 @@ def test_ascend_never_keeps_an_infeasible_move():
         assert keeps_params == any(n > 5 for n in rows)
 
 
-def _bit_hash_ascent(Z, steps, keeps_params):
+def _bit_hash_ascent(Z, steps):
     # an objective of x1's bits: a point one ulp off another scores anything,
     # so the -h move back from a moved start decides as often as any move;
     # the lift marks rows infeasible by their bits too
@@ -415,7 +444,24 @@ def _bit_hash_ascent(Z, steps, keeps_params):
         return Z, Z[:, 0, :], Z[:, 1, :], bits(Z[:, 1, :]).sum(axis=1) % 5 != 0
 
     return _ascend(lambda X1, X2: bits(X1).sum(axis=1).astype(float), Z, lift, steps,
-                   keeps_params=keeps_params)
+                   keeps_params=True)
+
+
+def _sequential_step(Z, vals, h, v, c, lifted, keep):
+    # the step as two lifts, +h then -h from the point +h reached, except
+    # onto the pre-step point
+    before = Z[:, v, c].copy()
+    improved = np.zeros(len(vals), dtype=bool)
+    for sgn in (1.0, -1.0):
+        cand = Z.copy()
+        cand[:, v, c] += sgn * h
+        cand, C1, C2, cv = lifted(cand, v)
+        adv = cv > vals
+        if sgn < 0:
+            adv &= ~(improved & (cand[:, v, c].view(np.int64) == before.view(np.int64)))
+        keep(adv, cand, cv, C1, C2)
+        improved |= adv
+    return improved
 
 
 @settings(max_examples=150, deadline=None)
@@ -423,8 +469,9 @@ def _bit_hash_ascent(Z, steps, keeps_params):
 @example(6, 2, 30, 5)
 def test_paired_step_matches_sequential_on_a_bit_hash(starts, d, steps, seed):
     Z = np.random.default_rng(seed).standard_normal((starts, 2, d))
-    want = _bit_hash_ascent(Z.copy(), steps, False)
-    assert repr(_bit_hash_ascent(Z, steps, True)) == repr(want)
+    with mock.patch.object(search, "_paired_step", _sequential_step):
+        want = _bit_hash_ascent(Z.copy(), steps)
+    assert repr(_bit_hash_ascent(Z, steps)) == repr(want)
 
 
 @pytest.mark.parametrize("a", [0.1, -0.0])
