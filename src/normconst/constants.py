@@ -441,8 +441,9 @@ def _unit_iso_pairs(space: NormedSpace, Zraw: np.ndarray):
     rows, feasible mask), as ``_ascend``'s lift does; degenerate rows are
     infeasible.  Zraw is returned as given and each row is lifted on its
     own from the directions of Zraw[i, 0] and Zraw[i, 1] alone, so the
-    ascent runs it with ``keeps_params``: one partner search per step, and
-    raw rows kept at Euclidean norm 1.
+    ascent runs it with ``keeps_params``: one partner search per step for
+    the starts still live after its halvings, and raw rows kept at
+    Euclidean norm 1.
     """
     X1raw = Zraw[:, 0, :]
     Wraw = Zraw[:, 1, :]

@@ -24,12 +24,13 @@ copy of each search loop: ``_best_row`` (the max-value / lexicographic-
 witness reduction), ``_golden`` (batched golden-section search), and
 ``_start_draws`` with ``_ascend`` (per-start seed streams and the
 multi-start pattern ascent, parametrized by a lift from parameters to
-pairs).  Each ascent step tries +h, then -h from the point the +h move
-reached.  For a lift that returns its parameters as given (the
-unit-isosceles lift, one partner search per call), ``_paired_step``
-lifts all of a step's candidates in one call with the same bits;
-``sup_pairs_nd``'s lift renormalizes the moved variable, so it lifts the
-two moves one after the other.
+pairs, that stops the worse half of its live starts three times).  Each
+ascent step tries +h, then -h from the point the +h move reached.  For a
+lift that returns its parameters as given (the unit-isosceles lift, one
+partner search per call), ``_paired_step`` lifts all of a step's
+candidates in one call with the same bits; ``sup_pairs_nd``'s lift
+renormalizes the moved variable, so it lifts the two moves one after the
+other.
 
 ``_golden`` is a generator: it yields each batch of points it needs and is
 sent their values, so one loop can run many searches side by side.  Each
@@ -675,8 +676,9 @@ def _unit_rows(space: NormedSpace, Z: np.ndarray) -> np.ndarray:
 
 def _start_draws(seed: int, starts: int, d: int):
     """Standard normal draws of shape (starts, 2, d), one seed stream per
-    start (so enlarging ``starts`` keeps earlier starts' draws unchanged),
-    and each start's generator, positioned after its draw."""
+    start (so enlarging ``starts`` keeps earlier starts' draws unchanged,
+    though not which starts survive ``_ascend``'s halvings), and each
+    start's generator, positioned after its draw."""
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(starts)]
     return np.stack([rng.standard_normal((2, d)) for rng in rngs]), rngs
 
@@ -685,9 +687,16 @@ def _ascend(fb, Z: np.ndarray, lift, steps: int, keeps_params: bool = False):
     """``sup_pairs_nd``'s ascent of ``fb`` on parameters Z of shape (starts, 2, d).
 
     ``lift(Z, v)`` maps parameters whose variable ``v`` moved (None at the
-    start) to (parameters kept, x1 rows, x2 rows, feasible mask); it may
-    write into Z, a fresh copy for every move.  Returns (``_best_row`` of
-    the final pairs, evaluations).
+    start) to (parameters kept, x1 rows, x2 rows, feasible mask), one row
+    per row of Z; it may write into Z, a fresh copy for every move.
+    Returns (``_best_row`` of the live starts' final pairs, evaluations).
+
+    Successive halving (Karnin, Koren and Somekh 2013): before steps
+    ``steps // 8``, ``steps // 4`` and ``steps // 2`` (those above 0), the
+    better half of the live starts, ceil(n / 2) of n by value with ties to
+    the lower start, goes on and the rest stop.  Starts do not interact,
+    so a surviving start keeps its trajectory bit for bit; only the winner
+    can change, if a start stopped early would have overtaken it.
 
     Each step tries a move of +h, then a move of -h from the point that
     step reached, keeping strict improvements; a -h move back onto the
@@ -697,8 +706,8 @@ def _ascend(fb, Z: np.ndarray, lift, steps: int, keeps_params: bool = False):
     raw rows Z[i, 0] and Z[i, 1] alone.  The step then lifts all its
     candidates in one call (``_paired_step``), with the same result, and
     the raw rows go back to Euclidean norm 1 after it.  ``evaluations``
-    counts two moves per start and step either way; the extra rows the
-    paired step lifts are not counted.
+    counts the starts, then two moves per live start and step either way;
+    the extra rows the paired step lifts are not counted.
     """
     starts, _, d = Z.shape
     Z, X1, X2, ok = lift(Z, None)
@@ -709,6 +718,7 @@ def _ascend(fb, Z: np.ndarray, lift, steps: int, keeps_params: bool = False):
     h = np.full(starts, 0.5)
     stall = np.zeros(starts, dtype=int)
     ncoord = 2 * d
+    halvings = {steps // 8, steps // 4, steps // 2} - {0}
 
     def lifted(cand: np.ndarray, v: int):
         cand, C1, C2, ok = lift(cand, v)
@@ -725,8 +735,12 @@ def _ascend(fb, Z: np.ndarray, lift, steps: int, keeps_params: bool = False):
         X2[adv] = C2[r]
 
     for it in range(steps):
+        if it in halvings:
+            # the better half goes on, in start order
+            live = np.sort(np.argsort(-vals, kind="stable")[:(len(vals) + 1) // 2])
+            Z, vals, X1, X2, h, stall = (a[live] for a in (Z, vals, X1, X2, h, stall))
         v, c = divmod(it % ncoord, d)
-        evaluations += 2 * starts
+        evaluations += 2 * len(vals)
         if keeps_params:
             improved = _paired_step(Z, vals, h, v, c, lifted, keep)
             # the lift is scale-free: growing raw rows would shrink the step
@@ -734,7 +748,7 @@ def _ascend(fb, Z: np.ndarray, lift, steps: int, keeps_params: bool = False):
             e = np.sqrt((Z * Z).sum(axis=-1, keepdims=True))
             Z /= np.where(e > 0.0, e, 1.0)
         else:
-            improved = np.zeros(starts, dtype=bool)
+            improved = np.zeros(len(vals), dtype=bool)
             for sgn in (1.0, -1.0):
                 cand = Z.copy()
                 cand[:, v, c] += sgn * h
@@ -788,12 +802,16 @@ def sup_pairs_nd(space: NormedSpace, f: Objective, region, starts: int = DEFAULT
                  steps: int = DEFAULT_STEPS, seed: int = DEFAULT_SEED) -> Estimate:
     """Seeded multi-start coordinate ascent with shrinking steps.
 
-    Each start draws its own random pair from a per-start seed stream (so
-    enlarging ``starts`` keeps earlier starts' trajectories unchanged), then
+    Each start draws its own random pair from a per-start seed stream, then
     repeatedly perturbs one coordinate of one variable, renormalizes to the
     region, and keeps strict improvements.  The step shrinks after a full
-    stagnant sweep.  The final reduction over starts is max-value with the
-    lexicographic witness tie-break, hence order-independent.
+    stagnant sweep.  Before steps ``steps // 8``, ``steps // 4`` and
+    ``steps // 2`` the worse half of the live starts stops (``_ascend``), so
+    enlarging ``starts`` keeps earlier starts' trajectories unchanged but
+    not which of them survive.  ``evaluations`` counts the starts and two
+    moves per live start and step.  The final reduction over the live
+    starts is max-value with the lexicographic witness tie-break, hence
+    order-independent.
     """
     MultiStartStrategy(starts, steps, seed)             # refuses fields out of range
     d = space.dim
@@ -810,7 +828,7 @@ def sup_pairs_nd(space: NormedSpace, f: Objective, region, starts: int = DEFAULT
 
     def lift(Z: np.ndarray, v):
         # back onto the sphere (rows of norm 0 are infeasible) or into the ball
-        ok = np.ones(starts, dtype=bool)
+        ok = np.ones(len(Z), dtype=bool)
         if v is not None:
             nv = space.norm_rows(Z[:, v, :])
             if regs[v] is Region.SPHERE:

@@ -21,10 +21,10 @@ from normconst import constants, search
 from normconst.constants import (_ISO_LOOKAHEAD, _iso_partner_rows, _min_form_objective,
                                  _nu_objective, _unit_iso_extremum, _unit_iso_pairs,
                                  gamma_objective)
-from normconst.search import (DEFAULT_STEPS, _GOLDEN_ITERS, _IDLE_ROUNDS, Grid2DStrategy,
-                              MultiStartStrategy, _WitnessRows, _as_witness, _ascend, _batch,
-                              _golden_max, _region_pair, _start_draws, batch_objective,
-                              sup_pairs_nd)
+from normconst.search import (DEFAULT_STARTS, DEFAULT_STEPS, _GOLDEN_ITERS, _IDLE_ROUNDS,
+                              Grid2DStrategy, MultiStartStrategy, _WitnessRows, _as_witness,
+                              _ascend, _batch, _golden_max, _region_pair, _start_draws,
+                              batch_objective, sup_pairs_nd)
 from normconst.spaces import (TWO_PI, Region, isometry_domain, lp_space, parse_space,
                               regular_polygon_space)
 from test_search import _improves
@@ -51,9 +51,24 @@ def _unit_iso_eval_rows(space, Zraw):
     return vals, X1, C
 
 
-def _unit_iso_extremum_reference(space, sense, strat, edit=None):
+def _halving_steps(steps):
+    # successive halving: before each of these steps, half the live starts stop
+    return {steps // 8, steps // 4, steps // 2} - {0}
+
+
+def _better_half(vals, *arrays):
+    # the rows of the ceil(n / 2) best starts by value, ties to the lower
+    # start, -inf last, in start order
+    n = len(vals)
+    ranked = sorted(range(n), key=lambda i: (-vals[i], i))
+    rows = sorted(ranked[:(n + 1) // 2])
+    return [a[rows] for a in arrays]
+
+
+def _unit_iso_extremum_reference(space, sense, strat, edit=None, halving=True):
     """The extremum as written before the fold; ``edit`` may rewrite the
-    multi-start draws in place before the ascent."""
+    multi-start draws in place before the ascent, and ``halving=False``
+    runs every start for every step."""
     sign = 1.0 if sense == "sup" else -1.0
     if isinstance(strat, Grid2DStrategy):
         res, refine = strat.resolution, strat.refine
@@ -118,6 +133,9 @@ def _unit_iso_extremum_reference(space, sense, strat, edit=None):
     ncoord = 2 * d
     bestX1, bestC = X1.copy(), C.copy()
     for it in range(steps):
+        if halving and it in _halving_steps(steps):
+            Z, vals, bestX1, bestC, h, stall = _better_half(vals, Z, vals, bestX1, bestC, h,
+                                                            stall)
         v, c = divmod(it % ncoord, d)
         before = Z[:, v, c].copy()
         improved = np.zeros(len(Z), dtype=bool)
@@ -155,7 +173,7 @@ def _unit_iso_extremum_reference(space, sense, strat, edit=None):
     return sign * best_v, best_w, evaluations
 
 
-def _sup_pairs_nd_reference(space, f, region, starts, steps, seed):
+def _sup_pairs_nd_reference(space, f, region, starts, steps, seed, halving=True):
     d = space.dim
     reg1, reg2 = _region_pair(region)
     regs = (reg1, reg2)
@@ -186,6 +204,8 @@ def _sup_pairs_nd_reference(space, f, region, starts, steps, seed):
     ncoord = 2 * d
 
     for it in range(steps):
+        if halving and it in _halving_steps(steps):
+            Z, vals, h, stall = _better_half(vals, Z, vals, h, stall)
         v, c = divmod(it % ncoord, d)
         improved = np.zeros(len(Z), dtype=bool)
         for sgn in (1.0, -1.0):
@@ -317,6 +337,11 @@ def test_unit_iso_multistart_matches_reference(dim, sense, seed):
 @example("lp:q=3,dim=3", "sup", 6, 12, 0, False, "redo")
 @example("lp:q=3,dim=4", "inf", 6, 24, 11, False, "equal")
 @example("lp:q=1.5,dim=4", "sup", 5, 16, 3, True, "degenerate")
+# budgets long enough for every halving, down to 1, 2 and 3 starts
+@example("lp:q=3,dim=3", "sup", 128, 400, 7, False, None)
+@example("lp:q=inf,dim=3", "inf", 3, 200, 11, True, "degenerate")
+@example("wlp:q=3,dim=3,w=1;2;3", "sup", 2, 333, 5, False, None)
+@example("lp:q=1.5,dim=5", "inf", 1, 256, 2, False, None)
 def test_unit_iso_multistart_property(name, sense, starts, steps, seed, degenerate, path):
     paths = _check_unit_iso_multistart(name, sense, starts, steps, seed, degenerate)
     assert path is None or paths[path] > 0
@@ -353,7 +378,9 @@ def test_multistart_lifts_per_step():
     with mock.patch.object(constants, "_iso_partner_rows", partner):
         _unit_iso_extremum(space, "sup", MultiStartStrategy(starts=5, steps=steps, seed=3))
     assert len(rows) == steps + 1
-    assert rows[0] == 5 and all(10 <= n <= 15 for n in rows[1:])
+    # live starts per step: halved before steps 9 // 8, 9 // 4 and 9 // 2
+    live = [5, 3, 2, 2, 1, 1, 1, 1, 1]
+    assert rows[0] == 5 and all(2 * n <= r <= 3 * n for r, n in zip(rows[1:], live))
 
     lifts = []
 
@@ -377,23 +404,100 @@ def _nan_gapped(space):
     return batch_objective(evb)
 
 
-@pytest.mark.parametrize("space", [lp_space(3, 3), lp_space(1, 3), lp_space(math.inf, 4)],
-                         ids=["l3d3", "l1d3", "linfd4"])
-@pytest.mark.parametrize("kind, region", [
-    ("gamma", Region.SPHERE),
-    ("gamma", Region.BALL),
-    ("nu", (Region.SPHERE, Region.BALL)),
-    ("min_form", Region.SPHERE),
-    ("nan_gapped", (Region.BALL, Region.SPHERE)),
-])
-def test_sup_pairs_nd_matches_reference(space, kind, region):
-    obj = {"gamma": lambda: gamma_objective(space, 3.0, 0.7),
-           "nu": lambda: _nu_objective(space, 2.0),
-           "min_form": lambda: _min_form_objective(space),
-           "nan_gapped": lambda: _nan_gapped(space)}[kind]()
-    got = sup_pairs_nd(space, obj, region, starts=8, steps=40, seed=5)
-    want = _sup_pairs_nd_reference(space, obj, region, 8, 40, 5)
+_ND_SPACES = {"l3d3": lp_space(3, 3), "l1d3": lp_space(1, 3), "linfd4": lp_space(math.inf, 4)}
+_ND_OBJECTIVES = {"gamma": lambda space: gamma_objective(space, 3.0, 0.7),
+                  "nu": lambda space: _nu_objective(space, 2.0),
+                  "min_form": _min_form_objective,
+                  "nan_gapped": _nan_gapped}
+_ND_CASES = [("gamma", Region.SPHERE), ("gamma", Region.BALL), ("nu", (Region.SPHERE, Region.BALL)),
+             ("min_form", Region.SPHERE), ("nan_gapped", (Region.BALL, Region.SPHERE))]
+
+
+def _check_sup_pairs_nd(space, kind, region, starts, steps, seed):
+    obj = _ND_OBJECTIVES[kind](space)
+    got = sup_pairs_nd(space, obj, region, starts=starts, steps=steps, seed=seed)
+    want = _sup_pairs_nd_reference(space, obj, region, starts, steps, seed)
     assert repr((got.value, got.witness, got.evaluations)) == repr(want)
+
+
+@pytest.mark.parametrize("space", list(_ND_SPACES.values()), ids=list(_ND_SPACES))
+@pytest.mark.parametrize("kind, region", _ND_CASES)
+def test_sup_pairs_nd_matches_reference(space, kind, region):
+    _check_sup_pairs_nd(space, kind, region, 8, 40, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_ND_SPACES)), st.sampled_from(range(len(_ND_CASES))),
+       st.integers(1, 12), st.integers(1, 50), st.integers(0, 2 ** 32 - 1))
+# budgets long enough for every halving, down to 1, 2 and 3 starts
+@example("l3d3", 0, 128, 400, 7)
+@example("linfd4", 4, 3, 200, 11)
+@example("l1d3", 2, 2, 333, 5)
+@example("l3d3", 1, 1, 256, 2)
+def test_sup_pairs_nd_property(name, case, starts, steps, seed):
+    _check_sup_pairs_nd(_ND_SPACES[name], *_ND_CASES[case], starts, steps, seed)
+
+
+def _live_starts(starts, steps):
+    # the live starts of each step: ceil(n / 2) of n go on at each halving
+    live = []
+    for it in range(steps):
+        if it in _halving_steps(steps):
+            starts = (starts + 1) // 2
+        live.append(starts)
+    return live
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 130), st.integers(1, 400))
+@example(128, 400)
+@example(3, 16)
+def test_evaluations_count_the_live_starts(starts, steps):
+    # evaluations: every start once, then two moves per live start and step;
+    # each lift of sup_pairs_nd's two moves sees the live starts' rows only
+    space = lp_space(3, 3)
+    sizes = []
+
+    def ascend(fb, Z, lift, steps, **kw):
+        def counted(Z, v):
+            sizes.append(len(Z))
+            return lift(Z, v)
+        return _ascend(fb, Z, counted, steps, **kw)
+
+    live = _live_starts(starts, steps)
+    with mock.patch.object(search, "_ascend", ascend):
+        est = sup_pairs_nd(space, gamma_objective(space, 2.0, 0.5), Region.SPHERE,
+                           starts=starts, steps=steps, seed=1)
+    assert sizes == [starts] + [n for n in live for _ in range(2)]
+    assert est.evaluations == starts + 2 * sum(live)
+    if steps <= 50:
+        strat = MultiStartStrategy(starts=starts, steps=steps, seed=1)
+        assert _unit_iso_extremum(space, "inf", strat)[2] == starts + 2 * sum(live)
+
+
+# compute-nd's multi-start seed at run seed 1 and its first two gamma-l3d4
+# offsets: on these ascents one start ends at the maximum, and it survives
+_RUN_SEED = 2110403737
+
+
+@pytest.mark.parametrize("t", [0.207491, 0.730979])
+def test_halving_keeps_the_winning_gamma_start(t):
+    space = lp_space(3, 4)
+    obj = gamma_objective(space, 3.0, t)
+    got = sup_pairs_nd(space, obj, Region.SPHERE, seed=_RUN_SEED)
+    want = _sup_pairs_nd_reference(space, obj, Region.SPHERE, DEFAULT_STARTS, DEFAULT_STEPS,
+                                   _RUN_SEED, halving=False)
+    assert repr((got.value, got.witness)) == repr(want[:2])
+    assert got.evaluations < want[2]
+
+
+def test_halving_keeps_the_winning_james_start():
+    space = lp_space(3, 3)
+    strat = MultiStartStrategy(seed=_RUN_SEED)
+    got = _unit_iso_extremum(space, "sup", strat)
+    want = _unit_iso_extremum_reference(space, "sup", strat, halving=False)
+    assert repr(got[:2]) == repr(want[:2])
+    assert got[2] < want[2]
 
 
 def test_unit_iso_pairs_marks_the_rows_the_reference_left_nan():
@@ -427,7 +531,8 @@ def test_ascend_never_keeps_an_infeasible_move():
         (value, witness, _), evaluations = _ascend(lambda X1, X2: X1[:, 0], Z, lift, 40,
                                                    keeps_params=keeps_params)
         assert 0.0 < value < 0.3 and witness[0][0] == value
-        assert evaluations == 5 * (1 + 2 * 40)
+        # 5, 3, 2 and 1 live starts from steps 0, 5, 10 and 20 on
+        assert evaluations == 5 + 2 * (5 * 5 + 3 * 5 + 2 * 10 + 1 * 20)
         # the paired step lifts P, M and some R rows in one call
         assert len(rows) == (41 if keeps_params else 81)
         assert keeps_params == any(n > 5 for n in rows)
@@ -467,6 +572,11 @@ def _sequential_step(Z, vals, h, v, c, lifted, keep):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10), st.integers(1, 4), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
 @example(6, 2, 30, 5)
+# budgets long enough for every halving, down to 1, 2 and 3 starts
+@example(128, 3, 400, 1)
+@example(3, 4, 200, 2)
+@example(2, 2, 333, 3)
+@example(1, 1, 256, 4)
 def test_paired_step_matches_sequential_on_a_bit_hash(starts, d, steps, seed):
     Z = np.random.default_rng(seed).standard_normal((starts, 2, d))
     with mock.patch.object(search, "_paired_step", _sequential_step):
