@@ -257,6 +257,8 @@ def isometry_domain(space: NormedSpace, resolution: int) -> np.ndarray:
     * the sign flips with the rotation by 2 pi / m, the dihedral group of
       order 2m: 0 <= k <= resolution / 2m when 2m divides resolution;
     * the sign flips: 0 <= k <= resolution / 4 when 4 divides resolution;
+    * the rotations by 2 pi / m alone: k < resolution / m when m divides
+      resolution (a polygon rotated off its axes has no flips);
     * -x: k < resolution / 2 when resolution is even;
     * otherwise the whole grid.
 
@@ -271,6 +273,8 @@ def isometry_domain(space: NormedSpace, resolution: int) -> np.ndarray:
         return np.arange(resolution // (2 * order) + 1)
     if flips and resolution % 4 == 0:
         return np.arange(resolution // 4 + 1)
+    if resolution % order == 0:
+        return np.arange(resolution // order)
     if order % 2 == 0 and resolution % 2 == 0:
         return np.arange(resolution // 2)
     return np.arange(resolution)

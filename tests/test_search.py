@@ -955,8 +955,8 @@ def _catalog_objectives(space):
 def test_reduced_scan_matches_the_full_scan(space, res):
     # 8 | 48; 36 and 30 fall back to the sign flips and to -x, and 33 to the
     # whole grid (l2 fixes x1 at angle 0 at every res; the hexagon's group of
-    # order 12 takes 48 and 36): the raw grid maximum over the scanned pairs
-    # is the full grid's to rounding
+    # order 12 takes 48 and 36, its rotations alone 30): the raw grid maximum
+    # over the scanned pairs is the full grid's to rounding
     for obj in _catalog_objectives(space):
         assert obj.isometry_invariant
         for region in (Region.SPHERE, Region.BALL, (Region.SPHERE, Region.BALL)):
@@ -1020,14 +1020,15 @@ def _moved_hexagon(moves):
 # polygons whose maps hold only in part, with x1's domain size per res: a
 # vertex pair of the hexagon moved by 1e-10 keeps -x to rounding and loses the
 # rest; one vertex moved keeps none, though the constructor's 1e-9 tolerance
-# accepts it; an octagon with the square's symmetry but not regular keeps the
-# sign flips and the swap, the 8 signed permutations, but not the rotation by
-# 45 degrees
+# accepts it; the regular octagon turned by 0.3 keeps its rotations and no
+# flip; an octagon with the square's symmetry but not regular keeps the sign
+# flips and the swap, the 8 signed permutations, but not the rotation by 45
+# degrees
 _HALF = {96: 48, 48: 24, 36: 18, 30: 15}
 _PARTLY_SYMMETRIC = {
     "hexagon-pair-moved": (_moved_hexagon([(1, 1e-10), (4, -1e-10)]), _HALF),
     "hexagon-vertex-moved": (_moved_hexagon([(1, 1e-10)]), {96: 96, 48: 48, 36: 36, 30: 30}),
-    "octagon-0.3": (regular_polygon_space(8, 0.3), _HALF),
+    "octagon-0.3": (regular_polygon_space(8, 0.3), {96: 12, 48: 6, 36: 18, 30: 15}),
     "irregular-hexagon": (make_polyhedral_2d([(1, 0), (-1, 0), (0.3, 1), (-0.3, -1),
                                               (-0.8, 0.6), (0.8, -0.6)]), _HALF),
     "octagon-2-1": (make_polyhedral_2d([(2, 1), (1, 2), (-1, 2), (-2, 1), (-2, -1), (-1, -2),
@@ -1060,6 +1061,32 @@ def test_polygon_domains_use_only_the_maps_that_hold_to_rounding(name, res):
             want = cns._unit_iso_extremum(space, sense, strat)
         assert abs(got[0] - want[0]) <= 4 * math.ulp(want[0])
         assert (got[2], want[2]) == (size, res)
+
+
+@pytest.mark.parametrize("sides, phase, res", [(8, 0.3, 96), (8, 0.3, 120), (10, 0.1, 60),
+                                               (12, 0.05, 96)])
+def test_rotations_alone_reduce_the_scan(sides, phase, res):
+    # a regular polygon turned off its axes has its rotations by 2 pi / sides
+    # and no flip: x1 scans k < res / sides; the unit-isosceles scan's
+    # extremum is the full scan's to 4 ulps, and every catalog objective's
+    # raw grid maximum to 8 ulps of the value or of 1
+    space = regular_polygon_space(sides, phase)
+    assert space._symmetry == (sides, False)
+    assert isometry_domain(space, res).tolist() == list(range(res // sides))
+    strat = Grid2DStrategy(resolution=res, refine=0)
+    for sense in ("sup", "inf"):
+        got = cns._unit_iso_extremum(space, sense, strat)
+        with mock.patch.object(cns, "isometry_domain", lambda space, res: np.arange(res)):
+            want = cns._unit_iso_extremum(space, sense, strat)
+        assert abs(got[0] - want[0]) <= 4 * math.ulp(want[0])
+        assert (got[2], want[2]) == (res // sides, res)
+    for obj in _catalog_objectives(space):
+        for region in (Region.SPHERE, Region.BALL, (Region.SPHERE, Region.BALL)):
+            got = sup_pairs_2d(space, obj, region, resolution=res, refine_iters=0, radial=3)
+            want = sup_pairs_2d(space, dataclasses.replace(obj, isometry_invariant=False),
+                                region, resolution=res, refine_iters=0, radial=3)
+            assert abs(got.value - want.value) <= 8 * math.ulp(max(abs(want.value), 1.0)), \
+                (obj.name, region)
 
 
 # ----------------------------------------- K objectives in one lockstep run
