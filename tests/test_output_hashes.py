@@ -51,3 +51,52 @@ def test_compare_table_groups_by_output_and_starred_leaf_path(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == lines
     assert oh.main(["--compare", str(b), str(b)]) == 0
     assert capsys.readouterr().out.splitlines() == ["0 moved leaf(s) of 7 in 0 output(s)"]
+
+
+AVX512 = {"numpy": "2.4.6", "simd_found": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]}
+V3 = {"numpy": "2.4.6", "simd_found": ["X86_V3"]}
+
+
+def test_dispatch_is_numpy_version_and_found_simd():
+    import numpy as np
+    got = oh.dispatch()
+    assert got == {"numpy": np.__version__,
+                   "simd_found": np.show_config(mode="dicts")["SIMD Extensions"]["found"]}
+    assert json.loads(json.dumps(got)) == got
+
+
+def test_against_names_a_dispatch_mismatch_before_the_keys():
+    result = {"dispatch": AVX512, "suite": {"l2": "aa"},
+              "cli": {"compute-nd/seed1": {"op": "bb", "same": "cc"}}, "csv": {"x": "dd"}}
+    bench = {"suite_report_sha256": {"l2": {"sha256": "aa"}},
+             "cli_output_sha256": {"compute-nd/seed1": {"op": {"sha256": "b0", "rc": 0},
+                                                        "same": {"sha256": "cc", "rc": 0}}}}
+    keys = ["cli / compute-nd/seed1 / op: bb here, b0 recorded"]
+    count = "1 differing key(s); 3 hashes computed, against R.json"
+    # a record without the csv group is not compared on it
+    assert oh.against_lines(result, {**bench, "dispatch": AVX512}, "R.json") == (
+        keys + [count], keys)
+    lines, diff = oh.against_lines(result, {**bench, "dispatch": V3}, "R.json")
+    assert lines == [f"dispatch differs: numpy 2.4.6, SIMD found {AVX512['simd_found']} in "
+                     f"this run, numpy 2.4.6, SIMD found ['X86_V3'] in R.json", *keys, count]
+    assert diff == keys
+    assert oh.against_lines(result, bench, "R.json")[0][0] == (
+        f"dispatch differs: numpy 2.4.6, SIMD found {AVX512['simd_found']} in this run, "
+        "none in R.json")
+
+
+def test_compare_names_a_dispatch_mismatch_and_moves_no_leaf_for_it():
+    lines = oh.compare_table({**OLD, "dispatch": AVX512}, {**NEW, "dispatch": V3})
+    assert lines[0] == (f"dispatch differs: numpy 2.4.6, SIMD found {AVX512['simd_found']} "
+                        "in old, numpy 2.4.6, SIMD found ['X86_V3'] in new")
+    assert lines[1:] == oh.compare_table(OLD, NEW)
+    assert oh.compare_table({**OLD, "dispatch": V3}, {**OLD, "dispatch": V3}) == [
+        "0 moved leaf(s) of 7 in 0 output(s)"]
+
+
+def test_compare_exits_0_when_only_the_dispatch_differs(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({**OLD, "dispatch": AVX512}))
+    b.write_text(json.dumps({**OLD, "dispatch": V3}))
+    assert oh.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0 moved leaf(s) of 7 in 0 output(s)"]

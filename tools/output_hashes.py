@@ -26,6 +26,11 @@ groups of hashes are printed:
   each on a grid2d space (``lp:q=3,dim=2``) and with ``--strategy exact``
   on ``lp:q=1,dim=2``.
 
+The bytes hold for one numpy version and SIMD dispatch only: numpy's
+AVX-512 ``**`` rounds some powers apart from its other loops.  So the
+object also holds ``dispatch``: numpy's version and the SIMD extensions its
+runtime dispatch found (``np.show_config(mode="dicts")``).
+
 A change that should not move any output is checked by running the script
 on both checkouts and comparing the two files with ``diff``, or against the
 hashes a benchmark record holds:
@@ -35,7 +40,9 @@ hashes a benchmark record holds:
 compares every hash with that file's ``suite_report_sha256``,
 ``cli_output_sha256``, ``sweep_output_sha256``, ``iso_nd_output_sha256`` and
 ``csv_output_sha256`` entries, prints each key whose hash differs or is
-missing on one side, and exits 1 if there is any.  A group the record does
+missing on one side, and exits 1 if there is any.  Before those keys it
+names a dispatch that differs from the record's ``dispatch`` entry, or a
+record that has none (every record before ``BENCH_26.json``).  A group the record does
 not hold is not compared: ``sweep`` before ``BENCH_9.json``, ``iso_nd``
 before ``BENCH_10.json``, and ``csv`` in every record up to
 ``BENCH_10.json``.
@@ -57,7 +64,8 @@ parent and of the change, are tabled by
 
 which prints each leaf whose value differs, or that one side lacks, with
 its old value, its new value and the difference, then each output's
-largest |difference|, and exits 1 if any leaf moved.  It runs no op.
+largest |difference|, and exits 1 if any leaf moved; a differing dispatch
+is named first and is not a moved leaf.  It runs no op.
 """
 
 from __future__ import annotations
@@ -72,6 +80,8 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -107,6 +117,23 @@ CSV_OPS = {f"{call}/{space}": [*argv, *space_argv, "--format", "csv"]
 # the groups a record may lack, by the key they are recorded under
 OPTIONAL_GROUPS = {"sweep": "sweep_output_sha256", "iso_nd": "iso_nd_output_sha256",
                    "csv": "csv_output_sha256"}
+
+
+def dispatch() -> dict:
+    """numpy's version and the SIMD extensions its runtime dispatch found."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    return {"numpy": np.__version__, "simd_found": list(found)}
+
+
+def dispatch_line(a: dict | None, b: dict | None, a_name: str, b_name: str) -> list[str]:
+    """One line naming dispatches ``a`` and ``b`` that differ, or a side
+    that records none (None); no line if they match."""
+    def name(d: dict | None) -> str:
+        return "none" if d is None else f"numpy {d['numpy']}, SIMD found {d['simd_found']}"
+
+    if a == b:
+        return []
+    return [f"dispatch differs: {name(a)} in {a_name}, {name(b)} in {b_name}"]
 
 
 def _sha(data: bytes | None, rc: int = 0) -> str:
@@ -261,6 +288,11 @@ def _outputs(tree: dict, prefix: str = "") -> dict[str, dict]:
     return out
 
 
+def _outputs_only(tree: dict) -> dict:
+    """A ``main`` result without its ``dispatch`` entry."""
+    return {key: value for key, value in tree.items() if key != "dispatch"}
+
+
 def moved_leaves(old: dict, new: dict) -> list[tuple]:
     """Each leaf whose value differs between two ``--values`` files, or that
     one side lacks (its value there is ``"missing"``), as (output path, leaf
@@ -285,8 +317,10 @@ def compare_table(old: dict, new: dict) -> list[str]:
     output and a leaf path with its list indices starred, so that, say, a
     sweep's values (``rows/*/value``) are not summed up with its witnesses
     (``rows/*/witness/*/*``) or evaluation counts."""
+    lines = dispatch_line(old.get("dispatch"), new.get("dispatch"), "old", "new")
+    old, new = _outputs_only(old), _outputs_only(new)
     rows = moved_leaves(old, new)
-    lines = [f"{out} / {leaf}: {x!r} -> {y!r}, delta {d!r}" for out, leaf, x, y, d in rows]
+    lines += [f"{out} / {leaf}: {x!r} -> {y!r}, delta {d!r}" for out, leaf, x, y, d in rows]
     largest: dict[str, list] = {}
     for out, leaf, _, _, d in rows:
         kind = "/".join("*" if part.isdigit() else part for part in leaf.split("/"))
@@ -318,30 +352,40 @@ def main(argv: list[str] | None = None) -> int:
         old, new = (json.loads(Path(name).read_text()) for name in args.compare)
         for line in compare_table(old, new):
             print(line)
-        return 1 if moved_leaves(old, new) else 0
-    want = None
+        return 1 if moved_leaves(_outputs_only(old), _outputs_only(new)) else 0
+    bench = None
     if args.against is not None:
-        want = recorded_hashes(json.loads(Path(args.against).read_text()))
+        bench = json.loads(Path(args.against).read_text())
     summary = numeric_leaves if args.values else _sha
     with tempfile.TemporaryDirectory() as tmp:
-        result = {"suite": suite_hashes(summary), "cli": cli_hashes(Path(tmp), summary),
+        result = {"dispatch": dispatch(), "suite": suite_hashes(summary),
+                  "cli": cli_hashes(Path(tmp), summary),
                   "sweep": sweep_hashes(Path(tmp), summary),
                   "iso_nd": iso_nd_hashes(Path(tmp), summary),
                   "csv": csv_hashes(Path(tmp), summary)}
-    if want is None:
+    if bench is None:
         json.dump(result, sys.stdout, indent=1)
         sys.stdout.write("\n")
         return 0
-    for group in OPTIONAL_GROUPS:
-        if group not in want:
-            del result[group]
-    diff = differences(result, want)
-    for line in diff:
+    lines, diff = against_lines(result, bench, args.against)
+    for line in lines:
         print(line)
+    return 1 if diff else 0
+
+
+def against_lines(result: dict, bench: dict, where: str) -> tuple[list[str], list[str]]:
+    """The ``--against`` lines for a ``main`` result and a record read from
+    ``where``: a dispatch mismatch, each differing key, then the counts;
+    and the differing keys alone."""
+    want = recorded_hashes(bench)
+    lines = dispatch_line(result.get("dispatch"), bench.get("dispatch"), "this run", where)
+    result = {key: value for key, value in result.items() if key in want}
+    diff = differences(result, want)
     total = (len(result["suite"]) + sum(len(ops) for ops in result["cli"].values())
              + sum(len(result.get(group, ())) for group in OPTIONAL_GROUPS))
-    print(f"{len(diff)} differing key(s); {total} hashes computed, against {args.against}")
-    return 1 if diff else 0
+    lines += diff
+    lines.append(f"{len(diff)} differing key(s); {total} hashes computed, against {where}")
+    return lines, diff
 
 
 if __name__ == "__main__":
