@@ -743,8 +743,8 @@ def _ascend(fb, Z: np.ndarray, lift, steps: int, keeps_params: bool = False):
         evaluations += 2 * len(vals)
         if keeps_params:
             improved = _paired_step(Z, vals, h, v, c, lifted, keep)
-            # the lift is scale-free: growing raw rows would shrink the step
-            # unseen, so h would never need to shrink
+            # the lift sees directions only: a move that just lengthens a row
+            # shrinks the angular step unseen, and h would never shrink
             e = np.sqrt((Z * Z).sum(axis=-1, keepdims=True))
             Z /= np.where(e > 0.0, e, 1.0)
         else:

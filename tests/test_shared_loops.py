@@ -5,8 +5,10 @@ the reduction (``_best_row``), the golden refinement (``_refine``) and the
 multi-start ascent (``_ascend``).  The references below are those functions
 as they were written before that fold, each with its own copy of the loops
 (the grid reference also stops its refinement after ``_IDLE_ROUNDS`` idle
-rounds, as ``_refine`` does, and scans x1 over ``isometry_domain`` only);
-the ``repr`` of value, witness and evaluations must match bit for bit.
+rounds, as ``_refine`` does, and scans x1 over ``isometry_domain`` only;
+both multi-start references halve their live starts, and the
+unit-isosceles one keeps its raw rows at Euclidean norm 1); the ``repr``
+of value, witness and evaluations must match bit for bit.
 """
 
 import collections
@@ -409,8 +411,9 @@ _ND_OBJECTIVES = {"gamma": lambda space: gamma_objective(space, 3.0, 0.7),
                   "nu": lambda space: _nu_objective(space, 2.0),
                   "min_form": _min_form_objective,
                   "nan_gapped": _nan_gapped}
-_ND_CASES = [("gamma", Region.SPHERE), ("gamma", Region.BALL), ("nu", (Region.SPHERE, Region.BALL)),
-             ("min_form", Region.SPHERE), ("nan_gapped", (Region.BALL, Region.SPHERE))]
+_ND_CASES = [("gamma", Region.SPHERE), ("gamma", Region.BALL),
+             ("nu", (Region.SPHERE, Region.BALL)), ("min_form", Region.SPHERE),
+             ("nan_gapped", (Region.BALL, Region.SPHERE))]
 
 
 def _check_sup_pairs_nd(space, kind, region, starts, steps, seed):

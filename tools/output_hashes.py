@@ -42,10 +42,10 @@ compares every hash with that file's ``suite_report_sha256``,
 ``csv_output_sha256`` entries, prints each key whose hash differs or is
 missing on one side, and exits 1 if there is any.  Before those keys it
 names a dispatch that differs from the record's ``dispatch`` entry, or a
-record that has none (every record before ``BENCH_26.json``).  A group the record does
-not hold is not compared: ``sweep`` before ``BENCH_9.json``, ``iso_nd``
-before ``BENCH_10.json``, and ``csv`` in every record up to
-``BENCH_10.json``.
+record that has none (every record before ``BENCH_26.json``).  A group
+the record does not hold is not compared: ``sweep`` before
+``BENCH_9.json``, ``iso_nd`` before ``BENCH_10.json``, and ``csv`` in
+every record up to ``BENCH_10.json``.
 
 A change that moves outputs by design is checked value by value instead:
 
