@@ -478,6 +478,25 @@ def test_evaluations_count_the_live_starts(starts, steps):
         assert _unit_iso_extremum(space, "inf", strat)[2] == starts + 2 * sum(live)
 
 
+@pytest.mark.parametrize("starts", [8, 64])
+def test_halving_ranks_ties_by_start_index(starts):
+    # x1 = 0.001 k: the first halving (before step 2) keeps the upper half,
+    # the last start ranked first; then every value ties at the cap 1, and
+    # the next two halvings keep the lowest starts, so start n / 2 wins (the
+    # final reduction's smallest witness, at 64 starts, agrees)
+    Z = np.zeros((starts, 2, 1))
+    Z[:, 0, 0] = 0.001 * np.arange(starts)
+
+    def lift(Z, v):
+        return Z, Z[:, 0, :], Z[:, 1, :], np.ones(len(Z), dtype=bool)
+
+    (value, witness, _), evaluations = _ascend(lambda X1, X2: np.minimum(X1[:, 0], 1.0), Z,
+                                               lift, 16)
+    assert (value, witness[0][0]) == (1.0, (0.001 * (starts // 2) + 0.5) + 0.5)
+    n = starts
+    assert evaluations == n + 2 * (2 * n + 2 * (n // 2) + 4 * (n // 4) + 8 * (n // 8))
+
+
 # compute-nd's multi-start seed at run seed 1 and its first two gamma-l3d4
 # offsets: on these ascents one start ends at the maximum, and it survives
 _RUN_SEED = 2110403737
