@@ -40,8 +40,9 @@ batch's candidates are built level by level as one flat heap-ordered list.
 ``t_sweep``'s grid stage and ``cnj_p`` on ``grid2d`` rank offsets by one
 rule, ``_best_offsets``.  ``_refine`` drives the coordinate-wise
 refinement of K searches in lockstep, one probe call per step for all of
-them, and stops each search once its rounds stop moving it; ``cnj_p`` on
-``grid2d`` also runs it with K = 2 over (angle of x1, angle of x2, t).
+them, and stops each search once its rounds gain only rounding;
+``cnj_p`` on ``grid2d`` also runs it with K = 2 over (angle of x1, angle
+of x2, t).
 On that, the 2-D grid engine is a K-objective engine:
 ``_sup_pairs_2d_stack`` runs a family of objectives that share the space
 and the region and differ in one scalar parameter on one
@@ -90,13 +91,24 @@ _MOST = int(np.iinfo(np.intp).max)
 # Golden-section iterations per refinement pass.
 _GOLDEN_ITERS = 12
 
-# Rounds in a row that replace none of a search's bests before _refine stops
-# it.  Coordinate-wise golden can stall at a kink and move again on a
-# narrower bracket, so one idle round is too few.  Five-space fast suite,
-# 2-vCPU Xeon, three runs each: CPU 2.3-2.8 s without the stop; stopping
-# after 1, 2 or 3 idle rounds, 1.0-1.3, 1.1-1.3 and 1.2-1.3 s, moving 29, 9
-# and 7 report values, the largest by 9.7e-7, 1.0e-8 and 1.0e-8 (hexagon).
+# Idle rounds in a row before _refine stops a search.  A round is idle when
+# no accepted sample raised the search's best by more than _RISE relative,
+# the 4 eps of orthogonality._DEFECT_TOL: a gain of rounding noise, or an
+# equal value with a smaller witness, still replaces the best but does not
+# keep the search going.  Coordinate-wise golden can stall at a kink and
+# move again on a narrower bracket, so one idle round is too few.
+# Five-space fast suite, 2-vCPU Xeon, three runs each: CPU 2.3-2.8 s
+# without the stop; stopping after 1, 2 or 3 idle rounds, 1.0-1.3, 1.1-1.3
+# and 1.2-1.3 s, moving 29, 9 and 7 report values, the largest by 9.7e-7,
+# 1.0e-8 and 1.0e-8 (hexagon).  Counting any strict gain as progress kept
+# every l2 search, where every pair is a maximum to rounding, moving for up
+# to all of its cap; with _RISE each stops after 3 rounds.  l2 fast suite,
+# best of 5 per process, two processes: 421-456 ms before, 204-211 ms with
+# it, and only l2 outputs move, by 1 ulp.  64 eps or 1e-12 relative also
+# stop one hexagon sweep search too early, moving its value (gamma_p at
+# t = 0.375) by -6.4e-15 and -5.9e-13.
 _IDLE_ROUNDS = 3
+_RISE = 4.0 * np.finfo(float).eps
 
 # Objective rows per call of sup_pairs_2d's grid scan.  Larger blocks are no
 # faster and raise peak memory (compute-2d workload: peak RSS 37 MB at 4096
@@ -207,7 +219,7 @@ class Grid2DStrategy(_Strategy):
     """The 2-D grid engine's settings: ``resolution`` angles per circle,
     ``radial`` radii in the ball, and ``refine``, the most golden
     refinement rounds a search runs; a search stops sooner once
-    ``_IDLE_ROUNDS`` rounds in a row leave it unmoved."""
+    ``_IDLE_ROUNDS`` rounds in a row gain no more than rounding."""
 
     resolution: int = DEFAULT_RESOLUTION
     refine: int = DEFAULT_REFINE
@@ -458,7 +470,8 @@ def _refine(best_v: list, best_w: list, params: np.ndarray, widths: Sequence[flo
     each search ends as a refinement of its own would.
 
     ``rounds`` is a cap: a search stops once ``_IDLE_ROUNDS`` rounds in a
-    row have replaced none of its bests, and the loop ends when every
+    row have raised its best by no more than ``_RISE`` relative (rounding;
+    such samples still replace the best), and the loop ends when every
     search has stopped.  Updates ``best_v``, ``best_w`` and ``params``;
     returns each search's evaluations, the golden-path probes of the rounds
     it ran.
@@ -487,9 +500,10 @@ def _refine(best_v: list, best_w: list, params: np.ndarray, widths: Sequence[flo
                     except StopIteration as stop:
                         v, x, w = stop.value
                         if v is not None and (v > best_v[k] or (v == best_v[k] and w < best_w[k])):
+                            if v - best_v[k] > _RISE * abs(best_v[k]):
+                                moved.add(k)
                             best_v[k], best_w[k] = v, w
                             params[k, ci] = x
-                            moved.add(k)
         for k in live:
             evaluations[k] += params.shape[1] * (_GOLDEN_ITERS + 2)
             idle[k] = 0 if k in moved else idle[k] + 1
@@ -583,9 +597,10 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     grid otherwise.  The scan builds each block of grid pairs once for all
     K objectives; the refinement runs the K searches in lockstep (see
     ``_refine``), one ``_points_2d`` call and one objective call per step
-    for all of them.  Each search stops on its own once its rounds stop
-    moving it, and its Estimate's ``evaluations`` counts the pairs scanned
-    and the probes of the rounds it ran.
+    for all of them.  Each search stops on its own once its rounds gain no
+    more than rounding, so on a flat family (every offset of l2) each stops
+    after ``_IDLE_ROUNDS`` rounds; its Estimate's ``evaluations`` counts
+    the pairs scanned and the probes of the rounds it ran.
     """
     if space.dim != 2:
         raise SpaceError(f"sup_pairs_2d needs a 2-dimensional space, got dim={space.dim}")
@@ -648,7 +663,8 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
     grid under the space's isometries only.  The scan reduces with the
     max-value / lexicographic-witness rule over the pairs it scans.
     ``refine_iters`` caps the refinement rounds: the search stops once
-    ``_IDLE_ROUNDS`` rounds in a row have not moved it.  ``evaluations``
+    ``_IDLE_ROUNDS`` rounds in a row have raised its value by no more than
+    ``_RISE`` relative, a gain of rounding.  ``evaluations``
     counts the pairs scanned and the golden-path probes of the rounds run;
     refinement never accepts a worse sample, so the returned value
     dominates the raw grid maximum.  This is the one-objective run of

@@ -13,6 +13,7 @@ from normconst.search import (
     _IDLE_ROUNDS,
     _INV_PHI,
     _MOST,
+    _RISE,
     _SCAN_BLOCK,
     Estimate,
     ExactStrategy,
@@ -792,9 +793,10 @@ def _sup_pairs_2d_reference(space, evb, region, resolution, refine_iters, radial
                                                    params[ci] + h, _GOLDEN_ITERS)
             evaluations += _GOLDEN_ITERS + 2
             if v is not None and _improves(v, payload, best_v, best_w):
+                # only a gain above rounding moves the search
+                moved = moved or v - best_v > _RISE * abs(best_v)
                 best_v, best_w = v, payload
                 params[ci] = x
-                moved = True
         # the search stops after _IDLE_ROUNDS rounds in a row that moved nothing
         idle = 0 if moved else idle + 1
         if idle == _IDLE_ROUNDS:
@@ -900,6 +902,30 @@ def test_refine_stops_after_idle_rounds():
             # evaluations[0] is the scanned pairs
             rounds = min(refine, _IDLE_ROUNDS)
             assert n == evaluations[0] + rounds * coords * (_GOLDEN_ITERS + 2)
+
+    def refined(gain, shift, cap):
+        # one search on one coordinate, from value 1.0 and witness 0.0, whose
+        # every probe reads its best value plus gain and its best witness plus
+        # shift: (rounds run, final value, final witness)
+        best_v, best_w = [1.0], [0.0]
+
+        def probe(ci):
+            return lambda ks, batches: [([best_v[k] + gain] * len(xs),
+                                         [best_w[k] + shift] * len(xs))
+                                        for k, xs in zip(ks, batches)]
+
+        [n] = search._refine(best_v, best_w, np.zeros((1, 1)), [1.0], probe, cap, 1)
+        return n // (_GOLDEN_ITERS + 2), best_v[0], best_w[0]
+
+    eps = np.finfo(float).eps
+    # gains of 4 ulps are accepted but are rounding, so the search stops
+    for cap in (40, 10 ** 9):
+        assert refined(4 * eps, 0.0, cap) == (_IDLE_ROUNDS, 1.0 + _IDLE_ROUNDS * 4 * eps, 0.0)
+    # gains of 5 ulps move the search in every round up to the cap
+    assert refined(5 * eps, 0.0, 40) == (40, 1.0 + 40 * 5 * eps, 0.0)
+    # an equal value with a smaller witness replaces the witness in every
+    # round but does not move the search
+    assert refined(0.0, -1.0, 40) == (_IDLE_ROUNDS, 1.0, -float(_IDLE_ROUNDS))
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,11 +4,12 @@
 the reduction (``_best_row``), the golden refinement (``_refine``) and the
 multi-start ascent (``_ascend``).  The references below are those functions
 as they were written before that fold, each with its own copy of the loops
-(the grid reference also stops its refinement after ``_IDLE_ROUNDS`` idle
-rounds, as ``_refine`` does, and scans x1 over ``isometry_domain`` only;
-both multi-start references halve their live starts, and the
-unit-isosceles one keeps its raw rows at Euclidean norm 1); the ``repr``
-of value, witness and evaluations must match bit for bit.
+(the grid reference also stops its refinement after ``_IDLE_ROUNDS``
+rounds in a row that gain no more than ``_RISE`` relative, as ``_refine``
+does, and scans x1 over ``isometry_domain`` only; both multi-start
+references halve their live starts, and the unit-isosceles one keeps its
+raw rows at Euclidean norm 1); the ``repr`` of value, witness and
+evaluations must match bit for bit.
 """
 
 import collections
@@ -24,9 +25,9 @@ from normconst.constants import (_ISO_LOOKAHEAD, _iso_partner_rows, _min_form_ob
                                  _nu_objective, _unit_iso_extremum, _unit_iso_pairs,
                                  gamma_objective)
 from normconst.search import (DEFAULT_STARTS, DEFAULT_STEPS, _GOLDEN_ITERS, _IDLE_ROUNDS,
-                              Grid2DStrategy, MultiStartStrategy, _WitnessRows, _as_witness,
-                              _ascend, _batch, _golden_max, _region_pair, _start_draws,
-                              batch_objective, sup_pairs_nd)
+                              _RISE, Grid2DStrategy, MultiStartStrategy, _WitnessRows,
+                              _as_witness, _ascend, _batch, _golden_max, _region_pair,
+                              _start_draws, batch_objective, sup_pairs_nd)
 from normconst.spaces import (TWO_PI, Region, isometry_domain, lp_space, parse_space,
                               regular_polygon_space)
 from test_search import _improves
@@ -108,14 +109,15 @@ def _unit_iso_extremum_reference(space, sense, strat, edit=None, halving=True):
             v, x, payload = _golden_max(fun, best_theta - h, best_theta + h, _GOLDEN_ITERS,
                                         lookahead=_ISO_LOOKAHEAD)
             evaluations += _GOLDEN_ITERS + 2
+            rose = False
             if v is not None and _improves(v, payload, best_v, best_w):
+                # only a gain above rounding moves the search
+                rose = v - best_v > _RISE * abs(best_v)
                 best_v, best_w, best_theta = v, payload, x
-                idle = 0
-            else:
-                # refinement stops after _IDLE_ROUNDS rounds in a row that moved nothing
-                idle += 1
-                if idle == _IDLE_ROUNDS:
-                    break
+            # refinement stops after _IDLE_ROUNDS rounds in a row that moved nothing
+            idle = 0 if rose else idle + 1
+            if idle == _IDLE_ROUNDS:
+                break
         return sign * best_v, best_w, evaluations
 
     starts, steps, seed = strat.starts, strat.steps, strat.seed
