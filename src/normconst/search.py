@@ -54,9 +54,10 @@ so each of its Estimates is bit for bit the one a separate run gives;
 row the bits of a per-row ``math`` call.  For objectives that declare
 ``isometry_invariant`` it scans x1 over one fundamental domain of its
 angle grid under the space's isometries (``spaces.isometry_domain``: on
-a polygon, the maps that hold on its vertex table to rounding) against
-all of x2's grid: the grid maximum is the full grid's to rounding, the
-tie-break picks the smallest witness among the pairs scanned, and
+a polygon, the maps that hold on its vertex table to rounding), and,
+since such an objective is even in x2, x2 over half its circle when res
+is even and -x holds: the grid maximum is the full grid's to rounding,
+the tie-break picks the smallest witness among the pairs scanned, and
 ``evaluations`` counts the pairs scanned.  The unit-isosceles scan in
 ``constants`` puts x1 on the same domain.
 """
@@ -130,10 +131,13 @@ class Objective:
     returns ``(n,)`` values; rows may be NaN to mark guarded points.
     ``isometry_invariant`` asserts that the value is unchanged when one
     linear isometry of the space is applied to both vectors, as any
-    function of the norms of linear combinations of the pair is; the 2-D
-    grid engine then scans x1 over one fundamental domain of its grid
+    function of the norms of linear combinations of the pair is, and when
+    x2 alone changes sign (every builder in ``constants`` gives
+    f(x1, -x2) the bits of f(x1, x2) on ``lp`` and ``wlp``).  The 2-D grid
+    engine then scans x1 over one fundamental domain of its grid
     (``spaces.isometry_domain``) only, polygons included, whose isometries
-    hold to the rounding of their vertex tables.
+    hold to the rounding of their vertex tables, and x2 over half its
+    circle where -x holds (see ``_sup_pairs_2d_stack``).
     """
 
     eval: Callable[[Vector, Vector], float]
@@ -591,11 +595,17 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
 
     ``family`` takes a float, or an ``(n, 1)`` column of per-row parameters,
     and returns an Objective whose rows are computed elementwise, so a row
-    has the same bits whichever rows it is stacked with.  x1's grid is the
-    angles of ``isometry_domain`` (at every radius in the ball) when every
-    objective of the family declares ``isometry_invariant``, and the whole
-    grid otherwise.  The scan builds each block of grid pairs once for all
-    K objectives; the refinement runs the K searches in lockstep (see
+    has the same bits whichever rows it is stacked with.  When every
+    objective of the family declares ``isometry_invariant``, x1's grid is
+    the angles of ``isometry_domain``, and if res is even and the space's
+    rotation order ``_symmetry[0]`` is even (-x holds to rounding), x2's
+    is the half circle k in [res // 4, res // 4 + res // 2), where
+    x2[0] <= 0; each at every radius in the ball, and the whole grid
+    otherwise.  Mapping x1 into the domain, then x2 into the half circle
+    by x2 -> -x2, reaches every pair, so the raw grid maximum is the full
+    grid's to rounding (the point at k + res / 2 is minus the point at k
+    to rounding only).  The scan builds each block of grid pairs once for
+    all K objectives; the refinement runs the K searches in lockstep (see
     ``_refine``), one ``_points_2d`` call and one objective call per step
     for all of them.  Each search stops on its own once its rounds gain no
     more than rounding, so on a flat family (every offset of l2) each stops
@@ -610,9 +620,12 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
         return [], np.empty((0, 0))
     objs = [family(float(th)) for th in thetas]
     invariant = all(obj.isometry_invariant for obj in objs)
-    P1, par1 = _grid_axes_2d(space, reg1, strat.resolution, strat.radial,
-                             isometry_domain(space, strat.resolution) if invariant else None)
-    P2, par2 = _grid_axes_2d(space, reg2, strat.resolution, strat.radial)
+    res = strat.resolution
+    P1, par1 = _grid_axes_2d(space, reg1, res, strat.radial,
+                             isometry_domain(space, res) if invariant else None)
+    half = invariant and res % 2 == 0 and space._symmetry[0] % 2 == 0
+    P2, par2 = _grid_axes_2d(space, reg2, res, strat.radial,
+                             np.arange(res // 4, res // 4 + res // 2) if half else None)
 
     scans = _scan_2d([_batch(obj) for obj in objs], P1, P2)
     if any(scan is None for scan in scans):
@@ -660,7 +673,9 @@ def sup_pairs_2d(space: NormedSpace, f: Objective, region, resolution: int = DEF
     Sphere variables are parametrized by one angle, ball variables by an
     angle and a radius in [0, 1].  An objective that declares
     ``isometry_invariant`` has x1 scanned over one fundamental domain of the
-    grid under the space's isometries only.  The scan reduces with the
+    grid under the space's isometries only, and at an even ``resolution``
+    on a space whose -x holds to rounding, x2 over half its circle (see
+    ``_sup_pairs_2d_stack``).  The scan reduces with the
     max-value / lexicographic-witness rule over the pairs it scans.
     ``refine_iters`` caps the refinement rounds: the search stops once
     ``_IDLE_ROUNDS`` rounds in a row have raised its value by no more than

@@ -209,6 +209,7 @@ def _verdict(values: dict, gap: float, tol: float):
 def _check_bounds_pp(ctx: _Context, space, params):
     alpha, p = float(params["alpha"]), float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
+    ctx.estimate_many("cinj_iso", space, strat, "alpha", ALPHA_GRID, p=p)
     est = ctx.estimate("cinj_iso", space, strat, alpha=alpha, p=p)
     lower = (1.0 - alpha) ** p + alpha ** p
     upper = 2.0 * (1.0 - alpha) ** p
@@ -279,6 +280,7 @@ def _check_gamma_monotone_t(ctx: _Context, space, params):
 def _check_sphere_ball_equal(ctx: _Context, space, params):
     p, t = float(params["p"]), float(params["t"])
     strat = ctx.strategy_for(space, vertex_ok=False)
+    ctx.estimate_many("gamma_p", space, strat, "t", OFFSET_GRID, p=p)
     sphere = ctx.estimate("gamma_p", space, strat, p=p, t=t)
     obj = cns.gamma_objective(space, p, t)
     balls = (Region.BALL, Region.BALL)
@@ -294,8 +296,9 @@ def _check_sphere_ball_equal(ctx: _Context, space, params):
 
 def _check_isometry_invariance(ctx: _Context, space, params):
     """A grid2d estimate whose scan puts x1 on one fundamental domain of the
-    space's isometries only, ``gamma_p`` at (p, t) or the James min-form
-    supremum, against the full scan of its objective."""
+    space's isometries and x2 on half its circle where that is allowed,
+    ``gamma_p`` at (p, t) or the James min-form supremum, against the full
+    scan of its objective, which undoes both reductions."""
     g = ctx.grid
     if "p" in params:
         p, t = float(params["p"]), float(params["t"])

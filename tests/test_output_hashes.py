@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "output_hashes.py"
@@ -32,16 +33,21 @@ def test_moved_leaves_lists_each_changed_or_one_sided_leaf():
 
 def test_compare_table_groups_by_output_and_starred_leaf_path(tmp_path, capsys):
     lines = oh.compare_table(OLD, NEW)
-    assert lines[:6] == [f"{out} / {leaf}: {x!r} -> {y!r}, delta {d!r}"
-                         for out, leaf, x, y, d in oh.moved_leaves(OLD, NEW)]
-    assert lines[6:] == [
+    # float leaves also move in ulps of max(|old|, 1): 0.25 is 2^50 ulps of 1
+    assert lines == [
+        "cli / compute-2d/seed1 / op / evaluations: 10 -> 4, delta -6",
+        "cli / compute-2d/seed1 / op / gone: 3.0 -> 'missing', delta None",
+        "cli / compute-2d/seed1 / op / new: 'missing' -> 'NaN', delta None",
+        "cli / compute-2d/seed1 / op / value: 1.0 -> 1.25, delta 0.25, 1.13e+15 ulps",
+        "suite / hex / checks/1/values/a: 2.0 -> 2.5, delta 0.5, 1.13e+15 ulps",
+        "suite / hex / checks/2/x: 0.0 -> -0.0, delta -0.0, -0 ulps",
         "largest |delta| per group:",
         "cli / compute-2d/seed1 / op / evaluations: 6 over 1 moved leaf(s)",
         "cli / compute-2d/seed1 / op / gone: None over 1 moved leaf(s)",
         "cli / compute-2d/seed1 / op / new: None over 1 moved leaf(s)",
-        "cli / compute-2d/seed1 / op / value: 0.25 over 1 moved leaf(s)",
-        "suite / hex / checks/*/values/a: 0.5 over 1 moved leaf(s)",
-        "suite / hex / checks/*/x: 0.0 over 1 moved leaf(s)",
+        "cli / compute-2d/seed1 / op / value: 0.25 over 1 moved leaf(s), 1.13e+15 ulps",
+        "suite / hex / checks/*/values/a: 0.5 over 1 moved leaf(s), 1.13e+15 ulps",
+        "suite / hex / checks/*/x: 0.0 over 1 moved leaf(s), 0 ulps",
         "6 moved leaf(s) of 7 in 2 output(s)",
     ]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -100,3 +106,26 @@ def test_compare_exits_0_when_only_the_dispatch_differs(tmp_path, capsys):
     b.write_text(json.dumps({**OLD, "dispatch": V3}))
     assert oh.main(["--compare", str(a), str(b)]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["0 moved leaf(s) of 7 in 0 output(s)"]
+
+
+def test_compare_reads_float_moves_in_ulps_of_the_old_value_or_1():
+    # ulps of max(|old|, 1): a move below 1 counts in ulps of 1, an integer
+    # leaf such as an evaluation count has none
+    old = {"cli": {"w": {"op": {"a": 1.25, "b": 0.3, "c": -1e3, "n": 1024, "z": 0.0}}}}
+    moved = {"a": 1.25 + 2 * math.ulp(1.25), "b": 0.3 - math.ulp(0.3),
+             "c": math.nextafter(-1e3, 0.0), "n": 512, "z": math.ulp(1.0) / 2}
+    new = {"cli": {"w": {"op": moved}}}
+    assert oh.ulps(1.25, moved["a"]) == 2.0
+    assert oh.ulps(0.3, moved["b"]) == -0.25
+    assert oh.ulps(-1e3, moved["c"]) == 1.0
+    assert oh.ulps(1024, 512) is None and oh.ulps(3.0, "missing") is None
+    lines = oh.compare_table(old, new)
+    assert [line.rsplit(", ", 1)[-1] for line in lines[:5]] == [
+        "2 ulps", "-0.25 ulps", "1 ulps", "delta -512", "0.5 ulps"]
+    assert lines[6:8] == ["cli / w / op / a: 4.440892098500626e-16 over 1 moved leaf(s), 2 ulps",
+                          "cli / w / op / b: 5.551115123125783e-17 over 1 moved leaf(s), "
+                          "0.25 ulps"]
+    # the largest |move| of a group with several float leaves
+    many = oh.compare_table({"s": {"x": {"v/0": 1.0, "v/1": 2.0}}},
+                            {"s": {"x": {"v/0": 1.0 - math.ulp(1.0), "v/1": 2.0 + 3 * math.ulp(2.0)}}})
+    assert many[-2] == f"s / x / v/*: {3 * math.ulp(2.0)!r} over 2 moved leaf(s), 3 ulps"

@@ -981,8 +981,10 @@ def _catalog_objectives(space):
 def test_reduced_scan_matches_the_full_scan(space, res):
     # 8 | 48; 36 and 30 fall back to the sign flips and to -x, and 33 to the
     # whole grid (l2 fixes x1 at angle 0 at every res; the hexagon's group of
-    # order 12 takes 48 and 36, its rotations alone 30): the raw grid maximum
-    # over the scanned pairs is the full grid's to rounding
+    # order 12 takes 48 and 36, its rotations alone 30); x2 scans half its
+    # circle at even res, where -x holds on every one of these spaces: the
+    # raw grid maximum over the scanned pairs is the full grid's to rounding
+    angles2 = res // 2 if res % 2 == 0 else res
     for obj in _catalog_objectives(space):
         assert obj.isometry_invariant
         for region in (Region.SPHERE, Region.BALL, (Region.SPHERE, Region.BALL)):
@@ -993,14 +995,15 @@ def test_reduced_scan_matches_the_full_scan(space, res):
             rows1 = 1 if region is Region.SPHERE or isinstance(region, tuple) else 3
             rows2 = 1 if region is Region.SPHERE else 3
             n1 = rows1 * isometry_domain(space, res).size
-            assert (got.evaluations, want.evaluations) == (n1 * rows2 * res,
+            assert (got.evaluations, want.evaluations) == (n1 * rows2 * angles2,
                                                            rows1 * rows2 * res * res)
 
 
 def test_declared_scan_covers_the_domain_within_the_block():
     # nu_p's sphere x ball scan at the default resolution on l1: the 129
-    # angles of x1's domain against all 9216 ball points, in calls of at most
-    # _SCAN_BLOCK rows that cover every scanned pair once
+    # angles of x1's domain against the 512 x 9 ball points of x2's half
+    # circle, in calls of at most _SCAN_BLOCK rows that cover every scanned
+    # pair once
     sizes = []
     nu = cns._nu_objective(L1, 2.0)
 
@@ -1012,16 +1015,17 @@ def test_declared_scan_covers_the_domain_within_the_block():
                        (Region.SPHERE, Region.BALL), resolution=1024, refine_iters=0, radial=9)
     assert isometry_domain(L1, 1024).size == 1024 // 8 + 1
     assert max(sizes) <= _SCAN_BLOCK
-    assert sum(sizes) == est.evaluations == (1024 // 8 + 1) * 1024 * 9
+    assert sum(sizes) == est.evaluations == (1024 // 8 + 1) * 512 * 9
 
 
 def test_polygons_scan_one_domain_and_undeclared_objectives_the_full_grid():
-    # the hexagon's dihedral group of order 12 puts x1 on 0 <= k <= 48 / 12;
-    # an objective that does not declare invariance scans the whole grid
+    # the hexagon's dihedral group of order 12 puts x1 on 0 <= k <= 48 / 12
+    # and x2 on half its circle; an objective that does not declare
+    # invariance scans the whole grid
     hexagon = cns._min_form_objective(HEX)
     assert hexagon.isometry_invariant
     assert sup_pairs_2d(HEX, hexagon, Region.SPHERE, resolution=48,
-                        refine_iters=0).evaluations == (48 // 12 + 1) * 48
+                        refine_iters=0).evaluations == (48 // 12 + 1) * 24
     for space in (L1, HEX):
         for obj in (batch_objective(lambda X1, X2: space.norm_rows(X1 + X2)),
                     scalar_objective(lambda x1, x2: abs(x1[0] - x2[1]))):
@@ -1113,6 +1117,53 @@ def test_rotations_alone_reduce_the_scan(sides, phase, res):
                                 region, resolution=res, refine_iters=0, radial=3)
             assert abs(got.value - want.value) <= 8 * math.ulp(max(abs(want.value), 1.0)), \
                 (obj.name, region)
+
+
+_EVEN_SPACES = (L1, lp_space(1.5, 2), L2, lp_space(3, 2), LINF,
+                parse_space("wlp:q=3,dim=2,w=1;2"), parse_space("wlp:q=1.5,dim=2,w=0.5;3"),
+                parse_space("wlp:q=inf,dim=2,w=2;1"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_EVEN_SPACES),
+       st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 4), min_size=1, max_size=8))
+def test_catalog_objectives_are_even_in_x2_bit_for_bit(space, rows):
+    # the contract behind x2's half-circle scan: on lp and wlp, where
+    # |-v| = |v| exactly, f(x1, -x2) has the bits of f(x1, x2)
+    R = np.array(rows)
+    X1, X2 = R[:, :2], R[:, 2:]
+    for obj in _catalog_objectives(space):
+        assert obj.eval_batch(X1, -X2).tobytes() == obj.eval_batch(X1, X2).tobytes(), obj.name
+
+
+@pytest.mark.parametrize("space, res", [(L1, 33), (lp_space(3, 2), 31), (HEX, 33),
+                                        (_moved_hexagon([(1, 1e-10)]), 48),
+                                        (_moved_hexagon([(1, 1e-10)]), 30)], ids=str)
+def test_x2_scans_its_whole_grid_at_odd_res_or_without_minus_x(space, res):
+    # an odd res has no half circle, and the hexagon with one vertex moved
+    # keeps no isometry, -x included (order 1): both scan x1 and x2 over the
+    # whole grid, so the declared scan is the undeclared one bit for bit
+    assert isometry_domain(space, res).size == res
+    for obj in _catalog_objectives(space):
+        for region in (Region.SPHERE, (Region.SPHERE, Region.BALL)):
+            got = sup_pairs_2d(space, obj, region, resolution=res, refine_iters=0, radial=3)
+            want = sup_pairs_2d(space, dataclasses.replace(obj, isometry_invariant=False),
+                                region, resolution=res, refine_iters=0, radial=3)
+            assert repr(got) == repr(want), (obj.name, region)
+            assert got.evaluations == res * (1 if region is Region.SPHERE else 3) * res
+
+
+@pytest.mark.parametrize("res", [96, 120])
+def test_rotated_octagon_scans_half_of_x2(res):
+    # rotations by 2 pi / 8 and no flip: -x is the rotation by pi, so x2
+    # scans res / 2 angles against x1's res / 8
+    space = regular_polygon_space(8, 0.3)
+    assert space._symmetry == (8, False)
+    for obj in _catalog_objectives(space):
+        for region, rows1, rows2 in ((Region.SPHERE, 1, 1), (Region.BALL, 3, 3),
+                                     ((Region.SPHERE, Region.BALL), 1, 3)):
+            got = sup_pairs_2d(space, obj, region, resolution=res, refine_iters=0, radial=3)
+            assert got.evaluations == rows1 * (res // 8) * rows2 * (res // 2), (obj.name, region)
 
 
 # ----------------------------------------- K objectives in one lockstep run

@@ -65,7 +65,10 @@ parent and of the change, are tabled by
 which prints each leaf whose value differs, or that one side lacks, with
 its old value, its new value and the difference, then each output's
 largest |difference|, and exits 1 if any leaf moved; a differing dispatch
-is named first and is not a moved leaf.  It runs no op.
+is named first and is not a moved leaf.  A leaf that is a float on both
+sides also has its difference in ulps of max(|old|, 1), and each group the
+largest such |move|, so "no value moved by more than k ulps" is read off
+the table.  It runs no op.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -310,28 +314,42 @@ def moved_leaves(old: dict, new: dict) -> list[tuple]:
     return rows
 
 
+def ulps(old, new) -> float | None:
+    """``new - old`` in ulps of max(|old|, 1), or None unless both are floats."""
+    if not all(isinstance(v, float) for v in (old, new)):
+        return None
+    return (new - old) / math.ulp(max(abs(old), 1.0))
+
+
 def compare_table(old: dict, new: dict) -> list[str]:
     """The ``--compare`` lines: each moved leaf, then the largest |difference|
-    (None if no moved leaf of the group has one) and the count of moved
-    leaves per group, then the totals.  A group is an
+    (None if no moved leaf of the group has one), the count of moved leaves
+    and, where any is a float on both sides, the largest |move| in ulps
+    (``ulps``) per group, then the totals.  A group is an
     output and a leaf path with its list indices starred, so that, say, a
     sweep's values (``rows/*/value``) are not summed up with its witnesses
     (``rows/*/witness/*/*``) or evaluation counts."""
     lines = dispatch_line(old.get("dispatch"), new.get("dispatch"), "old", "new")
     old, new = _outputs_only(old), _outputs_only(new)
     rows = moved_leaves(old, new)
-    lines += [f"{out} / {leaf}: {x!r} -> {y!r}, delta {d!r}" for out, leaf, x, y, d in rows]
+
+    def in_ulps(u):
+        return "" if u is None else f", {u:.3g} ulps"
+
+    lines += [f"{out} / {leaf}: {x!r} -> {y!r}, delta {d!r}{in_ulps(ulps(x, y))}"
+              for out, leaf, x, y, d in rows]
     largest: dict[str, list] = {}
-    for out, leaf, _, _, d in rows:
+    for out, leaf, x, y, d in rows:
         kind = "/".join("*" if part.isdigit() else part for part in leaf.split("/"))
-        entry = largest.setdefault(f"{out} / {kind}", [0, None])
+        entry = largest.setdefault(f"{out} / {kind}", [0, None, None])
         entry[0] += 1
-        if d is not None:
-            entry[1] = abs(d) if entry[1] is None else max(entry[1], abs(d))
+        for i, move in ((1, d), (2, ulps(x, y))):
+            if move is not None:
+                entry[i] = abs(move) if entry[i] is None else max(entry[i], abs(move))
     if largest:
         lines.append("largest |delta| per group:")
-        lines += [f"{group}: {size!r} over {n} moved leaf(s)"
-                  for group, (n, size) in largest.items()]
+        lines += [f"{group}: {size!r} over {n} moved leaf(s){in_ulps(u)}"
+                  for group, (n, size, u) in largest.items()]
     total = sum(map(len, _outputs(new).values()))
     outputs = len({out for out, *_ in rows})
     lines.append(f"{len(rows)} moved leaf(s) of {total} in {outputs} output(s)")
