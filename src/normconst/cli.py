@@ -11,28 +11,11 @@ import json
 import math
 import sys
 
-from .constants import CONSTANT_IDS, resolve_strategy
+from .constants import CONSTANT_IDS, CONSTANT_PARAMS, resolve_strategy
 from . import constants as cns
 from .search import _STRATEGY_CLASSES, Estimate, strategy_descriptor
 from .spaces import SpaceError, descriptor, parse_space
 from .verify import (PROFILES, default_suite_spaces, report_json, run_suite)
-
-# parameters each constant consumes; anything else on the command line
-# is rejected so a typo cannot silently alter the computation
-CONSTANT_PARAMS = {
-    "gamma_p": ("p", "t"),
-    "cinj_iso": ("alpha", "p"),
-    "cinj_via_gamma": ("alpha", "p"),
-    "cnj_p": ("p",),
-    "cnj_modified_p": ("p",),
-    "james": (),
-    "schaffer": (),
-    "rho": ("t",),
-    "jxp": ("p", "t"),
-    "nu_p": ("p",),
-    "omega_prime": (),
-    "smoothness_quotient": ("alpha", "p"),
-}
 
 GRID_LIMIT = 100001
 
@@ -92,21 +75,29 @@ def write_csv(rows: list[dict], header: list[str], out) -> None:
         writer.writerow([_fmt17(row[k]) for k in header])
 
 
-def _emit(doc: str, out_path: str | None) -> None:
-    if out_path is None:
+def _emit(args, doc: str, rows: list[dict], header: list[str]) -> None:
+    """Write ``doc``, or with ``--format csv`` the CSV of ``rows`` under
+    ``header``, to ``--out`` or stdout."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        write_csv(rows, header, buf)
+        doc = buf.getvalue()
+    if args.out is None:
         sys.stdout.write(doc)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(doc)
 
 
-def _collect_params(args, needed: tuple[str, ...]) -> dict:
+def _collect_params(args, needed: tuple[str, ...], role: str = "") -> dict:
+    """The values of the parameters ``needed``: each must be given, and no
+    other may be (a typo cannot silently alter the computation)."""
     given = {name: getattr(args, name) for name in ("alpha", "p", "q", "t")
              if getattr(args, name) is not None}
     extra = set(given) - set(needed)
     if extra:
         tok = sorted(extra)[0]
-        raise UsageError(f"--{tok} is not a parameter of {args.constant}")
+        raise UsageError(f"--{tok} is not {role or 'a parameter of ' + args.constant}")
     missing = [n for n in needed if n not in given]
     if missing:
         raise UsageError(f"{args.constant} requires --{missing[0]}")
@@ -134,18 +125,13 @@ def _cmd_compute(args) -> int:
     strat = resolve_strategy(args.strategy, space, seed=args.seed)
     result = getattr(cns, args.constant)(space, strategy=strat, **params)
     fields, row = _result_fields(result, strategy_descriptor(strat))
-    if args.format == "json":
-        payload = {"space": descriptor(space), "constant": args.constant,
-                   "params": params, **fields,
-                   "evaluations": getattr(result, "evaluations", None),
-                   "meta": getattr(result, "meta", {})}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        buf = io.StringIO()
-        write_csv([{"constant": args.constant, "space": descriptor(space), **row}],
-                  ["constant", "space", "value", "witness1", "witness2",
-                   "strategy", "exact"], buf)
-        _emit(buf.getvalue(), args.out)
+    payload = {"space": descriptor(space), "constant": args.constant,
+               "params": params, **fields,
+               "evaluations": getattr(result, "evaluations", None),
+               "meta": getattr(result, "meta", {})}
+    _emit(args, json.dumps(payload, indent=2) + "\n",
+          [{"constant": args.constant, "space": descriptor(space), **row}],
+          ["constant", "space", "value", "witness1", "witness2", "strategy", "exact"])
     return 0
 
 
@@ -159,14 +145,8 @@ def _cmd_sweep(args) -> int:
         raise UsageError(f"{args.constant} does not take --{var}; "
                          f"it cannot be swept over a {var} grid")
     grid = parse_grid(args.alpha_grid if var == "alpha" else args.t_grid)
-    fixed_names = tuple(n for n in needed if n != var)
-    given = {n: getattr(args, n) for n in fixed_names if getattr(args, n) is not None}
-    missing = [n for n in fixed_names if n not in given]
-    if missing:
-        raise UsageError(f"{args.constant} requires --{missing[0]}")
-    for name in ("alpha", "p", "q", "t"):
-        if getattr(args, name) is not None and name not in fixed_names:
-            raise UsageError(f"--{name} is not a fixed parameter of this sweep")
+    given = _collect_params(args, tuple(n for n in needed if n != var),
+                            "a fixed parameter of this sweep")
     strat = resolve_strategy(args.strategy, space, seed=args.seed)
     strat_text = strategy_descriptor(strat)
 
@@ -177,16 +157,10 @@ def _cmd_sweep(args) -> int:
         fields, row = _result_fields(result, strat_text)
         json_rows.append({var: value, **fields})
         rows.append({var: value, **row})
-
-    if args.format == "json":
-        payload = {"space": descriptor(space), "constant": args.constant,
-                   "sweep": var, "params": given, "rows": json_rows}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        buf = io.StringIO()
-        write_csv(rows, [var, "value", "witness1", "witness2", "strategy",
-                         "exact"], buf)
-        _emit(buf.getvalue(), args.out)
+    payload = {"space": descriptor(space), "constant": args.constant,
+               "sweep": var, "params": given, "rows": json_rows}
+    _emit(args, json.dumps(payload, indent=2) + "\n", rows,
+          [var, "value", "witness1", "witness2", "strategy", "exact"])
     return 0
 
 
@@ -196,18 +170,12 @@ def _cmd_verify(args) -> int:
     else:
         spaces = list(default_suite_spaces())
     report = run_suite(spaces, seed=args.seed, profile=args.profile)
-    if args.format == "json":
-        _emit(report_json(report) + "\n", args.out)
-    else:
-        rows = [{"check_id": r.check_id, "space": r.space,
-                 "params": json.dumps(r.params, sort_keys=True),
-                 "passed": r.passed, "slack_used": r.slack_used,
-                 "runtime_ms": 0}
-                for r in report.checks]
-        buf = io.StringIO()
-        write_csv(rows, ["check_id", "space", "params", "passed",
-                         "slack_used", "runtime_ms"], buf)
-        _emit(buf.getvalue(), args.out)
+    rows = [{"check_id": r.check_id, "space": r.space,
+             "params": json.dumps(r.params, sort_keys=True),
+             "passed": r.passed, "slack_used": r.slack_used, "runtime_ms": 0}
+            for r in report.checks]
+    _emit(args, report_json(report) + "\n", rows,
+          ["check_id", "space", "params", "passed", "slack_used", "runtime_ms"])
     return 0 if report.summary["failed"] == 0 else 1
 
 
@@ -219,20 +187,12 @@ def _cmd_spaces(args) -> int:
     ]
     defaults = [descriptor(s) for s in default_suite_spaces()]
     if args.format == "json":
-        payload = {"kinds": [k.split()[0] for k in kinds],
-                   "default_suite": defaults}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        rows = [{"descriptor": d} for d in defaults]
-        buf = io.StringIO()
-        write_csv(rows, ["descriptor"], buf)
-        _emit(buf.getvalue(), args.out)
+        doc = json.dumps({"kinds": [k.split()[0] for k in kinds],
+                          "default_suite": defaults}, indent=2)
     else:
-        lines = ["space descriptor syntax:"]
-        lines += ["  " + k for k in kinds]
-        lines.append("default verification suite:")
-        lines += ["  " + d for d in defaults]
-        _emit("\n".join(lines) + "\n", args.out)
+        doc = "\n".join(["space descriptor syntax:", *("  " + k for k in kinds),
+                         "default verification suite:", *("  " + d for d in defaults)])
+    _emit(args, doc + "\n", [{"descriptor": d} for d in defaults], ["descriptor"])
     return 0
 
 

@@ -32,11 +32,22 @@ from .search import (_GRID_LOOKAHEAD, DEFAULT_SEED, Estimate, ExactStrategy, Gri
 from .spaces import (TWO_PI, NormedSpace, Region, SpaceError, isometry_domain,
                      supports_extreme_points)
 
-CONSTANT_IDS = (
-    "gamma_p", "cinj_iso", "cinj_via_gamma", "cnj_p", "cnj_modified_p",
-    "james", "schaffer", "rho", "jxp", "nu_p", "omega_prime",
-    "smoothness_quotient",
-)
+# the parameters each constant takes between ``space`` and ``strategy``
+CONSTANT_PARAMS = {
+    "gamma_p": ("p", "t"),
+    "cinj_iso": ("alpha", "p"),
+    "cinj_via_gamma": ("alpha", "p"),
+    "cnj_p": ("p",),
+    "cnj_modified_p": ("p",),
+    "james": (),
+    "schaffer": (),
+    "rho": ("t",),
+    "jxp": ("p", "t"),
+    "nu_p": ("p",),
+    "omega_prime": (),
+    "smoothness_quotient": ("alpha", "p"),
+}
+CONSTANT_IDS = tuple(CONSTANT_PARAMS)
 
 
 def _check_p(p: float) -> float:
@@ -533,20 +544,6 @@ def _min_form_sup(space: NormedSpace, strategy: Strategy) -> Estimate:
     return _run_sup(space, _min_form_objective(space), Region.SPHERE, strategy)
 
 
-def _james(space: NormedSpace, strat: Strategy, j: Estimate) -> Estimate:
-    """:func:`james` on ``strat`` with the min-form supremum ``j`` given."""
-    iso_v, iso_w, ev2 = _unit_iso_extremum(space, "sup", strat)
-    return replace(j, exact=False, evaluations=j.evaluations + ev2,
-                   meta={**j.meta, "iso_form_value": iso_v, "iso_form_witness": iso_w})
-
-
-def _schaffer(space: NormedSpace, strat: Strategy, j: Estimate) -> Estimate:
-    """:func:`schaffer` on ``strat`` with the min-form supremum ``j`` given."""
-    value, witness, evals = _unit_iso_extremum(space, "inf", strat)
-    meta = {"sense": "inf", "two_over_james": 2.0 / j.value}
-    return Estimate(value, witness, j.strategy, False, evals + j.evaluations, meta)
-
-
 def james(space: NormedSpace, strategy=None) -> Estimate:
     """Non-squareness constant: sup over unit pairs of min(||x1+x2||, ||x1-x2||).
 
@@ -555,7 +552,10 @@ def james(space: NormedSpace, strategy=None) -> Estimate:
     the two agree within the strategy tolerance.
     """
     strat = resolve_strategy(strategy, space)
-    return _james(space, strat, _min_form_sup(space, strat))
+    j = _min_form_sup(space, strat)
+    iso_v, iso_w, ev2 = _unit_iso_extremum(space, "sup", strat)
+    return replace(j, exact=False, evaluations=j.evaluations + ev2,
+                   meta={**j.meta, "iso_form_value": iso_v, "iso_form_witness": iso_w})
 
 
 def schaffer(space: NormedSpace, strategy=None) -> Estimate:
@@ -564,8 +564,11 @@ def schaffer(space: NormedSpace, strategy=None) -> Estimate:
     An infimum: the estimate is an upper bound of the true value (the
     mirror image of the suprema semantics).  ``meta['two_over_james']``
     records 2/J for the product identity J * S = 2, with J the min-form
-    supremum that :func:`james` reports; ``evaluations`` counts the
-    infimum's samples plus that supremum's.
+    supremum that :func:`james` reports, run here too; ``evaluations``
+    counts the infimum's samples plus that supremum's.
     """
     strat = resolve_strategy(strategy, space)
-    return _schaffer(space, strat, _min_form_sup(space, strat))
+    j = _min_form_sup(space, strat)
+    value, witness, evals = _unit_iso_extremum(space, "inf", strat)
+    meta = {"sense": "inf", "two_over_james": 2.0 / j.value}
+    return Estimate(value, witness, j.strategy, False, evals + j.evaluations, meta)

@@ -72,8 +72,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spaces import (TWO_PI, NormedSpace, Region, SpaceError, Vector, extreme_points,
-                     isometry_domain)
+from .spaces import (TWO_PI, NormedSpace, Region, SpaceError, Vector, _key_values,
+                     extreme_points, isometry_domain)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -259,23 +259,15 @@ def parse_strategy(text: str) -> Strategy:
     ``grid2d:res=..,refine=..,radial=..`` or
     ``multistart:starts=..,steps=..,seed=..``.  Omitted fields keep defaults."""
     head, _, rest = text.strip().partition(":")
-    fields: dict[str, int] = {}
-    if rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq or not re.fullmatch(r"-?\d+", val.strip()):
-                raise ValueError(f"invalid strategy parameter: {item!r}")
-            if key.strip() in fields:
-                raise ValueError(f"repeated strategy parameter {key.strip()!r} in {text!r}")
-            fields[key.strip()] = int(val)
     cls = _STRATEGY_CLASSES.get(head)
     if cls is None:
         raise ValueError(f"unknown strategy: {text!r}")
     names = {key: name for key, name, _, _ in cls.FIELDS}
-    unknown = set(fields) - set(names)
-    if unknown:
-        raise ValueError(f"unknown {head} parameter(s): {sorted(unknown)}")
-    return cls(**{names[key]: value for key, value in fields.items()})
+    fields = _key_values(text, rest, names, head, ValueError) if rest else {}
+    for key, val in fields.items():
+        if not re.fullmatch(r"-?\d+", val):
+            raise ValueError(f"{head} parameter {key} must be an integer, got {val!r}")
+    return cls(**{names[key]: int(val) for key, val in fields.items()})
 
 
 # ---------------------------------------------------------------------------

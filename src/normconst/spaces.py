@@ -144,12 +144,18 @@ def make_polyhedral_2d(vertices: Iterable[Sequence[float]]) -> NormedSpace:
     scale = max(max(abs(x), abs(y)) for x, y in pts)
     if scale == 0.0:
         raise SpaceError("polygon vertices must be nonzero")
+    # tables from the vertices times 2^-e, in [-1, 1): exact in the normal
+    # range, so no square overflows and no determinant underflows
+    e = math.frexp(scale)[1]
+    scale = math.ldexp(scale, -e)
+    pairs = [((math.ldexp(x, -e), math.ldexp(y, -e)), (x, y)) for x, y in pts]
     sym_tol = 1e-9 * scale
-    for x, y in pts:
-        if not any(abs(x + u) <= sym_tol and abs(y + v) <= sym_tol for u, v in pts):
-            raise SpaceError(f"vertex set is not centrally symmetric: missing -({x}, {y})")
+    for (x, y), raw in pairs:
+        if not any(abs(x + u) <= sym_tol and abs(y + v) <= sym_tol for (u, v), _ in pairs):
+            raise SpaceError(f"vertex set is not centrally symmetric: missing -{raw}")
 
-    pts.sort(key=lambda p: (math.atan2(p[1], p[0]), p[0] ** 2 + p[1] ** 2))
+    pairs.sort(key=lambda pr: (math.atan2(pr[0][1], pr[0][0]), pr[0][0] ** 2 + pr[0][1] ** 2))
+    pts = [unit for unit, _ in pairs]
     n = len(pts)
     cross_tol = 1e-12 * scale * scale
     for i in range(n):
@@ -186,8 +192,12 @@ def make_polyhedral_2d(vertices: Iterable[Sequence[float]]) -> NormedSpace:
     flips = holds(1, 0, 0, -1) and holds(-1, 0, 0, 1)
     order = (n if holds(cos, -sin, sin, cos) else 4 if flips and holds(0, 1, 1, 0)
              else 2 if holds(-1, 0, 0, -1) else 1)
-    return NormedSpace(kind="poly2d", dim=2, vertices=tuple(pts), _angles=angles,
-                       _fx=funcs[0], _fy=funcs[1], _symmetry=(order, flips))
+    with np.errstate(over="ignore"):
+        funcs = np.ldexp(funcs, -e)
+    if not np.isfinite(funcs).all():
+        raise SpaceError("polygon is too small: its gauge overflows")
+    return NormedSpace(kind="poly2d", dim=2, vertices=tuple(raw for _, raw in pairs),
+                       _angles=angles, _fx=funcs[0], _fy=funcs[1], _symmetry=(order, flips))
 
 
 def regular_polygon_space(sides: int, phase: float = 0.0) -> NormedSpace:
@@ -356,6 +366,26 @@ def _parse_float(token: str, what: str) -> float:
         raise SpaceError(f"invalid {what}: {token!r}") from None
 
 
+def _key_values(text: str, items: str, allowed, what: str,
+                error: type[ValueError] = SpaceError) -> dict[str, str]:
+    """The comma-separated ``key=value`` ``items`` of descriptor ``text``,
+    stripped.  An item without ``=``, a repeated key and a key not in
+    ``allowed`` are refused with ``error``, as ``what`` parameters."""
+    params: dict[str, str] = {}
+    for item in items.split(","):
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise error(f"invalid {what} parameter: {item!r}")
+        if key in params:
+            raise error(f"repeated {what} parameter {key!r} in {text!r}")
+        params[key] = val.strip()
+    unknown = set(params) - set(allowed)
+    if unknown:
+        raise error(f"unknown {what} parameter(s): {sorted(unknown)}")
+    return params
+
+
 def parse_space(text: str) -> NormedSpace:
     """Build a space from a descriptor like ``lp:q=2,dim=3``.
 
@@ -384,18 +414,8 @@ def parse_space(text: str) -> NormedSpace:
                           _parse_float(parts[1], "vertex coordinate")))
         return make_polyhedral_2d(verts)
 
-    params: dict[str, str] = {}
-    for item in rest.split(","):
-        key, eq, val = item.partition("=")
-        if not eq:
-            raise SpaceError(f"invalid space parameter: {item!r}")
-        if key.strip() in params:
-            raise SpaceError(f"repeated space parameter {key.strip()!r} in {text!r}")
-        params[key.strip()] = val.strip()
-    allowed = {"lp": {"q", "dim"}, "wlp": {"q", "dim", "w"}}[kind]
-    unknown = set(params) - allowed
-    if unknown:
-        raise SpaceError(f"unknown space parameter(s): {sorted(unknown)}")
+    params = _key_values(text, rest, {"lp": ("q", "dim"), "wlp": ("q", "dim", "w")}[kind],
+                         "space")
     if "q" not in params or "dim" not in params:
         raise SpaceError(f"descriptor {text!r} must set q and dim")
     q = _parse_float(params["q"], "exponent q")

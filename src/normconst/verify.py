@@ -121,9 +121,10 @@ _PROFILE_BOUNDS.update(ball_resolution=_PROFILE_BOUNDS["resolution"],
 
 
 class _Context:
-    """A profile's strategies, built once, and the estimate cache.  Every
-    numeric field of the profile is checked first, and an out-of-range one
-    is refused by its profile field name before any check runs."""
+    """A profile's strategies, built once, and the estimate cache, filled by
+    calling the ``constants`` function of each name.  Every numeric field of
+    the profile is checked first, and an out-of-range one is refused by its
+    profile field name before any check runs."""
 
     def __init__(self, profile: Profile, seed: int):
         self.profile = profile
@@ -152,13 +153,7 @@ class _Context:
         key = self._key(name, space, strat, params)
         est = self._cache.get(key)
         if est is None:
-            if name in ("james", "schaffer"):
-                # both build on the min-form supremum: run it once per space
-                # and strategy
-                j = self.estimate("_min_form_sup", space, strat)
-                est = getattr(cns, "_" + name)(space, strat, j)
-            else:
-                est = getattr(cns, name)(space, strategy=strat, **params)
+            est = getattr(cns, name)(space, strategy=strat, **params)
             self._cache[key] = est
         return est
 
@@ -714,18 +709,14 @@ def _json_safe(value):
 
 
 def to_jsonable(report: SuiteReport, include_timing: bool = False) -> dict:
-    """Report as plain dicts of strict-JSON values (see ``_json_safe``);
-    timings are zeroed unless requested so that reruns with one seed
-    serialize to identical bytes."""
-    checks = []
-    for r in report.checks:
-        checks.append({"check_id": r.check_id, "space": r.space,
-                       "params": r.params, "values": r.values,
-                       "passed": r.passed, "slack_used": r.slack_used,
-                       "runtime_ms": r.runtime_ms if include_timing else 0})
-    return _json_safe({"seed": report.seed, "profile": report.profile,
-                       "config": report.config, "checks": checks,
-                       "summary": dict(report.summary)})
+    """Report as plain dicts of strict-JSON values (see ``_json_safe``), the
+    fields in ``dataclasses.asdict`` order; timings are zeroed unless
+    requested so that reruns with one seed serialize to identical bytes."""
+    doc = asdict(report)
+    if not include_timing:
+        for check in doc["checks"]:
+            check["runtime_ms"] = 0
+    return _json_safe(doc)
 
 
 def report_json(report: SuiteReport, include_timing: bool = False) -> str:

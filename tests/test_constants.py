@@ -8,6 +8,7 @@ Oracle provenance, all independent of the search engines:
 """
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import normconst as nc
-from normconst.constants import _estimates_along, _family
+from normconst.constants import CONSTANT_IDS, CONSTANT_PARAMS, _estimates_along, _family
 from normconst.search import Grid2DStrategy, MultiStartStrategy, t_sweep
 
 L1 = nc.lp_space(1, 2)
@@ -30,6 +31,14 @@ HEXFAST = Grid2DStrategy(resolution=192, refine=10, radial=5)
 
 ALPHAS = (0.0, 0.1, 0.25, 0.4, 0.5)
 PS = (1.0, 2.0, 3.0)
+
+
+def test_constant_params_are_the_parameters_between_space_and_strategy():
+    assert CONSTANT_IDS == tuple(CONSTANT_PARAMS)
+    for cid, params in CONSTANT_PARAMS.items():
+        names = list(inspect.signature(getattr(nc.constants, cid)).parameters)
+        assert names[0] == "space", cid
+        assert set(params) == set(names[1:names.index("strategy")]), cid
 
 
 # --------------------------------------------------------------- gamma family

@@ -1,5 +1,7 @@
-"""``tools/output_hashes.py --compare``: the table of moved values."""
+"""``tools/output_hashes.py``: the commands group, ``--against`` and the
+``--compare`` table of moved values."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -129,3 +131,27 @@ def test_compare_reads_float_moves_in_ulps_of_the_old_value_or_1():
     many = oh.compare_table({"s": {"x": {"v/0": 1.0, "v/1": 2.0}}},
                             {"s": {"x": {"v/0": 1.0 - math.ulp(1.0), "v/1": 2.0 + 3 * math.ulp(2.0)}}})
     assert many[-2] == f"s / x / v/*: {3 * math.ulp(2.0)!r} over 2 moved leaf(s), 3 ulps"
+
+
+def test_commands_group_hashes_what_verify_and_spaces_list_write(tmp_path, capsys):
+    # --out holds the bytes the command prints to stdout, in every format
+    got = oh.command_hashes(tmp_path)
+    assert sorted(got) == ["spaces/csv", "spaces/json", "spaces/text", "verify/csv",
+                           "verify/json"]
+    for label, argv in oh.COMMAND_OPS.items():
+        assert oh.cli.main(argv) == 0
+        assert got[label] == hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    leaves = oh.command_hashes(tmp_path, oh.numeric_leaves)
+    # a text output has no numeric leaf; the verify CSV one per number cell
+    assert leaves["spaces/text"] == {} and leaves["spaces/csv"] == {}
+    assert leaves["verify/csv"]["row 0/runtime_ms"] == 0.0
+
+
+def test_against_compares_the_commands_group_when_the_record_holds_it():
+    result = {"suite": {"l2": "aa"}, "cli": {}, "commands": {"spaces/text": "ee"}}
+    bench = {"suite_report_sha256": {"l2": {"sha256": "aa"}}, "cli_output_sha256": {}}
+    assert oh.against_lines(result, bench, "R.json")[1] == []
+    moved = {**bench, "commands_output_sha256": {"spaces/text": {"sha256": "e0", "rc": 0}}}
+    assert oh.recorded_hashes(moved)["commands"] == {"spaces/text": "e0"}
+    assert oh.against_lines(result, moved, "R.json")[1] == [
+        "commands / spaces/text: ee here, e0 recorded"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from normconst.search import parse_strategy
 from normconst.spaces import (
     MAX_SIGN_ENUM_DIM,
     TWO_PI,
@@ -151,6 +152,9 @@ def test_polygon_validation():
         # collinear midpoint breaks strict convexity of the vertex set
         make_polyhedral_2d([(1, 0), (1, 1), (-1, 0), (-1, -1), (0, -0.5),
                             (0, 0.5)])
+    with pytest.raises(SpaceError, match="too small"):
+        # subnormal vertices: the gauge of a unit vector is not finite
+        make_polyhedral_2d([(x * 1e-310, y * 1e-310) for x, y in HEX.vertices])
     with pytest.raises(SpaceError):
         regular_polygon_space(5)
     with pytest.raises(SpaceError):
@@ -186,6 +190,22 @@ def test_parse_space_errors():
                 "lp:q=2,dim=2,dim=3", "lp:q=2,q=3,dim=2", "wlp:q=2,dim=2,w=1;2,w=1;3"):
         with pytest.raises((SpaceError, ValueError)):
             parse_space(bad)
+
+
+@pytest.mark.parametrize("parse,error,text,what,other", [
+    (parse_space, SpaceError, "lp:q=2,dim=2", "space", "res"),
+    (parse_strategy, ValueError, "grid2d:res=64,refine=6", "grid2d", "dim")])
+def test_descriptor_items_refuse_no_equals_a_repeated_or_an_unknown_key(parse, error, text,
+                                                                       what, other):
+    # space and strategy descriptors share one key=value grammar
+    key = text.split(":")[1].split("=")[0]
+    for bad, message in ((f"{text},{key}", f"invalid {what} parameter: {key!r}"),
+                         (f"{text},{key}=3",
+                          f"repeated {what} parameter {key!r} in {text + f',{key}=3'!r}"),
+                         (f"{text},{other}=3", f"unknown {what} parameter(s): [{other!r}]")):
+        with pytest.raises(ValueError) as err:
+            parse(bad)
+        assert type(err.value) is error and str(err.value) == message
 
 
 def test_norm_rows_batch_agrees_with_scalar():
@@ -278,6 +298,38 @@ def test_gauge_take_matches_the_row_gather(name, n, seed, head):
     V = np.where((kind == 3)[:, None], cut, V)
     V[:min(len(head), n)] = np.array(head, dtype=float).reshape(-1, 2)[:n]
     assert space.norm_rows(V).tobytes() == _row_gather_gauge(space, V).tobytes()
+
+
+def _scaled(space, s):
+    return make_polyhedral_2d([(x * s, y * s) for x, y in space.vertices])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_GAUGE_SPACES)), st.integers(-300, 300))
+@example("hexagon", 160)
+@example("hexagon", -200)
+@example("square", -160)
+def test_polygon_gauge_is_1_at_its_vertices_at_any_scale(name, k):
+    # the tables are built from the vertices scaled into [1/2, 1), so a
+    # square cannot overflow and a determinant cannot underflow
+    unit = _GAUGE_SPACES[name]
+    space = _scaled(unit, 10.0 ** k)
+    gauge = space.norm_rows(np.array(space.vertices))
+    assert np.abs(gauge - 1.0).max() <= 4 * math.ulp(1.0)
+    assert space._symmetry == unit._symmetry
+
+
+@pytest.mark.parametrize("k", [-1000, -531, -1, 3, 531, 1000])
+@pytest.mark.parametrize("name", sorted(_GAUGE_SPACES))
+def test_polygon_tables_at_a_power_of_two_scale_are_the_unit_tables_scaled(name, k):
+    unit = _GAUGE_SPACES[name]
+    space = _scaled(unit, math.ldexp(1.0, k))
+    assert space.vertices == tuple((math.ldexp(x, k), math.ldexp(y, k))
+                                   for x, y in unit.vertices)
+    assert space._angles.tobytes() == unit._angles.tobytes()
+    assert space._fx.tobytes() == np.ldexp(unit._fx, -k).tobytes()
+    assert space._fy.tobytes() == np.ldexp(unit._fy, -k).tobytes()
+    assert space._symmetry == unit._symmetry
 
 
 # ------------------------------------------------ isometries of the angle grid

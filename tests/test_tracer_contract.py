@@ -70,3 +70,17 @@ def test_cinj_via_gamma_runs_its_engine_without_a_gamma_p_call(traced, strategy,
     assert m[f"search.{layer}.calls"] == 1
     assert m[f"search.{layer}.evals"] == est.evaluations > 0
     assert m["constants.gamma_p.calls"] == 0
+
+
+def test_a_suite_counts_james_and_schaffer_once_each(traced):
+    # the suite's estimate cache calls every constant through its module
+    # attribute, james and schaffer included, once per space and strategy
+    tracing, tracer = traced
+    profile = normconst.verify.Profile("mini", resolution=64, refine=6, radial=3, starts=12,
+                                       steps=120, t_grid=9, t_refine=6, lemma_pairs=500,
+                                       psi_samples=3, ball_resolution=48, ball_radial=3)
+    report = normconst.verify.run_suite([normconst.regular_polygon_space(6)], 7, profile)
+    assert report.summary["failed"] == 0
+    m = tracing.layer_metrics(tracer, 1)
+    assert m["constants.james.calls"] == 1
+    assert m["constants.schaffer.calls"] == 1

@@ -3,7 +3,7 @@
     python3 tools/output_hashes.py > hashes.json
 
 Run from the root of a source checkout: normconst is imported from ``src/``
-and the op lists from ``perfbench/workloads.py`` of the same checkout.  Five
+and the op lists from ``perfbench/workloads.py`` of the same checkout.  Six
 groups of hashes are printed:
 
 * ``suite``: ``report_json(run_suite([space], 7, "fast"))`` for each space
@@ -24,7 +24,10 @@ groups of hashes are printed:
   and ``normconst sweep`` call of ``CSV_OPS``, keyed by its label: an
   ``Estimate`` constant (``gamma_p``) and the float ``smoothness_quotient``,
   each on a grid2d space (``lp:q=3,dim=2``) and with ``--strategy exact``
-  on ``lp:q=1,dim=2``.
+  on ``lp:q=1,dim=2``;
+* ``commands``: the ``--out`` bytes of each call of ``COMMAND_OPS``, keyed
+  by its label: ``normconst verify --space lp:q=1,dim=2`` in JSON and CSV,
+  and ``normconst spaces list`` in text, JSON and CSV.
 
 The bytes hold for one numpy version and SIMD dispatch only: numpy's
 AVX-512 ``**`` rounds some powers apart from its other loops.  So the
@@ -38,14 +41,15 @@ hashes a benchmark record holds:
     python3 tools/output_hashes.py --against BENCH_6.json
 
 compares every hash with that file's ``suite_report_sha256``,
-``cli_output_sha256``, ``sweep_output_sha256``, ``iso_nd_output_sha256`` and
-``csv_output_sha256`` entries, prints each key whose hash differs or is
-missing on one side, and exits 1 if there is any.  Before those keys it
-names a dispatch that differs from the record's ``dispatch`` entry, or a
-record that has none (every record before ``BENCH_26.json``).  A group
-the record does not hold is not compared: ``sweep`` before
-``BENCH_9.json``, ``iso_nd`` before ``BENCH_10.json``, and ``csv`` in
-every record up to ``BENCH_10.json``.
+``cli_output_sha256``, ``sweep_output_sha256``, ``iso_nd_output_sha256``,
+``csv_output_sha256`` and ``commands_output_sha256`` entries, prints each
+key whose hash differs or is missing on one side, and exits 1 if there is
+any.  Before those keys it names a dispatch that differs from the record's
+``dispatch`` entry, or a record that has none (every record before
+``BENCH_26.json``).  A group the record does not hold is not compared:
+``sweep`` before ``BENCH_9.json``, ``iso_nd`` before ``BENCH_10.json``,
+``csv`` in every record up to ``BENCH_10.json``, and ``commands`` in every
+record up to ``BENCH_28.json``.
 
 A change that moves outputs by design is checked value by value instead:
 
@@ -118,9 +122,13 @@ _CSV_CALLS = {"compute/gamma_p": ["compute", "--constant", "gamma_p", "--p", "2"
                                             "--p", "2", "--alpha-grid", "0:0.45:0.15"]}
 CSV_OPS = {f"{call}/{space}": [*argv, *space_argv, "--format", "csv"]
            for call, argv in _CSV_CALLS.items() for space, space_argv in _CSV_SPACES.items()}
+COMMAND_OPS = {**{f"verify/{fmt}": ["verify", "--space", "lp:q=1,dim=2", "--format", fmt]
+                  for fmt in ("json", "csv")},
+               **{f"spaces/{fmt}": ["spaces", "list", "--format", fmt]
+                  for fmt in ("text", "json", "csv")}}
 # the groups a record may lack, by the key they are recorded under
 OPTIONAL_GROUPS = {"sweep": "sweep_output_sha256", "iso_nd": "iso_nd_output_sha256",
-                   "csv": "csv_output_sha256"}
+                   "csv": "csv_output_sha256", "commands": "commands_output_sha256"}
 
 
 def dispatch() -> dict:
@@ -156,8 +164,9 @@ def _number(text: str):
 
 
 def numeric_leaves(data: bytes | None, rc: int = 0) -> dict:
-    """The numeric leaves of a JSON or CSV output, keyed by their paths (see
-    the module docstring), plus ``"exit code"`` when ``rc`` is nonzero."""
+    """The numeric leaves of a JSON, CSV or text output (a text output read
+    as CSV), keyed by their paths (see the module docstring), plus ``"exit
+    code"`` when ``rc`` is nonzero."""
     leaves = {}
 
     def walk(node, path: str):
@@ -179,7 +188,11 @@ def numeric_leaves(data: bytes | None, rc: int = 0) -> dict:
         except json.JSONDecodeError:
             for i, row in enumerate(csv.DictReader(io.StringIO(text))):
                 for column, cell in row.items():
-                    # a witness cell is a tuple, "(x, y)": one leaf per coordinate
+                    # a witness cell is a tuple, "(x, y)": one leaf per coordinate;
+                    # a row longer or shorter than the header (a line of a text
+                    # output) has a list or None cell, which is no leaf
+                    if not isinstance(cell, str):
+                        continue
                     numbers = [_number(part) for part in cell.strip("()").split(",")]
                     if None in numbers:
                         continue
@@ -237,10 +250,17 @@ def iso_nd_hashes(tmp: Path, summary: Summary = _sha) -> dict[str, object]:
             for constant in ("james", "schaffer") for space in ISO_ND_SPACES}
 
 
-def csv_hashes(tmp: Path, summary: Summary = _sha) -> dict[str, object]:
-    out = tmp / "out.csv"
+def _ops_hashes(ops: dict[str, list[str]], out: Path, summary: Summary) -> dict[str, object]:
     return {label: _cli_hash([*argv, "--out", str(out)], out, summary)
-            for label, argv in CSV_OPS.items()}
+            for label, argv in ops.items()}
+
+
+def csv_hashes(tmp: Path, summary: Summary = _sha) -> dict[str, object]:
+    return _ops_hashes(CSV_OPS, tmp / "out.csv", summary)
+
+
+def command_hashes(tmp: Path, summary: Summary = _sha) -> dict[str, object]:
+    return _ops_hashes(COMMAND_OPS, tmp / "command.out", summary)
 
 
 def recorded_hashes(bench: dict) -> dict:
@@ -380,7 +400,8 @@ def main(argv: list[str] | None = None) -> int:
                   "cli": cli_hashes(Path(tmp), summary),
                   "sweep": sweep_hashes(Path(tmp), summary),
                   "iso_nd": iso_nd_hashes(Path(tmp), summary),
-                  "csv": csv_hashes(Path(tmp), summary)}
+                  "csv": csv_hashes(Path(tmp), summary),
+                  "commands": command_hashes(Path(tmp), summary)}
     if bench is None:
         json.dump(result, sys.stdout, indent=1)
         sys.stdout.write("\n")
