@@ -18,6 +18,7 @@ from .spaces import SpaceError, descriptor, parse_space
 from .verify import (PROFILES, default_suite_spaces, report_json, run_suite)
 
 GRID_LIMIT = 100001
+PARAM_FLAGS = tuple(sorted(set().union(*CONSTANT_PARAMS.values())))
 
 # each strategy's selector at its defaults, from the strategy table
 STRATEGY_HELP = (" | ".join(strategy_descriptor(cls()) for cls in _STRATEGY_CLASSES.values())
@@ -92,7 +93,7 @@ def _emit(args, doc: str, rows: list[dict], header: list[str]) -> None:
 def _collect_params(args, needed: tuple[str, ...], role: str = "") -> dict:
     """The values of the parameters ``needed``: each must be given, and no
     other may be (a typo cannot silently alter the computation)."""
-    given = {name: getattr(args, name) for name in ("alpha", "p", "q", "t")
+    given = {name: getattr(args, name) for name in PARAM_FLAGS
              if getattr(args, name) is not None}
     extra = set(given) - set(needed)
     if extra:
@@ -210,10 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     def constant_args(p):
         p.add_argument("--space", required=True)
         p.add_argument("--constant", required=True, choices=CONSTANT_IDS)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--t", type=float, default=None)
+        for name in PARAM_FLAGS:
+            p.add_argument(f"--{name}", type=float, default=None)
         p.add_argument("--strategy", default=None, help=STRATEGY_HELP)
 
     pc = sub.add_parser("compute", help="compute one constant on one space")

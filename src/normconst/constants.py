@@ -18,6 +18,7 @@ the underlying identity, not a shared objective.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -32,28 +33,15 @@ from .search import (_GRID_LOOKAHEAD, DEFAULT_SEED, Estimate, ExactStrategy, Gri
 from .spaces import (TWO_PI, NormedSpace, Region, SpaceError, isometry_domain,
                      supports_extreme_points)
 
-# the parameters each constant takes between ``space`` and ``strategy``
-CONSTANT_PARAMS = {
-    "gamma_p": ("p", "t"),
-    "cinj_iso": ("alpha", "p"),
-    "cinj_via_gamma": ("alpha", "p"),
-    "cnj_p": ("p",),
-    "cnj_modified_p": ("p",),
-    "james": (),
-    "schaffer": (),
-    "rho": ("t",),
-    "jxp": ("p", "t"),
-    "nu_p": ("p",),
-    "omega_prime": (),
-    "smoothness_quotient": ("alpha", "p"),
-}
-CONSTANT_IDS = tuple(CONSTANT_PARAMS)
+CONSTANT_IDS = ("gamma_p", "cinj_iso", "cinj_via_gamma", "cnj_p", "cnj_modified_p", "james",
+                "schaffer", "rho", "jxp", "nu_p", "omega_prime", "smoothness_quotient")
 
 
 def _check_p(p: float) -> float:
     p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise ValueError(f"exponent p must be a finite real >= 1, got {p}")
+    # every objective sums two p-th powers of norms of at most 2: 2^(p+1) < 2^1024
+    if not 1.0 <= p < 1023.0:
+        raise ValueError(f"exponent p must be a real in [1, 1023), got {p}")
     return p
 
 
@@ -420,12 +408,10 @@ def nu_p(space: NormedSpace, p: float, strategy=None) -> Estimate:
 
 
 def omega_prime(space: NormedSpace, strategy=None) -> Estimate:
-    """Skewed quadratic ratio on isosceles pairs, via the half-sum parametrization."""
+    """Skewed quadratic ratio on isosceles pairs, via the half-sum parametrization.
+    The suite's ``omega_identity`` checks it against 0.9 gamma_p(p=2, t=1/3)."""
     strat = resolve_strategy(strategy, space)
-    est = _run_sup(space, _omega_objective(space), Region.SPHERE, strat)
-    gam = gamma_p(space, 2.0, 1.0 / 3.0, strat)
-    return replace(est, evaluations=est.evaluations + gam.evaluations,
-                   meta={**est.meta, "gamma_identity": 0.9 * gam.value})
+    return _run_sup(space, _omega_objective(space), Region.SPHERE, strat)
 
 
 def smoothness_quotient(space: NormedSpace, p: float, alpha: float, strategy=None) -> float:
@@ -572,3 +558,12 @@ def schaffer(space: NormedSpace, strategy=None) -> Estimate:
     value, witness, evals = _unit_iso_extremum(space, "inf", strat)
     meta = {"sense": "inf", "two_over_james": 2.0 / j.value}
     return Estimate(value, witness, j.strategy, False, evals + j.evaluations, meta)
+
+
+def _params_between_space_and_strategy(cid: str) -> tuple[str, ...]:
+    names = list(inspect.signature(globals()[cid]).parameters)
+    return tuple(sorted(names[1:names.index("strategy")]))
+
+
+# sorted, as the CLI's params documents and "requires --x" messages list them
+CONSTANT_PARAMS = {cid: _params_between_space_and_strategy(cid) for cid in CONSTANT_IDS}

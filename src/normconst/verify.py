@@ -29,8 +29,7 @@ import numpy as np
 
 from . import constants as cns
 from .search import (_MOST, Estimate, ExactStrategy, Grid2DStrategy, MultiStartStrategy,
-                     Strategy, _check_range, _unit_rows, strategy_descriptor, sup_pairs_2d,
-                     sup_pairs_nd)
+                     Strategy, _check_range, _unit_rows, sup_pairs_2d, sup_pairs_nd)
 from .spaces import (NormedSpace, Region, descriptor, lp_space,
                      regular_polygon_space, supports_extreme_points)
 
@@ -122,9 +121,10 @@ _PROFILE_BOUNDS.update(ball_resolution=_PROFILE_BOUNDS["resolution"],
 
 class _Context:
     """A profile's strategies, built once, and the estimate cache, filled by
-    calling the ``constants`` function of each name.  Every numeric field of
-    the profile is checked first, and an out-of-range one is refused by its
-    profile field name before any check runs."""
+    calling the ``constants`` function of each name and keyed by the name,
+    the space (by identity), the strategy (by value) and the parameters.
+    Every numeric field of the profile is checked first, and an out-of-range
+    one is refused by its profile field name before any check runs."""
 
     def __init__(self, profile: Profile, seed: int):
         self.profile = profile
@@ -145,32 +145,28 @@ class _Context:
 
     @staticmethod
     def _key(name: str, space: NormedSpace, strat: Strategy, params: dict):
-        return (name, descriptor(space), strategy_descriptor(strat),
-                tuple(sorted(params.items())))
+        return name, space, strat, tuple(sorted(params.items()))
 
     def estimate(self, name: str, space: NormedSpace, strat: Strategy,
-                 **params) -> Estimate:
+                 **params) -> Estimate | float:
         key = self._key(name, space, strat, params)
-        est = self._cache.get(key)
-        if est is None:
-            est = getattr(cns, name)(space, strategy=strat, **params)
-            self._cache[key] = est
-        return est
+        if key not in self._cache:
+            self._cache[key] = getattr(cns, name)(space, strategy=strat, **params)
+        return self._cache[key]
 
     def estimate_many(self, name: str, space: NormedSpace, strat: Strategy, axis: str,
-                      values, **fixed) -> None:
-        """Cache ``estimate(name, space, strat, **fixed, axis=v)`` for each v of
-        ``values`` that is not cached yet, under the same keys, from one
-        ``constants._estimates_along`` call."""
-        missing = {}
-        for v in values:
-            key = self._key(name, space, strat, {**fixed, axis: v})
-            if key not in self._cache:
-                missing.setdefault(key, v)
+                      values, **fixed) -> list[Estimate]:
+        """``estimate(name, space, strat, **fixed, axis=v)`` for each v of
+        ``values``, the cached objects: those not cached yet come from one
+        ``constants._estimates_along`` call and are cached under the keys
+        ``estimate`` reads."""
+        keys = [self._key(name, space, strat, {**fixed, axis: v}) for v in values]
+        missing = {key: v for key, v in zip(keys, values) if key not in self._cache}
         if missing:
             ests = cns._estimates_along(name, space, strat, axis, list(missing.values()),
                                         **fixed)
             self._cache.update(zip(missing, ests))
+        return [self._cache[key] for key in keys]
 
     def check_seed(self, check_id: str, space: NormedSpace) -> int:
         tag = f"{self.seed}:{check_id}:{descriptor(space)}"
@@ -251,8 +247,8 @@ def _check_alpha_monotone_convex(ctx: _Context, space, params):
     p = float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
     grid = [float(a) for a in np.linspace(0.0, 0.5, MONOTONE_POINTS)]
-    ctx.estimate_many("cinj_via_gamma", space, strat, "alpha", grid, p=p)
-    vals = [ctx.estimate("cinj_via_gamma", space, strat, alpha=a, p=p).value for a in grid]
+    vals = [est.value for est in ctx.estimate_many("cinj_via_gamma", space, strat, "alpha",
+                                                   grid, p=p)]
     mono = _excess(*(vals[i + 1] - vals[i] for i in range(len(vals) - 1)))
     convex = _excess(*(2.0 * vals[i] - vals[i - 1] - vals[i + 1]
                        for i in range(1, len(vals) - 1)))
@@ -265,8 +261,7 @@ def _check_gamma_monotone_t(ctx: _Context, space, params):
     p = float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
     grid = [float(t) for t in np.linspace(0.0, 1.0, MONOTONE_POINTS)]
-    ctx.estimate_many("gamma_p", space, strat, "t", grid, p=p)
-    vals = [ctx.estimate("gamma_p", space, strat, p=p, t=t).value for t in grid]
+    vals = [est.value for est in ctx.estimate_many("gamma_p", space, strat, "t", grid, p=p)]
     worst = _excess(*(vals[i] - vals[i + 1] for i in range(len(vals) - 1)))
     values = {"monotone_violation": worst, "at_zero": vals[0], "at_one": vals[-1]}
     return _verdict(values, worst, EXACT_SLACK)
@@ -366,9 +361,10 @@ def _check_js_identity(ctx: _Context, space, params):
 
 
 def _check_omega_identity(ctx: _Context, space, params):
+    """omega' = 0.9 gamma_p(p=2, t=1/3), each side its own search at one strategy."""
     strat = ctx.strategy_for(space, vertex_ok=True)
     om = ctx.estimate("omega_prime", space, strat)
-    target = float(om.meta["gamma_identity"])
+    target = 0.9 * ctx.estimate("gamma_p", space, strat, p=2.0, t=1.0 / 3.0).value
     return _verdict({"omega": om.value, "gamma_route": target}, abs(om.value - target),
                     _slack(strat, EXACT_SLACK, SEARCH_SLACK))
 
@@ -474,7 +470,7 @@ def _check_nonsquare_dichotomy(ctx: _Context, space, params):
 def _check_smoothness_limit(ctx: _Context, space, params):
     p = float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
-    quotients = [cns.smoothness_quotient(space, p, a, strat)
+    quotients = [ctx.estimate("smoothness_quotient", space, strat, p=p, alpha=a)
                  for a in SMOOTHNESS_ALPHAS]
     values = {"alphas": list(SMOOTHNESS_ALPHAS), "quotients": quotients}
     if space.kind in ("lp", "wlp") and 1.0 < space.q < math.inf:

@@ -94,6 +94,31 @@ def test_compute_usage_errors(capsys):
         assert token in err
 
 
+def test_compute_has_one_flag_per_constant_parameter(capsys):
+    # no constant takes q, so there is no --q to accept and then refuse
+    with pytest.raises(SystemExit):
+        main(["compute", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--alpha" in help_text and "--p" in help_text and "--t" in help_text
+    assert "--q" not in help_text
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--space", "lp:q=1,dim=2", "--constant", "james", "--q", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --q 2" in capsys.readouterr().err
+
+
+def test_compute_refuses_an_exponent_whose_powers_overflow(capsys):
+    # gamma_p at p = 1030 used to end in an OverflowError traceback
+    for p in ("1023", "1030"):
+        code, out, err = run_cli(capsys, "compute", "--space", "lp:q=3,dim=2",
+                                 "--constant", "gamma_p", "--p", p, "--t", "0.5")
+        assert code == 2 and out == ""
+        assert err == f"error: exponent p must be a real in [1, 1023), got {float(p)}\n"
+    code, out, _ = run_cli(capsys, "compute", "--space", "lp:q=1,dim=2", "--constant",
+                           "cnj_modified_p", "--p", "1022.99", "--strategy", "exact")
+    assert code == 0 and json.loads(out)["value"] == 2.0
+
+
 def test_compute_rejects_negative_seed(capsys):
     code, out, err = run_cli(capsys, "compute", "--space", "lp:q=3,dim=3",
                              "--constant", "gamma_p", "--p", "2", "--t", "0.5",

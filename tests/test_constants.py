@@ -8,7 +8,6 @@ Oracle provenance, all independent of the search engines:
 """
 
 import dataclasses
-import inspect
 import math
 
 import numpy as np
@@ -33,12 +32,15 @@ ALPHAS = (0.0, 0.1, 0.25, 0.4, 0.5)
 PS = (1.0, 2.0, 3.0)
 
 
-def test_constant_params_are_the_parameters_between_space_and_strategy():
+def test_constant_params_are_each_signatures_parameters_sorted():
+    # read off the signatures, in the order and with the names the CLI's
+    # params documents and its "requires --x" messages have always used
+    assert list(CONSTANT_PARAMS.items()) == [
+        ("gamma_p", ("p", "t")), ("cinj_iso", ("alpha", "p")),
+        ("cinj_via_gamma", ("alpha", "p")), ("cnj_p", ("p",)), ("cnj_modified_p", ("p",)),
+        ("james", ()), ("schaffer", ()), ("rho", ("t",)), ("jxp", ("p", "t")),
+        ("nu_p", ("p",)), ("omega_prime", ()), ("smoothness_quotient", ("alpha", "p"))]
     assert CONSTANT_IDS == tuple(CONSTANT_PARAMS)
-    for cid, params in CONSTANT_PARAMS.items():
-        names = list(inspect.signature(getattr(nc.constants, cid)).parameters)
-        assert names[0] == "space", cid
-        assert set(params) == set(names[1:names.index("strategy")]), cid
 
 
 # --------------------------------------------------------------- gamma family
@@ -471,7 +473,12 @@ def test_omega_values():
                                                                     abs=1e-9)
     om = nc.omega_prime(HEX, strategy=HEXFAST)
     assert om.value == pytest.approx(1.25, abs=1e-9)
-    assert om.value == pytest.approx(om.meta["gamma_identity"], abs=1e-6)
+    assert om.value == pytest.approx(0.9 * nc.gamma_p(HEX, 2.0, 1.0 / 3.0, HEXFAST).value,
+                                     abs=1e-6)
+    # its own search alone: the identity's gamma_p is the suite's to run
+    alone = nc.constants._run_sup(HEX, nc.constants._omega_objective(HEX), nc.Region.SPHERE,
+                                  HEXFAST)
+    assert repr(om) == repr(alone)
     assert nc.omega_prime(L1, strategy=FAST).value == pytest.approx(1.6,
                                                                     abs=1e-9)
 
@@ -503,6 +510,26 @@ def test_parameter_validation():
         nc.rho(L2, t=-0.1)
     with pytest.raises(ValueError):
         nc.smoothness_quotient(L2, p=2.0, alpha=0.5)
+
+
+def test_exponents_below_the_overflow_bound_are_computed_and_the_rest_refused():
+    # every objective sums two p-th powers of norms of at most 2, which
+    # stay finite below p = 1023
+    p = 1022.99
+    assert nc.cnj_modified_p(L1, p, "exact").value == 2.0
+    assert nc.cinj_iso(L1, 0.25, p, "exact").value == pytest.approx(2.0 * 0.75 ** p, rel=1e-12)
+    assert nc.nu_p(L3, p, FAST).value >= 2.0 ** (p - 1.0)
+    assert nc.gamma_p(L3, p, 0.5, FAST).value == pytest.approx(2.0 * 0.75 ** p, rel=1e-9)
+    # at 1023 cnj_modified_p returned 1.0 and from 1030 cinj_iso 0.0, nu_p a
+    # finite value below 2^(p - 1) and gamma_p an OverflowError
+    calls = {"gamma_p": dict(t=0.5), "cinj_iso": dict(alpha=0.25),
+             "cinj_via_gamma": dict(alpha=0.25), "cnj_p": {}, "cnj_modified_p": {},
+             "jxp": dict(t=0.5), "nu_p": {}, "smoothness_quotient": dict(alpha=0.25)}
+    assert set(calls) == {cid for cid, params in CONSTANT_PARAMS.items() if "p" in params}
+    for cid, rest in calls.items():
+        for p in (1023.0, 1030.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"exponent p must be a real in \[1, 1023\)"):
+                getattr(nc, cid)(L1, p=p, strategy="exact", **rest)
 
 
 @pytest.mark.parametrize("name", ["gamma_p", "cinj_iso", "cinj_via_gamma"])

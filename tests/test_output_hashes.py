@@ -136,8 +136,8 @@ def test_compare_reads_float_moves_in_ulps_of_the_old_value_or_1():
 def test_commands_group_hashes_what_verify_and_spaces_list_write(tmp_path, capsys):
     # --out holds the bytes the command prints to stdout, in every format
     got = oh.command_hashes(tmp_path)
-    assert sorted(got) == ["spaces/csv", "spaces/json", "spaces/text", "verify/csv",
-                           "verify/json"]
+    assert sorted(got) == ["compute/omega_prime", "spaces/csv", "spaces/json", "spaces/text",
+                           "verify/csv", "verify/json"]
     for label, argv in oh.COMMAND_OPS.items():
         assert oh.cli.main(argv) == 0
         assert got[label] == hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

@@ -244,15 +244,16 @@ def test_estimate_many_fills_the_keys_estimate_reads(space):
         alone, prefetched = _Context(MINI, 7), _Context(MINI, 7)
         # a key cached before the prefetch keeps its object
         kept = prefetched.estimate("gamma_p", space, strat, p=2.0, t=0.5)
-        for name, axis, values, fixed in asks:
-            prefetched.estimate_many(name, space, strat, axis, values, **fixed)
+        returned = [prefetched.estimate_many(name, space, strat, axis, values, **fixed)
+                    for name, axis, values, fixed in asks]
         cached = dict(prefetched._cache)
         assert len(cached) == 4 + 3 + 3
-        for name, axis, values, fixed in asks:
-            for v in values:
+        for (name, axis, values, fixed), ests in zip(asks, returned):
+            assert len(ests) == len(values)
+            for v, est in zip(values, ests):
                 params = {**fixed, axis: v}
                 got = prefetched.estimate(name, space, strat, **params)
-                assert got is cached[_Context._key(name, space, strat, params)]
+                assert got is cached[_Context._key(name, space, strat, params)] is est
                 assert repr(got) == repr(alone.estimate(name, space, strat, **params))
         assert prefetched.estimate("gamma_p", space, strat, p=2.0, t=0.5) is kept
         assert prefetched._cache == cached
@@ -325,6 +326,35 @@ def test_js_identity_runs_the_min_form_supremum_in_each_constant(monkeypatch):
     mf = cns._min_form_sup(L2, strat)
     assert s.evaluations == cns._unit_iso_extremum(L2, "inf", strat)[2] + mf.evaluations
     assert s.meta["two_over_james"] == 2.0 / j.value == 2.0 / mf.value
+
+
+def test_smoothness_limit_reads_its_quotients_through_the_estimate_cache(monkeypatch):
+    asked = []
+    estimate = _Context.estimate
+
+    def recorded(self, name, space, strat, **params):
+        asked.append((name, params))
+        return estimate(self, name, space, strat, **params)
+
+    monkeypatch.setattr(_Context, "estimate", recorded)
+    res = run_check("smoothness_limit", L2, {"p": 2.0}, profile=MINI)
+    assert asked == [("smoothness_quotient", {"p": 2.0, "alpha": a}) for a in (0.45, 0.49, 0.499)]
+    grid = Grid2DStrategy(MINI.resolution, MINI.refine, MINI.radial)
+    assert res.values["quotients"] == [cns.smoothness_quotient(L2, 2.0, a, grid)
+                                       for a in (0.45, 0.49, 0.499)]
+
+
+@pytest.mark.parametrize("space", [L2, regular_polygon_space(6)], ids=["l2", "hex"])
+def test_omega_identity_compares_with_its_own_gamma_p_read(space):
+    # the gamma_p side is read through the cache at omega_prime's strategy,
+    # and gamma_route is 0.9 times it bit for bit
+    ctx = _Context(MINI, 7)
+    strat = ctx.strategy_for(space, vertex_ok=True)
+    res = run_check("omega_identity", space, {}, profile=MINI)
+    assert res.passed
+    assert res.values["gamma_route"] == 0.9 * cns.gamma_p(space, 2.0, 1.0 / 3.0, strat).value
+    assert res.values["omega"] == cns.omega_prime(space, strat).value
+    assert "gamma_identity" not in cns.omega_prime(space, strat).meta
 
 
 def test_smoothness_check_fails_on_a_nan_quotient(monkeypatch):

@@ -27,7 +27,8 @@ groups of hashes are printed:
   on ``lp:q=1,dim=2``;
 * ``commands``: the ``--out`` bytes of each call of ``COMMAND_OPS``, keyed
   by its label: ``normconst verify --space lp:q=1,dim=2`` in JSON and CSV,
-  and ``normconst spaces list`` in text, JSON and CSV.
+  ``normconst spaces list`` in text, JSON and CSV, and ``normconst compute
+  --space lp:q=3,dim=2 --constant omega_prime`` in JSON.
 
 The bytes hold for one numpy version and SIMD dispatch only: numpy's
 AVX-512 ``**`` rounds some powers apart from its other loops.  So the
@@ -125,7 +126,9 @@ CSV_OPS = {f"{call}/{space}": [*argv, *space_argv, "--format", "csv"]
 COMMAND_OPS = {**{f"verify/{fmt}": ["verify", "--space", "lp:q=1,dim=2", "--format", fmt]
                   for fmt in ("json", "csv")},
                **{f"spaces/{fmt}": ["spaces", "list", "--format", fmt]
-                  for fmt in ("text", "json", "csv")}}
+                  for fmt in ("text", "json", "csv")},
+               "compute/omega_prime": ["compute", "--space", "lp:q=3,dim=2",
+                                       "--constant", "omega_prime"]}
 # the groups a record may lack, by the key they are recorded under
 OPTIONAL_GROUPS = {"sweep": "sweep_output_sha256", "iso_nd": "iso_nd_output_sha256",
                    "csv": "csv_output_sha256", "commands": "commands_output_sha256"}
