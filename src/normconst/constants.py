@@ -229,9 +229,9 @@ def _swept(name: str, space: NormedSpace, strategy, values, p) -> list[Estimate]
             p = _check_p(p)
             thetas.append(_check_t(v))
         else:
-            alpha = _check_alpha(v)
+            theta = _identity_offset(v) if via else _check_alpha(v)
             p = _check_p(p)
-            thetas.append(1.0 - 2.0 * alpha if via else alpha)
+            thetas.append(theta)
     strat = resolve_strategy(strategy, space)
     family = _family("gamma_p" if via else name, space, p)
     if isinstance(strat, Grid2DStrategy) and len(thetas) > 1:
@@ -242,10 +242,21 @@ def _swept(name: str, space: NormedSpace, strategy, values, p) -> list[Estimate]
         ests = [replace(est, meta={**est.meta, "iso_pair": _iso_pair(est.witness)})
                 for est in ests]
     elif via:
-        ests = [replace(est, value=0.5 * est.value,
-                        meta={**est.meta, "route": "via_gamma", "t": t})
-                for est, t in zip(ests, thetas)]
+        ests = [_via_gamma(est, t) for est, t in zip(ests, thetas)]
     return ests
+
+
+def _identity_offset(alpha: float) -> float:
+    """The offset t = 1 - 2 alpha of ``gamma_p`` that ``cinj_via_gamma`` runs
+    at, once ``alpha`` is checked."""
+    return 1.0 - 2.0 * _check_alpha(alpha)
+
+
+def _via_gamma(gamma: Estimate, t: float) -> Estimate:
+    """``cinj_via_gamma`` from ``gamma_p``'s Estimate at its offset ``t``:
+    the value halved, which is exact, and ``route`` and ``t`` in the meta."""
+    return replace(gamma, value=0.5 * gamma.value,
+                   meta={**gamma.meta, "route": "via_gamma", "t": t})
 
 
 def _iso_pair(witness):
@@ -277,14 +288,22 @@ def _estimates_along(name: str, space: NormedSpace, strat, axis: str, values, **
 _CNJ_MODES = {"gamma": ("gamma_p", 1.0, lambda t: t),
               "cinj": ("cinj_iso", 2.0, lambda t: (1.0 - t) / 2.0)}
 
+# The offsets a grid2d cnj_p refines after its stacked scan, those of the best
+# raw grid ratios; its two joint searches start from the best of them.  Over
+# the 5712 combinations of tools/joint_contract.py the contract failed 12
+# times at 2 (all on the rotated octagon at p = 2) and 0 times at 3 and at 4.
+_CNJ_REFINED = 4
+
 
 def _cnj_joint(space: NormedSpace, p: float, strat: Grid2DStrategy, ts: list[float],
                mode: str) -> Estimate:
     """:func:`cnj_p` on a grid2d strategy.
 
-    The offsets ``ts`` run as one stacked search of the inner constant.  From
-    each of the two offsets with the best ratios (ties to the smaller t, by
-    ``_best_offsets`` as in ``t_sweep``) one ``_refine`` search moves the
+    The offsets ``ts`` run as one stacked search of the inner constant, which
+    scans every offset and refines only the ``_CNJ_REFINED`` with the best
+    raw grid ratios (ties to the smaller t, by ``_best_offsets`` as in
+    ``t_sweep``).  From each of the two of those with the best refined
+    ratios (ties again to the smaller t) one ``_refine`` search moves the
     angles of x1 and x2 and the offset t together on the ratio objective,
     the two in lockstep, at most ``strat.refine`` rounds with t's width one
     offset step; the better end wins, ties to the smaller t.  Two starts,
@@ -295,10 +314,22 @@ def _cnj_joint(space: NormedSpace, p: float, strat: Grid2DStrategy, ts: list[flo
     """
     name, scale, theta = _CNJ_MODES[mode]
     family = _family(name, space, p)
-    swept, angles = _sup_pairs_2d_stack(space, family, list(map(theta, ts)), Region.SPHERE, strat)
-    starts = _best_offsets(ts, [scale * est.value / (1.0 + t ** p)
-                                for t, est in zip(ts, swept)], 2)
-    best_v = [ratio for _, ratio in starts]
+
+    def ratio(k: int, value: float) -> float:
+        return scale * value / (1.0 + ts[k] ** p)
+
+    top = []    # the offsets the stack refines, in the order of ts
+
+    def pick(raw: list[float]) -> list[int]:
+        ranked = _best_offsets(ts, [ratio(k, v) for k, v in enumerate(raw)], _CNJ_REFINED)
+        top.extend(sorted(k for k, _ in ranked))
+        return top
+
+    swept, angles = _sup_pairs_2d_stack(space, family, list(map(theta, ts)), Region.SPHERE, strat,
+                                        pick)
+    starts = [(top[i], r) for i, r in _best_offsets([ts[k] for k in top],
+                                                    [ratio(k, swept[k].value) for k in top], 2)]
+    best_v = [r for _, r in starts]
     best_w = [(swept[i].witness, ts[i], swept[i].value) for i, _ in starts]
     params = np.array([np.append(angles[i], ts[i]) for i, _ in starts])    # (theta1, theta2, t)
 
@@ -335,9 +366,10 @@ def cnj_p(space: NormedSpace, p: float, strategy=None, t_grid: int = 33,
     it asks for is one call of the inner constant, made the first time.  The
     witness is the inner witness at the best offset ``meta['t_star']``, and
     ``meta['inner_value']`` its inner value.  On ``grid2d`` the offsets run
-    as one stacked search, and the refinement moves x1, x2 and t together
-    from the two best offsets for at most the strategy's ``refine`` rounds
-    (see ``_cnj_joint``); ``t_refine`` is checked but unused.  ``t_star``
+    as one stacked search that refines only the offsets of the best raw
+    grid ratios, and the refinement moves x1, x2 and t together from the
+    two best of those for at most the strategy's ``refine`` rounds (see
+    ``_cnj_joint``); ``t_refine`` is checked but unused.  ``t_star``
     is then the offset of the witness, and ``meta['inner_value']`` the inner
     objective (gamma_p's, or cinj_iso's) at the witness and ``t_star``.
     """
@@ -421,7 +453,11 @@ def smoothness_quotient(space: NormedSpace, p: float, alpha: float, strategy=Non
     alpha = _check_alpha(alpha)
     if alpha == 0.5:
         raise ValueError("smoothness_quotient is undefined at alpha = 1/2")
-    c = cinj_via_gamma(space, alpha, p, strategy).value
+    return _quotient(cinj_via_gamma(space, alpha, p, strategy).value, p, alpha)
+
+
+def _quotient(c: float, p: float, alpha: float) -> float:
+    """:func:`smoothness_quotient` from the constant's value ``c`` at (alpha, p)."""
     return ((2.0 ** (p - 1.0) * c) ** (1.0 / p) - 1.0) / (1.0 - 2.0 * alpha)
 
 
@@ -530,31 +566,34 @@ def _min_form_sup(space: NormedSpace, strategy: Strategy) -> Estimate:
     return _run_sup(space, _min_form_objective(space), Region.SPHERE, strategy)
 
 
-def james(space: NormedSpace, strategy=None) -> Estimate:
+def james(space: NormedSpace, strategy=None, *, min_form: Estimate | None = None) -> Estimate:
     """Non-squareness constant: sup over unit pairs of min(||x1+x2||, ||x1-x2||).
 
     The equivalent form as sup of ||x1+x2|| over unit isosceles pairs is
     computed on sampled pairs and recorded in ``meta['iso_form_value']``;
-    the two agree within the strategy tolerance.
+    the two agree within the strategy tolerance.  ``min_form``, if given,
+    is ``_min_form_sup`` of the space on this strategy, which then does not
+    run again; the suite shares that one search with :func:`schaffer`.
     """
     strat = resolve_strategy(strategy, space)
-    j = _min_form_sup(space, strat)
+    j = _min_form_sup(space, strat) if min_form is None else min_form
     iso_v, iso_w, ev2 = _unit_iso_extremum(space, "sup", strat)
     return replace(j, exact=False, evaluations=j.evaluations + ev2,
                    meta={**j.meta, "iso_form_value": iso_v, "iso_form_witness": iso_w})
 
 
-def schaffer(space: NormedSpace, strategy=None) -> Estimate:
+def schaffer(space: NormedSpace, strategy=None, *, min_form: Estimate | None = None) -> Estimate:
     """Girth-type constant: inf of ||x1+x2|| over unit isosceles pairs.
 
     An infimum: the estimate is an upper bound of the true value (the
     mirror image of the suprema semantics).  ``meta['two_over_james']``
     records 2/J for the product identity J * S = 2, with J the min-form
     supremum that :func:`james` reports, run here too; ``evaluations``
-    counts the infimum's samples plus that supremum's.
+    counts the infimum's samples plus that supremum's.  ``min_form`` is
+    that supremum, if given, as in :func:`james`.
     """
     strat = resolve_strategy(strategy, space)
-    j = _min_form_sup(space, strat)
+    j = _min_form_sup(space, strat) if min_form is None else min_form
     value, witness, evals = _unit_iso_extremum(space, "inf", strat)
     meta = {"sense": "inf", "two_over_james": 2.0 / j.value}
     return Estimate(value, witness, j.strategy, False, evals + j.evaluations, meta)

@@ -578,7 +578,8 @@ def _scan_2d(fbs, P1: np.ndarray, P2: np.ndarray):
 
 
 def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective],
-                        thetas: Sequence[float], region, strat: Grid2DStrategy):
+                        thetas: Sequence[float], region, strat: Grid2DStrategy,
+                        pick: Callable[[list], Sequence[int]] | None = None):
     """``sup_pairs_2d`` on ``strat``'s grid of the objectives ``family(theta)``
     for each theta of ``thetas``, in one run: (Estimates, params), the
     Estimates K separate runs give, bit for bit, and in ``params[k]`` the
@@ -603,6 +604,12 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     more than rounding, so on a flat family (every offset of l2) each stops
     after ``_IDLE_ROUNDS`` rounds; its Estimate's ``evaluations`` counts
     the pairs scanned and the probes of the rounds it ran.
+
+    ``pick``, if given, is called with the list of raw grid maxima and
+    returns the indices of the searches to refine.  The others keep their
+    grid maximum, witness and parameters, and count the pairs scanned
+    only; a refined search is bit for bit the one a stack that refines all
+    gives, since no search reads another's samples.
     """
     if space.dim != 2:
         raise SpaceError(f"sup_pairs_2d needs a 2-dimensional space, got dim={space.dim}")
@@ -630,6 +637,9 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     steps = (TWO_PI / strat.resolution, 1.0 / (strat.radial - 1))
     widths = [w for par in (par1, par2) for w in steps[:par.shape[1]]]
     params = np.array([np.concatenate([par1[i], par2[j]]) for _, _, i, j in scans])
+    run = list(range(len(objs))) if pick is None else sorted(pick(best_v))
+    run_v, run_w = [best_v[k] for k in run], [best_w[k] for k in run]
+    run_params, run_thetas = params[run], thetas[run]
 
     def probe_rows(ci: int):
         # the probe over coordinate ci: one array of candidate rows for the
@@ -637,22 +647,25 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
         moving = 0 if ci < k1 else 1
         halves = (slice(0, k1), slice(k1, None))
         own, other = halves if moving == 0 else halves[::-1]
-        fixed = _points_2d(space, regs[1 - moving], params[:, other])
+        fixed = _points_2d(space, regs[1 - moving], run_params[:, other])
 
         def fun(ks: list[int], batches: list[list[float]]):
             counts = [len(xs) for xs in batches]
-            trial = params[ks, own].repeat(counts, axis=0)
+            trial = run_params[ks, own].repeat(counts, axis=0)
             trial[:, ci - own.start] = [x for xs in batches for x in xs]
             R = _points_2d(space, regs[moving], trial)
             F = fixed[ks].repeat(counts, axis=0)
             X1, X2 = (R, F) if moving == 0 else (F, R)
-            vals = _batch(family(thetas[ks].repeat(counts)[:, None]))(X1, X2)
+            vals = _batch(family(run_thetas[ks].repeat(counts)[:, None]))(X1, X2)
             return _replies(counts, vals, X1, X2)
 
         return fun
 
-    refined = _refine(best_v, best_w, params, widths, probe_rows, strat.refine,
-                      _GRID_LOOKAHEAD)
+    probes = _refine(run_v, run_w, run_params, widths, probe_rows, strat.refine, _GRID_LOOKAHEAD)
+    refined = [0] * len(objs)
+    for k, v, w, n in zip(run, run_v, run_w, probes):
+        best_v[k], best_w[k], refined[k] = v, w, n
+    params[run] = run_params
     scanned = P1.shape[0] * P2.shape[0]
     return [Estimate(value=v, witness=w, strategy="Grid2D", exact=False,
                      evaluations=scanned + n) for v, w, n in zip(best_v, best_w, refined)], params

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import constants as cns
 from .search import (_MOST, Estimate, ExactStrategy, Grid2DStrategy, MultiStartStrategy,
-                     Strategy, _check_range, _unit_rows, sup_pairs_2d, sup_pairs_nd)
+                     Strategy, _check_range, _sup_pairs_2d_stack, _unit_rows, sup_pairs_2d,
+                     sup_pairs_nd)
 from .spaces import (NormedSpace, Region, descriptor, lp_space,
                      regular_polygon_space, supports_extreme_points)
 
@@ -109,6 +110,8 @@ def default_suite_spaces() -> tuple[NormedSpace, ...]:
 # execution context: strategies, slacks, and an estimate cache
 
 
+_BALLS = (Region.BALL, Region.BALL)
+
 # Every numeric Profile field with its (least, largest) value: a field that
 # fills a strategy field takes that field's bounds, the other counts are
 # capped as strategy fields are
@@ -120,11 +123,14 @@ _PROFILE_BOUNDS.update(ball_resolution=_PROFILE_BOUNDS["resolution"],
 
 
 class _Context:
-    """A profile's strategies, built once, and the estimate cache, filled by
-    calling the ``constants`` function of each name and keyed by the name,
-    the space (by identity), the strategy (by value) and the parameters.
-    Every numeric field of the profile is checked first, and an out-of-range
-    one is refused by its profile field name before any check runs."""
+    """A profile's strategies, built once, and the estimate cache, keyed by
+    the constant's name, the space (by identity), the strategy (by value)
+    and the parameters.  Each search runs once: a constant built on a
+    search that another key holds is built from that key's estimate (see
+    ``_compute``), and every other one is a call of the ``constants``
+    function of its name.  Every numeric field of the profile is checked
+    first, and an out-of-range one is refused by its profile field name
+    before any check runs."""
 
     def __init__(self, profile: Profile, seed: int):
         self.profile = profile
@@ -151,15 +157,34 @@ class _Context:
                  **params) -> Estimate | float:
         key = self._key(name, space, strat, params)
         if key not in self._cache:
-            self._cache[key] = getattr(cns, name)(space, strategy=strat, **params)
+            self._cache[key] = self._compute(name, space, strat, params)
         return self._cache[key]
+
+    def _compute(self, name: str, space: NormedSpace, strat: Strategy, params: dict):
+        """What ``constants``' function ``name`` returns at ``params``, bit for
+        bit.  ``cinj_via_gamma`` is built from the cached ``gamma_p`` at
+        t = 1 - 2 alpha; ``james`` and ``schaffer`` are handed the cached
+        min-form supremum that both run first.  Every other constant, and
+        those two, are a call of the function of their name."""
+        if name == "cinj_via_gamma":
+            t = cns._identity_offset(params["alpha"])
+            return cns._via_gamma(self.estimate("gamma_p", space, strat, p=params["p"], t=t), t)
+        if name in ("james", "schaffer"):
+            params = {**params, "min_form": self.estimate("_min_form_sup", space, strat)}
+        return getattr(cns, name)(space, strategy=strat, **params)
 
     def estimate_many(self, name: str, space: NormedSpace, strat: Strategy, axis: str,
                       values, **fixed) -> list[Estimate]:
         """``estimate(name, space, strat, **fixed, axis=v)`` for each v of
         ``values``, the cached objects: those not cached yet come from one
         ``constants._estimates_along`` call and are cached under the keys
-        ``estimate`` reads."""
+        ``estimate`` reads.  ``cinj_via_gamma`` over alpha prefetches
+        ``gamma_p`` at the offsets t = 1 - 2 alpha instead, and each
+        ``cinj_via_gamma`` is then built from its offset's estimate."""
+        if name == "cinj_via_gamma" and axis == "alpha":
+            offsets = [cns._identity_offset(v) for v in values]
+            self.estimate_many("gamma_p", space, strat, "t", offsets, p=fixed["p"])
+            return [self.estimate(name, space, strat, **fixed, alpha=v) for v in values]
         keys = [self._key(name, space, strat, {**fixed, axis: v}) for v in values]
         missing = {key: v for key, v in zip(keys, values) if key not in self._cache}
         if missing:
@@ -167,6 +192,29 @@ class _Context:
                                         **fixed)
             self._cache.update(zip(missing, ests))
         return [self._cache[key] for key in keys]
+
+    def ball_gamma(self, space: NormedSpace, p: float, t: float) -> Estimate:
+        """``gamma_p``'s objective at (p, t) maximized over ball x ball pairs,
+        cached: on a 2-D space one stacked ``ball_grid`` search per (space, p)
+        of ``t`` and each offset of ``OFFSET_GRID`` not cached yet, bit for
+        bit the single ``sup_pairs_2d`` runs; above two dimensions one
+        multistart search per t."""
+        strat = self.ball_grid if space.dim == 2 else self.multistart
+        key = self._key("ball_gamma", space, strat, {"p": p, "t": t})
+        if key in self._cache:
+            return self._cache[key]
+        if space.dim == 2:
+            keys = {self._key("ball_gamma", space, strat, {"p": p, "t": x}): x
+                    for x in (*OFFSET_GRID, t)}
+            missing = [k for k in keys if k not in self._cache]
+            ests, _ = _sup_pairs_2d_stack(space, cns._family("gamma_p", space, p),
+                                          [keys[k] for k in missing], _BALLS, strat)
+            self._cache.update(zip(missing, ests))
+        else:
+            m = self.multistart
+            self._cache[key] = sup_pairs_nd(space, cns.gamma_objective(space, p, t), _BALLS,
+                                            m.starts, m.steps, m.seed)
+        return self._cache[key]
 
     def check_seed(self, check_id: str, space: NormedSpace) -> int:
         tag = f"{self.seed}:{check_id}:{descriptor(space)}"
@@ -272,14 +320,7 @@ def _check_sphere_ball_equal(ctx: _Context, space, params):
     strat = ctx.strategy_for(space, vertex_ok=False)
     ctx.estimate_many("gamma_p", space, strat, "t", OFFSET_GRID, p=p)
     sphere = ctx.estimate("gamma_p", space, strat, p=p, t=t)
-    obj = cns.gamma_objective(space, p, t)
-    balls = (Region.BALL, Region.BALL)
-    if space.dim == 2:
-        g = ctx.ball_grid
-        ball = sup_pairs_2d(space, obj, balls, g.resolution, g.refine, g.radial)
-    else:
-        m = ctx.multistart
-        ball = sup_pairs_nd(space, obj, balls, m.starts, m.steps, m.seed)
+    ball = ctx.ball_gamma(space, p, t)
     return _verdict({"sphere": sphere.value, "ball": ball.value},
                     abs(sphere.value - ball.value), SEARCH_SLACK)
 
@@ -470,8 +511,8 @@ def _check_nonsquare_dichotomy(ctx: _Context, space, params):
 def _check_smoothness_limit(ctx: _Context, space, params):
     p = float(params["p"])
     strat = ctx.strategy_for(space, vertex_ok=True)
-    quotients = [ctx.estimate("smoothness_quotient", space, strat, p=p, alpha=a)
-                 for a in SMOOTHNESS_ALPHAS]
+    quotients = [cns._quotient(ctx.estimate("cinj_via_gamma", space, strat, alpha=a, p=p).value,
+                               p, a) for a in SMOOTHNESS_ALPHAS]
     values = {"alphas": list(SMOOTHNESS_ALPHAS), "quotients": quotients}
     if space.kind in ("lp", "wlp") and 1.0 < space.q < math.inf:
         # l_q's modulus of smoothness is of order tau^min(q, 2), so its quotient

@@ -308,6 +308,37 @@ def test_cnj_grid2d_joint_refinement_contract(name, p, mode, res, refine, t_budg
     _assert_joint_contract(JOINT_SPACES[name], p, strat, *t_budget, mode)
 
 
+@pytest.mark.parametrize("sp, mode", [(HEX, "gamma"), (L3, "cinj"), (L2, "gamma")],
+                         ids=["hex-gamma", "l3-cinj", "l2-gamma"])
+def test_cnj_grid2d_refines_only_its_best_raw_offsets(sp, mode, monkeypatch):
+    # the stack refines the _CNJ_REFINED offsets of the best raw grid ratios
+    # (ties to the smaller t) and scans the rest; the value is at least the
+    # best raw ratio and the best refined one
+    stacks = []
+    stack = nc.constants._sup_pairs_2d_stack
+
+    def kept(*args):
+        out = stack(*args)
+        stacks.append((args, out[0]))
+        return out
+
+    monkeypatch.setattr(nc.constants, "_sup_pairs_2d_stack", kept)
+    strat = Grid2DStrategy(resolution=32, refine=3)
+    est = nc.cnj_p(sp, 3.0, strat, t_grid=9, t_refine=5, mode=mode)
+    [((space, family, thetas, region, _, _), got)] = stacks
+    ts = [float(t) for t in np.linspace(0.0, 1.0, 9)]
+    scale = 1.0 if mode == "gamma" else 2.0
+    raw, _ = stack(space, family, thetas, region, Grid2DStrategy(32, 0))
+    full, _ = stack(space, family, thetas, region, strat)
+    raw_ratio = [scale * e.value / (1.0 + t ** 3.0) for t, e in zip(ts, raw)]
+    top = sorted(range(9), key=lambda k: -raw_ratio[k])[:nc.constants._CNJ_REFINED]
+    for k in range(9):
+        assert repr(got[k]) == repr(full[k] if k in top else raw[k])
+    assert est.value >= max(raw_ratio)
+    assert est.value >= max(scale * full[k].value / (1.0 + ts[k] ** 3.0) for k in top)
+    assert est.evaluations > sum(e.evaluations for e in got)
+
+
 def test_cnj_grid2d_runs_no_per_t_search(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("grid2d cnj_p runs no search per offset")

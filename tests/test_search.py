@@ -1231,6 +1231,36 @@ def test_stacked_engine_end_params_rebuild_each_witness(space, region, kind, the
         assert np.concatenate([x1, x2]).tobytes() == np.array(est.witness).tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_ENGINE_SPACES),
+       st.sampled_from([Region.SPHERE, (Region.BALL, Region.BALL)]),
+       st.sampled_from(["gamma_p", "cinj_iso", "nan_gapped"]),
+       st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5]), min_size=1, max_size=5),
+       st.integers(8, 48), st.integers(1, 4), st.data())
+def test_stacked_engine_refines_only_what_pick_returns(space, region, kind, thetas, res,
+                                                       refine, data):
+    # a picked search is the one a stack that refines all gives; the others
+    # are the raw grid maxima, which pick is handed
+    family = _stack_family(kind, space, 2.0)
+    raw, raw_params = _sup_pairs_2d_stack(space, family, thetas, region, Grid2DStrategy(res, 0, 3))
+    full, full_params = _sup_pairs_2d_stack(space, family, thetas, region,
+                                            Grid2DStrategy(res, refine, 3))
+    chosen = data.draw(st.sets(st.sampled_from(range(len(thetas)))))
+    handed = []
+
+    def pick(values):
+        handed.append(list(values))
+        return list(chosen)[::-1]
+
+    got, params = _sup_pairs_2d_stack(space, family, thetas, region,
+                                      Grid2DStrategy(res, refine, 3), pick)
+    assert handed == [[e.value for e in raw]]
+    for k, est in enumerate(got):
+        want, want_params = (full, full_params) if k in chosen else (raw, raw_params)
+        assert repr(est) == repr(want[k])
+        assert params[k].tobytes() == want_params[k].tobytes()
+
+
 def test_stacked_engine_edge_cases():
     family = _stack_family("gamma_p", L2, 2.0)
     strat = Grid2DStrategy(16, 1, 2)

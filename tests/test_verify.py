@@ -1,5 +1,6 @@
 """Check catalog plumbing: single checks, reports, serialization."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -8,16 +9,20 @@ import numpy as np
 import pytest
 
 from normconst import constants as cns
-from normconst.search import ExactStrategy, Grid2DStrategy
-from normconst.spaces import NormedSpace, lp_space, parse_space, regular_polygon_space
+from normconst import search, verify
+from normconst.search import ExactStrategy, Grid2DStrategy, MultiStartStrategy, sup_pairs_2d
+from normconst.spaces import NormedSpace, Region, lp_space, parse_space, regular_polygon_space
 from normconst.verify import (
     CHECKS,
     CheckResult,
     PROFILES,
     Profile,
     SuiteReport,
+    OFFSET_GRID,
+    P_GRID,
     _Context,
     _excess,
+    _run_one,
     _verdict,
     default_suite_spaces,
     report_json,
@@ -237,9 +242,11 @@ def test_smoothness_limit_stays_bounded_away_on_polygons(space, p):
 def test_estimate_many_fills_the_keys_estimate_reads(space):
     grid = Grid2DStrategy(resolution=32, refine=2, radial=3)
     strats = [grid] + ([ExactStrategy()] if space is not L2 else [])
+    # cinj_via_gamma's alphas read gamma_p at t = 1, 0.5, 0 (cached by the
+    # first ask) and at t = 0.8 (prefetched by its own)
     asks = [("gamma_p", "t", [0.0, 0.25, 0.5, 0.25, 1.0], {"p": 2.0}),
             ("cinj_iso", "alpha", [0.0, 0.1, 0.5], {"p": 3.0}),
-            ("cinj_via_gamma", "alpha", [0.5, 0.25, 0.0], {"p": 1.5})]
+            ("cinj_via_gamma", "alpha", [0.0, 0.25, 0.5, 0.1], {"p": 2.0})]
     for strat in strats:
         alone, prefetched = _Context(MINI, 7), _Context(MINI, 7)
         # a key cached before the prefetch keeps its object
@@ -247,7 +254,7 @@ def test_estimate_many_fills_the_keys_estimate_reads(space):
         returned = [prefetched.estimate_many(name, space, strat, axis, values, **fixed)
                     for name, axis, values, fixed in asks]
         cached = dict(prefetched._cache)
-        assert len(cached) == 4 + 3 + 3
+        assert len(cached) == (4 + 1) + 3 + 4
         for (name, axis, values, fixed), ests in zip(asks, returned):
             assert len(ests) == len(values)
             for v, est in zip(values, ests):
@@ -255,8 +262,126 @@ def test_estimate_many_fills_the_keys_estimate_reads(space):
                 got = prefetched.estimate(name, space, strat, **params)
                 assert got is cached[_Context._key(name, space, strat, params)] is est
                 assert repr(got) == repr(alone.estimate(name, space, strat, **params))
+        # each cinj_via_gamma is built from the gamma_p object at its offset
+        for alpha, est in zip(asks[2][2], returned[2]):
+            t = 1.0 - 2.0 * alpha
+            gamma = cached[_Context._key("gamma_p", space, strat, {"p": 2.0, "t": t})]
+            assert (est.value, est.witness, est.evaluations) == (
+                0.5 * gamma.value, gamma.witness, gamma.evaluations)
+            assert est.meta == {**gamma.meta, "route": "via_gamma", "t": t}
         assert prefetched.estimate("gamma_p", space, strat, p=2.0, t=0.5) is kept
         assert prefetched._cache == cached
+
+
+@pytest.mark.parametrize("strat", [Grid2DStrategy(resolution=32, refine=2, radial=3),
+                                   ExactStrategy(),
+                                   MultiStartStrategy(starts=4, steps=12, seed=3)],
+                         ids=["grid2d", "exact", "multistart"])
+def test_cached_cinj_via_gamma_is_the_constant_bit_for_bit(strat):
+    space = regular_polygon_space(6)
+    for alpha in (0.0, 0.25, 0.5):
+        for p in (1.0, 2.5):
+            # read alone, and after gamma_p at its offset is cached
+            alone, after_gamma = _Context(MINI, 7), _Context(MINI, 7)
+            after_gamma.estimate("gamma_p", space, strat, p=p, t=1.0 - 2.0 * alpha)
+            want = cns.cinj_via_gamma(space, alpha, p, strat)
+            for ctx in (alone, after_gamma):
+                got = ctx.estimate("cinj_via_gamma", space, strat, alpha=alpha, p=p)
+                assert repr(got) == repr(want)
+                assert got.meta["route"] == "via_gamma"
+    # its arguments are checked as the constant checks them, alpha first
+    with pytest.raises(ValueError, match="alpha must lie"):
+        _Context(MINI, 7).estimate("cinj_via_gamma", space, strat, alpha=0.75, p=0.5)
+    with pytest.raises(ValueError, match="exponent p"):
+        _Context(MINI, 7).estimate("cinj_via_gamma", space, strat, alpha=0.25, p=0.5)
+
+
+@pytest.mark.parametrize("space", [lp_space(3, 2), regular_polygon_space(6)], ids=["l3", "hex"])
+def test_ball_gamma_stacks_each_p_once_with_the_single_runs_bits(space, monkeypatch):
+    stacks = []
+    stack = verify._sup_pairs_2d_stack
+
+    def counted(space, family, thetas, region, strat):
+        stacks.append(list(thetas))
+        return stack(space, family, thetas, region, strat)
+
+    monkeypatch.setattr(verify, "_sup_pairs_2d_stack", counted)
+    ctx = _Context(MINI, 7)
+    g = ctx.ball_grid
+    for p in (1.0, 2.0):
+        for t in (*OFFSET_GRID, 0.3, 0.5):
+            single = sup_pairs_2d(space, cns.gamma_objective(space, p, t),
+                                  (Region.BALL, Region.BALL), g.resolution, g.refine, g.radial)
+            assert repr(ctx.ball_gamma(space, p, t)) == repr(single)
+    assert stacks == [list(OFFSET_GRID), [0.3]] * 2
+
+
+def _grid_searches(monkeypatch, space):
+    """Each grid search of a mini-profile suite on ``space``, as (family or
+    objective name, p, theta bits, region, strategy), and each joint
+    ``cnj_p`` search, as ("cnj_p", p, mode, offsets, strategy): a list with
+    one entry per run.  The stacked offset scans of a joint search are part
+    of that search and are not listed apart."""
+    runs, tags, inside = [], {}, []
+    family, stack, joint = cns._family, search._sup_pairs_2d_stack, cns._cnj_joint
+
+    def tagged_family(name, space, p):
+        fam = family(name, space, p)
+
+        def tagged(theta):
+            obj = fam(theta)
+            if isinstance(theta, float):
+                tags[id(obj)] = (obj, name, p, theta.hex())
+            return obj
+
+        tags[id(tagged)] = (tagged, name, p)
+        return tagged
+
+    def tagged_stack(space, family, thetas, region, strat, pick=None):
+        if not inside:
+            for theta in thetas:
+                if id(family) in tags:
+                    ident = (*tags[id(family)][1:], float(theta).hex())
+                else:   # sup_pairs_2d's one objective
+                    obj = family(theta)
+                    ident = tags.get(id(obj), (obj, obj.name, None, None))[1:]
+                runs.append((*ident, region, strat))
+        return stack(space, family, thetas, region, strat, pick)
+
+    def tagged_joint(space, p, strat, ts, mode):
+        runs.append(("cnj_p", p, mode, tuple(ts), strat))
+        inside.append(1)
+        try:
+            return joint(space, p, strat, ts, mode)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cns, "_family", tagged_family)
+    monkeypatch.setattr(cns, "_cnj_joint", tagged_joint)
+    for module in (search, cns, verify):
+        monkeypatch.setattr(module, "_sup_pairs_2d_stack", tagged_stack)
+    report = run_suite([space], seed=7, profile=MINI)
+    assert report.summary["failed"] == 0
+    return runs
+
+
+@pytest.mark.parametrize("space", [L2, regular_polygon_space(6)], ids=["l2", "hex"])
+def test_a_suite_runs_no_grid_search_twice(space, monkeypatch):
+    runs = _grid_searches(monkeypatch, space)
+    twice = {run: n for run, n in collections.Counter(runs).items() if n > 1}
+    assert twice == {}
+    names = collections.Counter(run[0] for run in runs)
+    # the ball stacks and the min-form supremum are there; the hexagon's
+    # other searches enumerate vertices
+    assert sum(run[-2] == (Region.BALL, Region.BALL) for run in runs) == 3 * len(P_GRID)
+    assert names["james_min_form"] == 1
+    assert names["cnj_p"] == (2 * len(P_GRID) if space is L2 else 0)
+    if space is L2:
+        # grid2d everywhere: per p, gamma_p's 21-point t-grid and the 21
+        # alphas of cinj_via_gamma, which share 8 offsets; then
+        # smoothness_limit's alphas 0.49 and 0.499 and omega_identity's t = 1/3
+        sphere = [run for run in runs if run[0] == "gamma_p" and run[-2] is Region.SPHERE]
+        assert len(sphere) == len(P_GRID) * (21 + 21 - 8) + 2 + 1
 
 
 @pytest.mark.parametrize("gap, tol, passed", [(math.nan, 1e-3, False),
@@ -306,7 +431,7 @@ def test_report_json_is_strict_json_with_non_finite_values():
     assert back == to_jsonable(rep)
 
 
-def test_js_identity_runs_the_min_form_supremum_in_each_constant(monkeypatch):
+def test_js_identity_shares_the_min_form_supremum_of_both_constants(monkeypatch):
     names = []
     sup_pairs_2d = cns.sup_pairs_2d
 
@@ -315,33 +440,59 @@ def test_js_identity_runs_the_min_form_supremum_in_each_constant(monkeypatch):
         return sup_pairs_2d(space, f, *args)
 
     monkeypatch.setattr(cns, "sup_pairs_2d", counted)
-    res = run_check("js_identity", regular_polygon_space(6), {}, profile=MINI)
-    # the check calls james and schaffer as they are, and each runs it
-    assert res.passed and names == ["james_min_form"] * 2
+    hexagon = regular_polygon_space(6)
+    res = run_check("js_identity", hexagon, {}, profile=MINI)
+    # the check runs it once and hands it to james and schaffer, which give
+    # the bits they give when each runs it
+    assert res.passed and names == ["james_min_form"]
+    strat = Grid2DStrategy(resolution=64, refine=6, radial=3)
+    assert (res.values["james"], res.values["schaffer"]) == (
+        cns.james(hexagon, strat).value, cns.schaffer(hexagon, strat).value)
+    assert names[1:] == ["james_min_form"] * 2
     # as do the public constants; schaffer's evaluations count it
     strat = Grid2DStrategy(resolution=64, refine=6)
     j = cns.james(L2, strat)
     s = cns.schaffer(L2, strat)
-    assert names[2:] == ["james_min_form"] * 2
+    assert names[3:] == ["james_min_form"] * 2
     mf = cns._min_form_sup(L2, strat)
+    assert repr(cns.james(L2, strat, min_form=mf)) == repr(j)
+    assert repr(cns.schaffer(L2, strat, min_form=mf)) == repr(s)
     assert s.evaluations == cns._unit_iso_extremum(L2, "inf", strat)[2] + mf.evaluations
     assert s.meta["two_over_james"] == 2.0 / j.value == 2.0 / mf.value
 
 
 def test_smoothness_limit_reads_its_quotients_through_the_estimate_cache(monkeypatch):
-    asked = []
+    asked, searched = [], []
     estimate = _Context.estimate
+    swept = cns._swept
 
     def recorded(self, name, space, strat, **params):
         asked.append((name, params))
         return estimate(self, name, space, strat, **params)
 
+    def counted(name, space, strategy, values, p):
+        searched.append((name, list(values)))
+        return swept(name, space, strategy, values, p)
+
     monkeypatch.setattr(_Context, "estimate", recorded)
-    res = run_check("smoothness_limit", L2, {"p": 2.0}, profile=MINI)
-    assert asked == [("smoothness_quotient", {"p": 2.0, "alpha": a}) for a in (0.45, 0.49, 0.499)]
-    grid = Grid2DStrategy(MINI.resolution, MINI.refine, MINI.radial)
-    assert res.values["quotients"] == [cns.smoothness_quotient(L2, 2.0, a, grid)
-                                       for a in (0.45, 0.49, 0.499)]
+    monkeypatch.setattr(cns, "_swept", counted)
+    alphas = (0.45, 0.49, 0.499)
+    ctx = _Context(MINI, 7)
+    res = _run_one(ctx, "smoothness_limit", L2, {"p": 2.0})
+    # each cinj_via_gamma read is built from the gamma_p read at its offset
+    assert asked == [read for a in alphas
+                     for read in (("cinj_via_gamma", {"alpha": a, "p": 2.0}),
+                                  ("gamma_p", {"p": 2.0, "t": 1.0 - 2.0 * a}))]
+    assert searched == [("gamma_p", [1.0 - 2.0 * a]) for a in alphas]
+    grid = ctx.strategy_for(L2, vertex_ok=True)
+    assert res.values["quotients"] == [cns.smoothness_quotient(L2, 2.0, a, grid) for a in alphas]
+    # alpha_monotone_convex has cached the search at alpha 0.45 already
+    searched.clear()
+    ctx = _Context(MINI, 7)
+    _run_one(ctx, "alpha_monotone_convex", L2, {"p": 2.0})
+    assert len(searched) == 1
+    assert _run_one(ctx, "smoothness_limit", L2, {"p": 2.0}).values == res.values
+    assert searched[1:] == [("gamma_p", [1.0 - 2.0 * a]) for a in alphas[1:]]
 
 
 @pytest.mark.parametrize("space", [L2, regular_polygon_space(6)], ids=["l2", "hex"])
@@ -357,15 +508,15 @@ def test_omega_identity_compares_with_its_own_gamma_p_read(space):
     assert "gamma_identity" not in cns.omega_prime(space, strat).meta
 
 
-def test_smoothness_check_fails_on_a_nan_quotient(monkeypatch):
-    quotient = cns.smoothness_quotient
-
-    def nan_in_the_middle(space, p, alpha, strategy=None):
-        return math.nan if alpha == 0.49 else quotient(space, p, alpha, strategy)
-
-    monkeypatch.setattr(cns, "smoothness_quotient", nan_in_the_middle)
-    res = run_check("smoothness_limit", L1, {"p": 1.0}, profile=MINI)
+def test_smoothness_check_fails_on_a_nan_quotient():
+    # a NaN constant cached under cinj_via_gamma at the middle alpha
+    ctx = _Context(MINI, 7)
+    strat = ctx.strategy_for(L1, vertex_ok=True)
+    key = _Context._key("cinj_via_gamma", L1, strat, {"alpha": 0.49, "p": 1.0})
+    ctx._cache[key] = dataclasses.replace(cns.cinj_via_gamma(L1, 0.49, 1.0, strat), value=math.nan)
+    res = _run_one(ctx, "smoothness_limit", L1, {"p": 1.0})
     assert res.values["branch"] == "bounded_away"
+    assert math.isnan(res.values["quotients"][1])
     assert not res.passed and math.isnan(res.values["lowest"])
 
 
