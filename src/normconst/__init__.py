@@ -25,15 +25,7 @@ from .constants import (
     schaffer,
     smoothness_quotient,
 )
-from .orthogonality import (
-    ISO_TOL,
-    IsoPair,
-    is_isosceles,
-    iso_complete,
-    iso_defect,
-    pair_from_sphere,
-    unit_iso_partner,
-)
+from .orthogonality import iso_defect
 from .search import (
     Estimate,
     ExactStrategy,
@@ -83,8 +75,6 @@ __all__ = [
     "Estimate",
     "ExactStrategy",
     "Grid2DStrategy",
-    "ISO_TOL",
-    "IsoPair",
     "MultiStartStrategy",
     "NormedSpace",
     "Objective",
@@ -102,8 +92,6 @@ __all__ = [
     "extreme_points",
     "gamma_objective",
     "gamma_p",
-    "is_isosceles",
-    "iso_complete",
     "iso_defect",
     "james",
     "jxp",
@@ -112,7 +100,6 @@ __all__ = [
     "norm",
     "nu_p",
     "omega_prime",
-    "pair_from_sphere",
     "parse_space",
     "parse_strategy",
     "regular_polygon_space",
@@ -131,7 +118,6 @@ __all__ = [
     "supports_extreme_points",
     "t_sweep",
     "to_jsonable",
-    "unit_iso_partner",
     "unit_vector",
     "weighted_lp_space",
     "__version__",

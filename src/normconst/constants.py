@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .orthogonality import SUM_NORM_FLOOR, _iso_partner_rows
+from .orthogonality import _iso_partner_rows
 from .search import (_GRID_LOOKAHEAD, DEFAULT_SEED, Estimate, ExactStrategy, Grid2DStrategy,
                      MultiStartStrategy, Objective, Strategy, _Strategy, _ascend, _best_offsets,
                      _best_row, _points_2d, _refine, _replies, _start_draws, _sup_pairs_2d_stack,
@@ -32,6 +32,10 @@ from .search import (_GRID_LOOKAHEAD, DEFAULT_SEED, Estimate, ExactStrategy, Gri
                      sup_pairs_nd, sup_vertex_pairs, t_sweep)
 from .spaces import (TWO_PI, NormedSpace, Region, SpaceError, isometry_domain,
                      supports_extreme_points)
+
+# Ratio objectives (the half-sum ratio's ||x1 + x2||^p, nu_p's norm power
+# sum) read NaN on rows whose denominator is at or below this.
+SUM_NORM_FLOOR = 1e-9
 
 CONSTANT_IDS = ("gamma_p", "cinj_iso", "cinj_via_gamma", "cnj_p", "cnj_modified_p", "james",
                 "schaffer", "rho", "jxp", "nu_p", "omega_prime", "smoothness_quotient")

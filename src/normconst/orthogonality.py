@@ -1,4 +1,4 @@
-"""Isosceles orthogonality predicates, pair construction, and completion.
+"""Isosceles orthogonality: the defect of a pair and the row-wise unit partner search.
 
 Two vectors are isosceles orthogonal when ``||x + y|| == ||x - y||``.
 Everything here works relative to a :class:`~normconst.spaces.NormedSpace`;
@@ -9,19 +9,11 @@ flips, but it is not homogeneous, so rescaling one side of a pair breaks it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .spaces import NormedSpace, SpaceError, Vector, _validated_rows, norm
-
-# Default relative tolerance for declaring a pair isosceles orthogonal.
-ISO_TOL = 1e-9
-
-# Pairs whose sum has norm at or below this are treated as degenerate by
-# ratio-style objectives built on top of pair_from_sphere.
-SUM_NORM_FLOOR = 1e-9
+from .spaces import NormedSpace, _validated_rows
 
 
 def iso_defect(space: NormedSpace, x: Sequence[float], y: Sequence[float]) -> float:
@@ -31,113 +23,6 @@ def iso_defect(space: NormedSpace, x: Sequence[float], y: Sequence[float]) -> fl
     both = np.stack([xr + yr, xr - yr])
     s, d = space.norm_rows(both)
     return float(s - d)
-
-
-def is_isosceles(space: NormedSpace, x: Sequence[float], y: Sequence[float],
-                 tol: float = ISO_TOL) -> bool:
-    """Whether the defect vanishes relative to max(||x||, ||y||, 1)."""
-    scale = max(norm(space, x), norm(space, y), 1.0)
-    return abs(iso_defect(space, x, y)) <= tol * scale
-
-
-@dataclass(frozen=True)
-class IsoPair:
-    """An isosceles orthogonal pair together with its construction data."""
-
-    x1: Vector
-    x2: Vector
-    defect: float     # residual ||x1+x2|| - ||x1-x2||
-    sum_norm: float   # ||x1 + x2||
-
-
-def pair_from_sphere(space: NormedSpace, u1: Sequence[float], u2: Sequence[float],
-                     tol: float = 1e-9) -> IsoPair:
-    """Isosceles pair (u1 + u2, u1 - u2) built from two unit vectors.
-
-    For unit u1, u2 the pair is isosceles orthogonal because its sum and
-    difference are 2*u1 and 2*u2, which share the norm 2.  Every isosceles
-    pair with nonzero sum arises this way up to joint scaling, which makes
-    this the canonical sampler for ratio-type suprema over such pairs.
-    """
-    a = _validated_rows(space, u1)[0]
-    b = _validated_rows(space, u2)[0]
-    na, nb = space.norm_rows(np.stack([a, b]))
-    if abs(na - 1.0) > tol or abs(nb - 1.0) > tol:
-        raise SpaceError(f"pair_from_sphere needs unit vectors, got norms {na!r}, {nb!r}")
-    x1 = a + b
-    x2 = a - b
-    s, d = space.norm_rows(np.stack([x1 + x2, x1 - x2]))
-    return IsoPair(tuple(float(t) for t in x1), tuple(float(t) for t in x2),
-                   float(s - d), float(s))
-
-
-def iso_complete(space: NormedSpace, x: Sequence[float], d: Sequence[float],
-                 s_max: float = 1e6, tol: float = 1e-10, max_iter: int = 200) -> Vector:
-    """Shift ``d`` along ``x`` until the result is isosceles orthogonal to ``x``.
-
-    Returns ``y = d + s*x`` with ``iso_defect(space, x, y) ~ 0``.  The defect,
-    as a function of s, is non-decreasing (a difference of a convex function
-    of s over a sliding window) and changes sign towards +-infinity, so an
-    outward bracket expansion from s = 0 followed by bisection always lands
-    on a root.  The root need not be unique; the first bracketed one wins.
-    """
-    xr = _validated_rows(space, x)[0]
-    dr = _validated_rows(space, d)[0]
-    nx = float(space.norm_rows(xr.reshape(1, -1))[0])
-    if nx == 0.0:
-        raise SpaceError("x must be nonzero")
-    # Reject d parallel to x: the line d + s*x then only meets the isosceles
-    # relation at y = 0, which is not a usable completion.
-    ex = xr / math.sqrt(float(xr @ xr))
-    resid = dr - (dr @ ex) * ex
-    if math.sqrt(float(resid @ resid)) <= 1e-12 * math.sqrt(float(dr @ dr)):
-        raise SpaceError("direction d is parallel to x; no proper completion exists")
-
-    def defect(s: float) -> float:
-        y = dr + s * xr
-        both = np.stack([xr + y, xr - y])
-        a, b = space.norm_rows(both)
-        return float(a - b)
-
-    g0 = defect(0.0)
-    if g0 == 0.0:
-        return tuple(float(t) for t in dr)
-    lo, hi = None, None
-    step = 1.0
-    if g0 > 0.0:
-        hi, ghi = 0.0, g0
-        while step <= s_max:
-            if defect(-step) <= 0.0:
-                lo = -step
-                break
-            step *= 2.0
-    else:
-        lo, glo = 0.0, g0
-        while step <= s_max:
-            if defect(step) >= 0.0:
-                hi = step
-                break
-            step *= 2.0
-    if lo is None or hi is None:
-        raise SpaceError(f"no sign change of the defect within |s| <= {s_max}")
-
-    scale = max(nx, float(space.norm_rows(dr.reshape(1, -1))[0]), 1.0)
-    s_mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        s_mid = 0.5 * (lo + hi)
-        g = defect(s_mid)
-        if abs(g) <= tol * scale:
-            break
-        if g > 0.0:
-            hi = s_mid
-        else:
-            lo = s_mid
-    y = dr + s_mid * xr
-    return tuple(float(t) for t in y)
-
-
-# ---------------------------------------------------------------------------
-# unit-norm isosceles pairs (used by the James/Schaffer style constants)
 
 
 # A row's partner search stops once its defect is within this of zero.
@@ -205,11 +90,3 @@ def _iso_partner_rows(space: NormedSpace, X1: np.ndarray, W: np.ndarray,
                 v[keep] for v in (rows, a, b, fa, fb, best, Xa, Wa, Cbest))
     out[rows] = Cbest
     return out
-
-
-def unit_iso_partner(space: NormedSpace, x1: Sequence[float], w: Sequence[float]) -> Vector:
-    """A unit vector isosceles orthogonal to unit ``x1``, reached from direction ``w``."""
-    a = _validated_rows(space, x1)
-    b = _validated_rows(space, w)
-    C = _iso_partner_rows(space, a, b)
-    return tuple(float(t) for t in C[0])

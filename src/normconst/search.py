@@ -258,12 +258,12 @@ def parse_strategy(text: str) -> Strategy:
     as ``strategy_descriptor`` writes them: ``exact``,
     ``grid2d:res=..,refine=..,radial=..`` or
     ``multistart:starts=..,steps=..,seed=..``.  Omitted fields keep defaults."""
-    head, _, rest = text.strip().partition(":")
+    head, colon, rest = text.strip().partition(":")
     cls = _STRATEGY_CLASSES.get(head)
     if cls is None:
         raise ValueError(f"unknown strategy: {text!r}")
     names = {key: name for key, name, _, _ in cls.FIELDS}
-    fields = _key_values(text, rest, names, head, ValueError) if rest else {}
+    fields = _key_values(text, rest, names, head, ValueError) if colon else {}
     for key, val in fields.items():
         if not re.fullmatch(r"-?\d+", val):
             raise ValueError(f"{head} parameter {key} must be an integer, got {val!r}")

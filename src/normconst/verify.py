@@ -136,6 +136,7 @@ class _Context:
         self.profile = profile
         self.seed = seed
         self._cache: dict = {}
+        self._names: dict = {}
         for name, (least, most) in _PROFILE_BOUNDS.items():
             _check_range("profile field", name, getattr(profile, name), least, most)
         self.grid = Grid2DStrategy(profile.resolution, profile.refine, profile.radial)
@@ -216,8 +217,14 @@ class _Context:
                                             m.starts, m.steps, m.seed)
         return self._cache[key]
 
+    def name(self, space: NormedSpace) -> str:
+        """``space``'s descriptor, formatted once: its results share one string."""
+        if space not in self._names:
+            self._names[space] = descriptor(space)
+        return self._names[space]
+
     def check_seed(self, check_id: str, space: NormedSpace) -> int:
-        tag = f"{self.seed}:{check_id}:{descriptor(space)}"
+        tag = f"{self.seed}:{check_id}:{self.name(space)}"
         return zlib.crc32(tag.encode("utf-8"))
 
 
@@ -676,7 +683,7 @@ def _run_one(ctx: _Context, check_id: str, space: NormedSpace, params: dict,
         values, passed, slack_used = {"error": str(err)}, False, math.nan
     elapsed = int(round((time.perf_counter() - started) * 1000.0))
     values = {k: _plain(v) for k, v in values.items()}
-    return CheckResult(check_id=check_id, space=descriptor(space),
+    return CheckResult(check_id=check_id, space=ctx.name(space),
                        params={k: _plain(v) for k, v in params.items()},
                        values=values, passed=bool(passed),
                        slack_used=float(slack_used), runtime_ms=elapsed)

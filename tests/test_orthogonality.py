@@ -1,4 +1,4 @@
-"""Isosceles-orthogonality predicates, pair construction, completion."""
+"""The isosceles defect and the row-wise unit partner search."""
 
 import math
 
@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normconst.orthogonality import (
-    _iso_partner_rows,
-    is_isosceles,
-    iso_complete,
-    iso_defect,
-    pair_from_sphere,
-    unit_iso_partner,
-)
-from normconst.spaces import (lp_space, norm, parse_space, regular_polygon_space,
+from normconst.orthogonality import _iso_partner_rows, iso_defect
+from normconst.spaces import (SpaceError, lp_space, norm, parse_space, regular_polygon_space,
                               unit_vector)
 
 L1 = lp_space(1, 2)
@@ -28,7 +21,7 @@ vec2 = st.tuples(coord, coord)
 
 def test_defect_zero_on_euclidean_orthogonal():
     assert iso_defect(L2, (1.0, 0.0), (0.0, 1.0)) == 0.0
-    assert is_isosceles(L2, (3.0, 0.0), (0.0, -5.0))
+    assert iso_defect(L2, (3.0, 0.0), (0.0, -5.0)) == 0.0
 
 
 def test_defect_sign():
@@ -52,43 +45,30 @@ def test_defect_symmetric_in_swap_l1(x, y):
     assert iso_defect(L1, x, y) == iso_defect(L1, y, x)
 
 
-def test_pair_from_sphere():
-    # the unit pair (u1, u2) maps to (u1+u2, u1-u2), which is isosceles
-    # orthogonal with sum norm exactly 2
-    pr = pair_from_sphere(L2, (1.0, 0.0), (0.0, 1.0))
-    assert pr.x1 == (1.0, 1.0) and pr.x2 == (1.0, -1.0)
-    assert pr.defect == 0.0
-    assert pr.sum_norm == pytest.approx(2.0, abs=1e-15)
-    pr2 = pair_from_sphere(HEX, (1.0, 0.0), (0.5, math.sqrt(3) / 2))
-    assert abs(pr2.defect) < 1e-9
-    assert pr2.sum_norm == pytest.approx(2.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        pair_from_sphere(L2, (2.0, 0.0), (0.0, 1.0))  # not unit
+def _partner(space, x1, w):
+    # one row through the batch partner search
+    return tuple(_iso_partner_rows(space, np.array([x1]), np.array([w]))[0])
 
 
-def test_iso_complete_euclidean():
-    # scaling (0,1) to balance x = (1,0): any s works in l2 only at s where
-    # |x+sd| = |x-sd|, which holds for all s; completion must return some
-    # root with zero defect
-    y = iso_complete(L2, (1.0, 0.0), (0.0, 1.0))
-    assert abs(iso_defect(L2, (1.0, 0.0), y)) < 1e-9
+SCALAR_ENTRIES = {
+    "norm": lambda v: norm(L2, v),
+    "unit_vector": lambda v: unit_vector(L2, v),
+    "iso_defect_x": lambda v: iso_defect(L2, v, (0.0, 1.0)),
+    "iso_defect_y": lambda v: iso_defect(L2, (1.0, 0.0), v),
+}
 
 
-def test_iso_complete_l1():
-    # completion shifts d along x: the result is d + s*x for some s
-    x = (1.0, 0.0)
-    d = (1.0, 1.0)
-    y = iso_complete(L1, x, d)
-    assert abs(iso_defect(L1, x, y)) < 1e-8
-    shift = (y[0] - d[0], y[1] - d[1])
-    assert shift[0] * x[1] == pytest.approx(shift[1] * x[0], abs=1e-12)
-
-
-def test_iso_complete_rejects_parallel():
-    with pytest.raises(ValueError):
-        iso_complete(L2, (1.0, 0.0), (2.0, 0.0))
-    with pytest.raises(ValueError):
-        iso_complete(L2, (1.0, 0.0), (0.0, 0.0))
+@pytest.mark.parametrize("entry", SCALAR_ENTRIES)
+@pytest.mark.parametrize("bad,message", [
+    ((1.0, 2.0, 3.0), "expected a vector of dimension 2, got shape (3,)"),
+    (np.ones((1, 2)), "expected a vector of dimension 2, got shape (1, 2)"),
+    ((math.nan, 1.0), "vector entries must be finite"),
+    ((1.0, math.inf), "vector entries must be finite")],
+    ids=["dimension", "row", "nan", "inf"])
+def test_scalar_entry_points_refuse_bad_vectors(entry, bad, message):
+    with pytest.raises(SpaceError) as err:
+        SCALAR_ENTRIES[entry](bad)
+    assert str(err.value) == message
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,7 +81,7 @@ def test_unit_iso_partner_properties(a_deg, b_deg):
     # partner search needs a direction component off the x1 axis
     if abs(x1[0] * w[1] - x1[1] * w[0]) < 1e-6:
         return
-    y = unit_iso_partner(HEX, x1, w)
+    y = _partner(HEX, x1, w)
     assert norm(HEX, y) == pytest.approx(1.0, abs=1e-9)
     assert abs(iso_defect(HEX, x1, y)) < 1e-7
 
@@ -114,10 +94,10 @@ def test_random_iso_pairs_stay_iso_under_negation():
         x1 = unit_vector(L1, z)
         if abs(x1[0] * w[1] - x1[1] * w[0]) < 1e-6:
             continue
-        y = unit_iso_partner(L1, x1, w)
-        assert is_isosceles(L1, x1, y, tol=1e-7)
-        assert is_isosceles(L1, tuple(-c for c in x1),
-                            tuple(-c for c in y), tol=1e-7)
+        y = _partner(L1, x1, w)
+        # unit x1 and y: the tolerance is relative to max(||x1||, ||y||, 1) = 1
+        assert abs(iso_defect(L1, x1, y)) <= 1e-7
+        assert abs(iso_defect(L1, tuple(-c for c in x1), tuple(-c for c in y))) <= 1e-7
 
 
 def _bisection_partner_rows(space, X1, W, iters=70):

@@ -194,12 +194,14 @@ def test_parse_space_errors():
 
 @pytest.mark.parametrize("parse,error,text,what,other", [
     (parse_space, SpaceError, "lp:q=2,dim=2", "space", "res"),
-    (parse_strategy, ValueError, "grid2d:res=64,refine=6", "grid2d", "dim")])
+    (parse_strategy, ValueError, "grid2d:res=64,refine=6", "grid2d", "dim"),
+    (parse_strategy, ValueError, "multistart:starts=4,steps=9", "multistart", "res")])
 def test_descriptor_items_refuse_no_equals_a_repeated_or_an_unknown_key(parse, error, text,
                                                                        what, other):
     # space and strategy descriptors share one key=value grammar
-    key = text.split(":")[1].split("=")[0]
-    for bad, message in ((f"{text},{key}", f"invalid {what} parameter: {key!r}"),
+    head, key = text.split(":")[0], text.split(":")[1].split("=")[0]
+    for bad, message in ((f"{head}:", f"invalid {what} parameter: ''"),
+                         (f"{text},{key}", f"invalid {what} parameter: {key!r}"),
                          (f"{text},{key}=3",
                           f"repeated {what} parameter {key!r} in {text + f',{key}=3'!r}"),
                          (f"{text},{other}=3", f"unknown {what} parameter(s): [{other!r}]")):

@@ -11,7 +11,8 @@ import pytest
 from normconst import constants as cns
 from normconst import search, verify
 from normconst.search import ExactStrategy, Grid2DStrategy, MultiStartStrategy, sup_pairs_2d
-from normconst.spaces import NormedSpace, Region, lp_space, parse_space, regular_polygon_space
+from normconst.spaces import (NormedSpace, Region, descriptor, lp_space, parse_space,
+                              regular_polygon_space)
 from normconst.verify import (
     CHECKS,
     CheckResult,
@@ -142,6 +143,15 @@ def test_single_space_mini_suite_passes():
     keys = [(c.check_id, c.space, json.dumps(c.params, sort_keys=True))
             for c in rep.checks]
     assert keys == sorted(keys)
+
+
+def test_results_of_one_space_share_one_descriptor_string():
+    # each space's descriptor is formatted once per suite
+    spaces = [L2, regular_polygon_space(6)]
+    rep = run_suite(spaces, seed=5, profile=MINI)
+    for space in spaces:
+        names = [r.space for r in rep.checks if r.space == descriptor(space)]
+        assert len(names) > 1 and all(name is names[0] for name in names)
 
 
 def test_report_roundtrip_and_timing():
