@@ -32,9 +32,7 @@ from .search import (
     Grid2DStrategy,
     MultiStartStrategy,
     Objective,
-    batch_objective,
     parse_strategy,
-    scalar_objective,
     strategy_descriptor,
     sup_pairs_2d,
     sup_pairs_nd,
@@ -82,7 +80,6 @@ __all__ = [
     "Region",
     "SpaceError",
     "SuiteReport",
-    "batch_objective",
     "cinj_iso",
     "cinj_via_gamma",
     "cnj_modified_p",
@@ -108,7 +105,6 @@ __all__ = [
     "rho",
     "run_check",
     "run_suite",
-    "scalar_objective",
     "schaffer",
     "smoothness_quotient",
     "strategy_descriptor",

@@ -28,8 +28,8 @@ from .orthogonality import _iso_partner_rows
 from .search import (_GRID_LOOKAHEAD, DEFAULT_SEED, Estimate, ExactStrategy, Grid2DStrategy,
                      MultiStartStrategy, Objective, Strategy, _Strategy, _ascend, _best_offsets,
                      _best_row, _points_2d, _refine, _replies, _start_draws, _sup_pairs_2d_stack,
-                     _sweep_grid, _WitnessRows, batch_objective, parse_strategy, sup_pairs_2d,
-                     sup_pairs_nd, sup_vertex_pairs, t_sweep)
+                     _sweep_grid, _WitnessRows, parse_strategy, sup_pairs_2d, sup_pairs_nd,
+                     sup_vertex_pairs, t_sweep)
 from .spaces import (TWO_PI, NormedSpace, Region, SpaceError, isometry_domain,
                      supports_extreme_points)
 
@@ -100,7 +100,7 @@ def _two_sided(space: NormedSpace, t, combine, convex_flag: bool,
     def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
         return combine(space.norm_rows(X1 + t * X2), space.norm_rows(X1 - t * X2))
 
-    return batch_objective(evb, convex_flag=convex_flag, name=name, isometry_invariant=True)
+    return Objective(evb, convex_flag=convex_flag, name=name, isometry_invariant=True)
 
 
 def _power_mean(p: float, scale: float):
@@ -134,7 +134,7 @@ def _half_sum_ratio(space: NormedSpace, a, b, p: float, scale: float,
         out[ok] = (na[ok] ** p + nb[ok] ** p) / (scale * s[ok] ** p)
         return out
 
-    return batch_objective(evb, convex_flag=True, name=name, isometry_invariant=True)
+    return Objective(evb, convex_flag=True, name=name, isometry_invariant=True)
 
 
 def _family(name: str, space: NormedSpace, p: float):
@@ -182,8 +182,7 @@ def _nu_objective(space: NormedSpace, p: float) -> Objective:
         out[ok] = num[ok] / den[ok]
         return out
 
-    return batch_objective(evb, convex_flag=False, name=f"nu_p(p={p})",
-                           isometry_invariant=True)
+    return Objective(evb, convex_flag=False, name=f"nu_p(p={p})", isometry_invariant=True)
 
 
 def _omega_objective(space: NormedSpace) -> Objective:

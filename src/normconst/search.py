@@ -15,9 +15,9 @@ transform of such a function), enumerating extreme-point pairs computes the
 supremum over the sphere and the ball alike, reducing the pairs with the
 2-D grid engine's block scan.
 
-Objectives may mark points as out of scope by returning NaN; engines skip
-those.  Batch evaluation (``eval_batch`` on ``(n, dim)`` row arrays) is the
-hot path; the scalar ``eval`` must agree with it on single rows.
+An objective is its batch evaluator, ``eval_batch`` on ``(n, dim)`` row
+arrays; it may mark points as out of scope by returning NaN, and engines
+skip those.
 
 The engines, and the unit-isosceles extremum in ``constants``, share one
 copy of each search loop: ``_best_row`` (the max-value / lexicographic-
@@ -122,13 +122,13 @@ _GRID_LOOKAHEAD = 4
 
 @dataclass(frozen=True)
 class Objective:
-    """A real objective on pairs of vectors.
+    """A real objective on pairs of vectors, given by its batch evaluator.
 
+    ``eval_batch`` takes two matching ``(n, dim)`` arrays and returns
+    ``(n,)`` values; rows may be NaN to mark guarded points.
     ``convex_flag`` asserts that enumerating extreme-point pairs attains the
     supremum over the ball (and the sphere): true for objectives jointly
     convex in the pair, and for monotone transforms of such objectives.
-    ``eval_batch``, when given, takes two matching ``(n, dim)`` arrays and
-    returns ``(n,)`` values; rows may be NaN to mark guarded points.
     ``isometry_invariant`` asserts that the value is unchanged when one
     linear isometry of the space is applied to both vectors, as any
     function of the norms of linear combinations of the pair is, and when
@@ -140,34 +140,10 @@ class Objective:
     circle where -x holds (see ``_sup_pairs_2d_stack``).
     """
 
-    eval: Callable[[Vector, Vector], float]
+    eval_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
     convex_flag: bool = False
-    eval_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     name: str = ""
     isometry_invariant: bool = False
-
-
-def scalar_objective(fn: Callable[[Vector, Vector], float], convex_flag: bool = False,
-                     name: str = "") -> Objective:
-    """Wrap a plain python pair function, deriving a loop-based batch form."""
-
-    def evb(X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        return np.array([fn(tuple(map(float, a)), tuple(map(float, b)))
-                         for a, b in zip(X1, X2)], dtype=float)
-
-    return Objective(eval=fn, convex_flag=convex_flag, eval_batch=evb, name=name)
-
-
-def batch_objective(evb: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    convex_flag: bool = False, name: str = "",
-                    isometry_invariant: bool = False) -> Objective:
-    """Build an Objective from a batch evaluator; the scalar form delegates."""
-
-    def ev(x1: Sequence[float], x2: Sequence[float]) -> float:
-        return float(evb(np.asarray([x1], dtype=float), np.asarray([x2], dtype=float))[0])
-
-    return Objective(eval=ev, convex_flag=convex_flag, eval_batch=evb, name=name,
-                     isometry_invariant=isometry_invariant)
 
 
 @dataclass(frozen=True)
@@ -281,12 +257,6 @@ def _region_pair(region) -> tuple[Region, Region]:
     if not (isinstance(r1, Region) and isinstance(r2, Region)):
         raise ValueError("region must be a Region or a pair of Regions")
     return r1, r2
-
-
-def _batch(f: Objective) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    if f.eval_batch is not None:
-        return f.eval_batch
-    return scalar_objective(f.eval).eval_batch
 
 
 def _as_witness(x1: np.ndarray, x2: np.ndarray) -> tuple[Vector, Vector]:
@@ -626,7 +596,7 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
     P2, par2 = _grid_axes_2d(space, reg2, res, strat.radial,
                              np.arange(res // 4, res // 4 + res // 2) if half else None)
 
-    scans = _scan_2d([_batch(obj) for obj in objs], P1, P2)
+    scans = _scan_2d([obj.eval_batch for obj in objs], P1, P2)
     if any(scan is None for scan in scans):
         raise ValueError("objective returned no finite value on the grid")
     best_v, best_w, _, _ = map(list, zip(*scans))
@@ -656,7 +626,7 @@ def _sup_pairs_2d_stack(space: NormedSpace, family: Callable[[object], Objective
             R = _points_2d(space, regs[moving], trial)
             F = fixed[ks].repeat(counts, axis=0)
             X1, X2 = (R, F) if moving == 0 else (F, R)
-            vals = _batch(family(run_thetas[ks].repeat(counts)[:, None]))(X1, X2)
+            vals = family(run_thetas[ks].repeat(counts)[:, None]).eval_batch(X1, X2)
             return _replies(counts, vals, X1, X2)
 
         return fun
@@ -874,7 +844,7 @@ def sup_pairs_nd(space: NormedSpace, f: Objective, region, starts: int = DEFAULT
                 Z[:, v, :] /= np.maximum(nv, 1.0)[:, None]
         return Z, Z[:, 0, :], Z[:, 1, :], ok
 
-    best, evaluations = _ascend(_batch(f), Z, lift, steps)
+    best, evaluations = _ascend(f.eval_batch, Z, lift, steps)
     if best is None:
         raise ValueError("objective returned no finite value at any start")
     return Estimate(value=best[0], witness=best[1], strategy="MultiStart", exact=False,
@@ -898,7 +868,7 @@ def sup_vertex_pairs(space: NormedSpace, f: Objective) -> Estimate:
         raise ValueError(f"objective {f.name!r} is not declared vertex-attaining, so exact "
                          "enumeration cannot bound it; need a search strategy (grid2d or multistart)")
     E = np.asarray(extreme_points(space), dtype=float)
-    best = _scan_2d([_batch(f)], E, E)[0]
+    best = _scan_2d([f.eval_batch], E, E)[0]
     if best is None:
         raise ValueError("objective returned no finite value at extreme points")
     return Estimate(value=best[0], witness=best[1], strategy="VertexExact", exact=True,

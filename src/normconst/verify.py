@@ -55,7 +55,6 @@ class Profile:
     name: str
     resolution: int
     refine: int
-    radial: int
     starts: int
     steps: int
     t_grid: int
@@ -71,12 +70,11 @@ class Profile:
 
 
 PROFILES = {
-    "fast": Profile("fast", resolution=256, refine=12, radial=9, starts=48,
-                    steps=240, t_grid=17, t_refine=10, lemma_pairs=10000,
-                    psi_samples=6, ball_resolution=96, ball_radial=5),
-    "thorough": Profile("thorough", resolution=1024, refine=40, radial=17,
-                        starts=128, steps=400, t_grid=33, t_refine=20,
-                        lemma_pairs=10000, psi_samples=12,
+    "fast": Profile("fast", resolution=256, refine=12, starts=48, steps=240, t_grid=17,
+                    t_refine=10, lemma_pairs=10000, psi_samples=6, ball_resolution=96,
+                    ball_radial=5),
+    "thorough": Profile("thorough", resolution=1024, refine=40, starts=128, steps=400,
+                        t_grid=33, t_refine=20, lemma_pairs=10000, psi_samples=12,
                         ball_resolution=192, ball_radial=9),
 }
 
@@ -113,12 +111,15 @@ def default_suite_spaces() -> tuple[NormedSpace, ...]:
 _BALLS = (Region.BALL, Region.BALL)
 
 # Every numeric Profile field with its (least, largest) value: a field that
-# fills a strategy field takes that field's bounds, the other counts are
-# capped as strategy fields are
-_PROFILE_BOUNDS = {name: (least, most) for cls in (Grid2DStrategy, MultiStartStrategy)
-                   for _, name, least, most in cls.FIELDS if name in Profile.__dataclass_fields__}
-_PROFILE_BOUNDS.update(ball_resolution=_PROFILE_BOUNDS["resolution"],
-                       ball_radial=_PROFILE_BOUNDS["radial"], t_grid=(3, _MOST),
+# fills a strategy field takes that field's bounds (the ball grid's fields
+# those of the grid's resolution and radial), the other counts are capped as
+# strategy fields are
+_FIELD_BOUNDS = {name: (least, most) for cls in (Grid2DStrategy, MultiStartStrategy)
+                 for _, name, least, most in cls.FIELDS}
+_PROFILE_BOUNDS = {name: _FIELD_BOUNDS[name] for name in Profile.__dataclass_fields__
+                   if name in _FIELD_BOUNDS}
+_PROFILE_BOUNDS.update(ball_resolution=_FIELD_BOUNDS["resolution"],
+                       ball_radial=_FIELD_BOUNDS["radial"], t_grid=(3, _MOST),
                        t_refine=(0, _MOST), lemma_pairs=(1, _MOST), psi_samples=(1, _MOST))
 
 
@@ -139,7 +140,7 @@ class _Context:
         self._names: dict = {}
         for name, (least, most) in _PROFILE_BOUNDS.items():
             _check_range("profile field", name, getattr(profile, name), least, most)
-        self.grid = Grid2DStrategy(profile.resolution, profile.refine, profile.radial)
+        self.grid = Grid2DStrategy(profile.resolution, profile.refine)
         # the ball x ball grid of sphere_ball_equal
         self.ball_grid = Grid2DStrategy(profile.ball_resolution, profile.refine,
                                         profile.ball_radial)
@@ -335,16 +336,20 @@ def _check_sphere_ball_equal(ctx: _Context, space, params):
 def _check_isometry_invariance(ctx: _Context, space, params):
     """A grid2d estimate whose scan puts x1 on one fundamental domain of the
     space's isometries and x2 on half its circle where that is allowed,
-    ``gamma_p`` at (p, t) or the James min-form supremum, against the full
-    scan of its objective, which undoes both reductions."""
+    ``gamma_p`` at (p, t) or the James min-form supremum (``constant`` =
+    ``"james"``), against the full scan of its objective, which undoes both
+    reductions.  Any other params are refused."""
     g = ctx.grid
-    if "p" in params:
+    if set(params) == {"p", "t"}:
         p, t = float(params["p"]), float(params["t"])
         reduced = ctx.estimate("gamma_p", space, g, p=p, t=t)
         obj = cns.gamma_objective(space, p, t)
-    else:
+    elif params == {"constant": "james"}:
         reduced = ctx.estimate("_min_form_sup", space, g)
         obj = cns._min_form_objective(space)
+    else:
+        raise ValueError("isometry_invariance needs params p and t, or constant=james; "
+                         f"got {params!r}")
     full = sup_pairs_2d(space, replace(obj, isometry_invariant=False), Region.SPHERE,
                         g.resolution, g.refine, g.radial)
     values = {"reduced": reduced.value, "full": full.value,
@@ -418,9 +423,10 @@ def _check_omega_identity(ctx: _Context, space, params):
 
 
 def _check_lemma_ll_bounds(ctx: _Context, space, params):
-    n = int(params["pairs"])
-    if n < 1:
-        raise ValueError("pairs must be positive")
+    n = params["pairs"]
+    if isinstance(n, bool) or not float(n).is_integer() or n < 1:
+        raise ValueError(f"pairs must be a positive integer, got {n!r}")
+    n = int(n)
     rng = np.random.default_rng(ctx.check_seed("lemma_ll_bounds", space))
     U1 = _unit_rows(space, rng.standard_normal((n, space.dim)))
     U2 = _unit_rows(space, rng.standard_normal((n, space.dim)))

@@ -190,7 +190,7 @@ def test_criterion_10_structural():
                 failures.append(("alpha half", str(sp), p, ch))
     # the p = 2 member reproduces the classical normalization, checked via
     # an independently assembled objective through the raw engine
-    from normconst.search import batch_objective, sup_pairs_2d
+    from normconst.search import Objective, sup_pairs_2d
     from normconst.spaces import Region
     for sp in SUITE:
         for t in (0.3, 1.0):
@@ -200,7 +200,7 @@ def test_criterion_10_structural():
                 na = _sp.norm_rows(X1 + _t * X2)
                 nb = _sp.norm_rows(X1 - _t * X2)
                 return (na * na + nb * nb) / 2.0
-            classic = sup_pairs_2d(sp, batch_objective(evb), Region.SPHERE)
+            classic = sup_pairs_2d(sp, Objective(evb), Region.SPHERE)
             if abs(fam - classic.value) > 1e-12:
                 failures.append(("p2 normalization", str(sp), t, fam,
                                  classic.value))

@@ -5,7 +5,13 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "output_hashes.py"
 _SPEC = importlib.util.spec_from_file_location("output_hashes", _PATH)
@@ -66,7 +72,6 @@ V3 = {"numpy": "2.4.6", "simd_found": ["X86_V3"]}
 
 
 def test_dispatch_is_numpy_version_and_found_simd():
-    import numpy as np
     got = oh.dispatch()
     assert got == {"numpy": np.__version__,
                    "simd_found": np.show_config(mode="dicts")["SIMD Extensions"]["found"]}
@@ -155,3 +160,51 @@ def test_against_compares_the_commands_group_when_the_record_holds_it():
     assert oh.recorded_hashes(moved)["commands"] == {"spaces/text": "e0"}
     assert oh.against_lines(result, moved, "R.json")[1] == [
         "commands / spaces/text: ee here, e0 recorded"]
+
+
+# numpy's own runtime switch off its AVX-512 loops: a setting of this
+# process, not of the machine
+NO_AVX512 = "X86_V4 AVX512_SPR AVX512_ICL"
+# The hexagon and l3 fast suites at seeds 1-20 move by at most 128 ulps
+# between the two dispatches, every move above 2 ulps in psi_even_convex's
+# evenness_gap (a rounding residual of values near 1e2, read in ulps of 1);
+# the bound is 4 times that.  l2 is left out: its cnj_p t_star can jump
+# along a flat ratio.
+DISPATCH_ULPS = 512
+_SUITES = """
+import json, sys
+import numpy as np
+from normconst import lp_space, regular_polygon_space
+from normconst.verify import report_json, run_suite
+found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+reports = [report_json(run_suite([space], 7, "fast"))
+           for space in (regular_polygon_space(6), lp_space(3, 2))]
+json.dump({"found": list(found), "reports": reports}, sys.stdout)
+"""
+
+
+def _fast_suites(**env) -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", _SUITES], capture_output=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path, **env})
+    return json.loads(run.stdout)
+
+
+@pytest.mark.skipif("X86_V4" not in oh.dispatch()["simd_found"],
+                    reason="numpy's runtime dispatch found no AVX-512 (X86_V4)")
+def test_fast_suites_keep_their_verdicts_and_values_across_simd_dispatches():
+    plain, v3 = _fast_suites(), _fast_suites(NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    assert "X86_V4" in plain["found"] and "X86_V4" not in v3["found"]
+    for a, b in zip(plain["reports"], v3["reports"], strict=True):
+        verdicts = [[(c["check_id"], c["params"], c["passed"]) for c in json.loads(r)["checks"]]
+                    for r in (a, b)]
+        assert verdicts[0] == verdicts[1]
+        old, new = oh.numeric_leaves(a.encode()), oh.numeric_leaves(b.encode())
+        assert old.keys() == new.keys()
+        for leaf, x in old.items():
+            moved = oh.ulps(x, new[leaf])
+            if moved is None:
+                assert repr(x) == repr(new[leaf]), leaf
+            else:
+                assert abs(moved) <= DISPATCH_ULPS, (leaf, x, new[leaf])

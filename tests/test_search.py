@@ -20,9 +20,7 @@ from normconst.search import (
     Grid2DStrategy,
     MultiStartStrategy,
     Objective,
-    batch_objective,
     parse_strategy,
-    scalar_objective,
     strategy_descriptor,
     sup_pairs_2d,
     sup_pairs_nd,
@@ -65,7 +63,7 @@ def _sum_sq():
     def evb(X1, X2):
         s = X1 + X2
         return np.einsum("ij,ij->i", s, s)
-    return batch_objective(evb, convex_flag=True)
+    return Objective(evb, convex_flag=True)
 
 
 def test_grid_engine_matches_known_max():
@@ -91,7 +89,7 @@ def test_grid_doubling_is_monotone():
     def evb(X1, X2):
         return np.abs(X1[:, 0] + 2 * X2[:, 1]) + 0.3 * np.sin(
             3 * X1[:, 1] - X2[:, 0])
-    obj = batch_objective(evb)
+    obj = Objective(evb)
     prev = -math.inf
     for res in (16, 32, 64, 128):
         est = sup_pairs_2d(HEX, obj, Region.SPHERE, resolution=res,
@@ -105,7 +103,7 @@ def test_grid_lower_bound_semantics():
     # sup, here computed in closed form on the euclidean sphere
     def evb(X1, X2):
         return X1[:, 0] + X2[:, 1]
-    est = sup_pairs_2d(L2, batch_objective(evb), Region.SPHERE,
+    est = sup_pairs_2d(L2, Objective(evb), Region.SPHERE,
                        resolution=16, refine_iters=0)
     assert est.value <= 2.0 + 1e-12
     assert est.value == pytest.approx(2.0, abs=1e-2)
@@ -118,7 +116,7 @@ def test_vertex_engine_exact():
     assert est.value == pytest.approx(4.0, abs=0)
     assert est.evaluations == 16
     with pytest.raises(ValueError):
-        sup_vertex_pairs(L1, batch_objective(lambda a, b: a[:, 0]))
+        sup_vertex_pairs(L1, Objective(lambda a, b: a[:, 0]))
 
 
 _VERTEX_SPACES = ([lp_space(q, d) for q in (1, math.inf) for d in range(2, 8)]
@@ -151,7 +149,7 @@ def test_vertex_scan_matches_one_all_pairs_reduction(space, kind):
     n = E.shape[0]
     X1, X2 = np.repeat(E, n, axis=0), np.tile(E, (n, 1))
     value, witness, _ = _best_row(evb(X1, X2), X1, X2)
-    got = sup_vertex_pairs(space, batch_objective(evb, convex_flag=True))
+    got = sup_vertex_pairs(space, Objective(evb, convex_flag=True))
     # repr keeps the sign of zero: the value is the objective's at the witness
     assert repr((got.value, got.witness, got.evaluations)) == repr((value, witness, n * n))
     at_witness = evb(np.array(witness[:1]), np.array(witness[1:]))[0]
@@ -168,7 +166,7 @@ def test_multistart_matches_grid():
 def test_multistart_seed_determinism():
     def evb(X1, X2):
         return X1[:, 0] * X2[:, 1] - 0.5 * X1[:, 1] ** 2
-    obj = batch_objective(evb)
+    obj = Objective(evb)
     a = sup_pairs_nd(HEX, obj, Region.SPHERE, starts=16, steps=120, seed=42)
     b = sup_pairs_nd(HEX, obj, Region.SPHERE, starts=16, steps=120, seed=42)
     assert a.value == b.value
@@ -185,26 +183,11 @@ def test_multistart_dim3():
     assert est.value == pytest.approx(12.0, abs=1e-3)
 
 
-def test_scalar_objective_wrapper():
-    def fn(a, b):
-        return -abs(a[0] - b[0])
-    obj = scalar_objective(fn)
-    est = sup_pairs_2d(L2, obj, Region.SPHERE, resolution=16, refine_iters=2)
-    assert est.value <= 0.0
-    assert est.value == pytest.approx(0.0, abs=1e-6)
-    # an Objective without eval_batch runs through the same row loop
-    bare = Objective(eval=fn)
-    assert sup_pairs_2d(L2, bare, Region.SPHERE, resolution=16,
-                        refine_iters=2) == est
-    assert (sup_pairs_nd(HEX, bare, Region.SPHERE, starts=4, steps=20, seed=3)
-            == sup_pairs_nd(HEX, obj, Region.SPHERE, starts=4, steps=20, seed=3))
-
-
 def test_nan_objective_values_are_skipped():
     def evb(X1, X2):
         out = X1[:, 0] + X2[:, 0]
         return np.where(out > 0, out, np.nan)  # mask half the domain
-    est = sup_pairs_2d(L2, batch_objective(evb), Region.SPHERE,
+    est = sup_pairs_2d(L2, Objective(evb), Region.SPHERE,
                        resolution=32, refine_iters=4)
     assert est.value == pytest.approx(2.0, abs=1e-6)
 
@@ -213,7 +196,7 @@ def test_all_nan_raises():
     def evb(X1, X2):
         return np.full(X1.shape[0], np.nan)
     with pytest.raises(ValueError):
-        sup_pairs_2d(L2, batch_objective(evb), Region.SPHERE,
+        sup_pairs_2d(L2, Objective(evb), Region.SPHERE,
                      resolution=16, refine_iters=0)
 
 
@@ -361,7 +344,7 @@ def test_multistart_always_within_bound(seed):
     # cheap property: for a linear objective the sphere max is the dual norm
     def evb(X1, X2):
         return X1[:, 0] + X1[:, 1]
-    est = sup_pairs_nd(L1, batch_objective(evb), Region.SPHERE,
+    est = sup_pairs_nd(L1, Objective(evb), Region.SPHERE,
                        starts=4, steps=60, seed=seed)
     assert est.value <= 1.0 + 1e-12
 
@@ -661,7 +644,7 @@ def test_grid_tie_break_matches_tuple_min():
     for space, evb, region in _tie_objectives():
         want_v, want_w, ties = _scan_old_rule(space, evb, region, 96, 5)
         assert ties > 0
-        est = sup_pairs_2d(space, batch_objective(evb), region, resolution=96,
+        est = sup_pairs_2d(space, Objective(evb), region, resolution=96,
                            refine_iters=0, radial=5)
         assert (est.value, est.witness) == (want_v, want_w)
 
@@ -870,7 +853,7 @@ def test_block_scan_and_batched_refine_are_bit_identical(space, region, kind, re
                                                          refine, radial):
     evb = _engine_objective(kind, space)
     want = _sup_pairs_2d_reference(space, evb, region, res, refine, radial)
-    got = sup_pairs_2d(space, batch_objective(evb), region, resolution=res,
+    got = sup_pairs_2d(space, Objective(evb), region, resolution=res,
                        refine_iters=refine, radial=radial)
     # repr keeps the sign of zero, which == does not
     assert repr(got) == repr(want)
@@ -891,7 +874,7 @@ def test_refine_stops_after_idle_rounds():
         counts, evaluations = {}, {}
         for refine in (0, 1, _IDLE_ROUNDS, 40, 10 ** 9):
             calls.clear()
-            est = sup_pairs_2d(space, batch_objective(constant), region, resolution=16,
+            est = sup_pairs_2d(space, Objective(constant), region, resolution=16,
                                refine_iters=refine, radial=3)
             counts[refine], evaluations[refine] = len(calls), est.evaluations
         per_round = counts[1] - counts[0]
@@ -937,7 +920,7 @@ def test_caps_of_at_most_idle_rounds_keep_the_unstopped_bits(space, region, kind
                                                             radial):
     # a search stops only after _IDLE_ROUNDS idle rounds, so a cap of at most
     # that many rounds runs every round, as the engine did before the stop
-    obj = batch_objective(_engine_objective(kind, space))
+    obj = Objective(_engine_objective(kind, space))
     got = sup_pairs_2d(space, obj, region, resolution=res, refine_iters=refine, radial=radial)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_IDLE_ROUNDS", math.inf)
@@ -950,14 +933,14 @@ def test_scan_calls_stay_within_the_block():
     # sphere x ball at the default resolution: 1024 x 9216 pairs, in calls of
     # at most _SCAN_BLOCK rows that cover every pair once
     sizes = []
-    nu = batch_objective(lambda X1, X2: (L1.norm_rows(X1 + X2) ** 2 + L1.norm_rows(X1 - X2) ** 2)
+    nu = Objective(lambda X1, X2: (L1.norm_rows(X1 + X2) ** 2 + L1.norm_rows(X1 - X2) ** 2)
                          / (L1.norm_rows(X1) ** 2 + L1.norm_rows(X2) ** 2))
 
     def counted(X1, X2):
         sizes.append(X1.shape[0])
         return nu.eval_batch(X1, X2)
 
-    sup_pairs_2d(L1, batch_objective(counted), (Region.SPHERE, Region.BALL),
+    sup_pairs_2d(L1, Objective(counted), (Region.SPHERE, Region.BALL),
                  resolution=1024, refine_iters=0, radial=9)
     assert max(sizes) <= _SCAN_BLOCK
     assert sum(sizes) == 1024 * 1024 * 9
@@ -1027,11 +1010,10 @@ def test_polygons_scan_one_domain_and_undeclared_objectives_the_full_grid():
     assert sup_pairs_2d(HEX, hexagon, Region.SPHERE, resolution=48,
                         refine_iters=0).evaluations == (48 // 12 + 1) * 24
     for space in (L1, HEX):
-        for obj in (batch_objective(lambda X1, X2: space.norm_rows(X1 + X2)),
-                    scalar_objective(lambda x1, x2: abs(x1[0] - x2[1]))):
-            assert not obj.isometry_invariant
-            assert sup_pairs_2d(space, obj, Region.SPHERE, resolution=16,
-                                refine_iters=0).evaluations == 16 * 16
+        obj = Objective(lambda X1, X2: space.norm_rows(X1 + X2))
+        assert not obj.isometry_invariant
+        assert sup_pairs_2d(space, obj, Region.SPHERE, resolution=16,
+                            refine_iters=0).evaluations == 16 * 16
 
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -1182,7 +1164,7 @@ def _stack_family(kind, space, p):
             out = space.norm_rows(X1 - th[:, None] * X2) ** p
             return np.where(X1[:, 1] * X2[:, 0] > 0.2 * th - 0.05, np.nan, out)
 
-        return batch_objective(evb)
+        return Objective(evb)
 
     return family
 
@@ -1268,7 +1250,7 @@ def test_stacked_engine_edge_cases():
     with pytest.raises(ValueError):
         _sup_pairs_2d_stack(lp_space(2, 3), family, [0.5], Region.SPHERE, strat)
     # one objective with no finite value fails the run, as its own run would
-    nowhere = batch_objective(lambda X1, X2: np.full(X1.shape[0], np.nan))
+    nowhere = Objective(lambda X1, X2: np.full(X1.shape[0], np.nan))
     with pytest.raises(ValueError, match="no finite value"):
         _sup_pairs_2d_stack(L2, lambda th: nowhere if th == 1.0 else family(th),
                             [0.5, 1.0], Region.SPHERE, strat)

@@ -37,9 +37,9 @@ L2 = lp_space(2, 2)
 
 # trimmed profile so unit tests stay quick; suite-scale runs live in the
 # acceptance tests
-MINI = Profile("mini", resolution=64, refine=6, radial=3, starts=12,
-               steps=120, t_grid=9, t_refine=6, lemma_pairs=500,
-               psi_samples=3, ball_resolution=48, ball_radial=3)
+MINI = Profile("mini", resolution=64, refine=6, starts=12, steps=120, t_grid=9,
+               t_refine=6, lemma_pairs=500, psi_samples=3, ball_resolution=48,
+               ball_radial=3)
 
 
 def test_default_suite_spaces():
@@ -95,7 +95,7 @@ def test_negative_seed_rejected_before_any_check(monkeypatch):
 
 
 # every numeric Profile field with its least value
-PROFILE_FLOORS = {"resolution": 8, "refine": 0, "radial": 2, "starts": 1, "steps": 1,
+PROFILE_FLOORS = {"resolution": 8, "refine": 0, "starts": 1, "steps": 1,
                   "t_grid": 3, "t_refine": 0, "lemma_pairs": 1, "psi_samples": 1,
                   "ball_resolution": 8, "ball_radial": 2}
 
@@ -192,7 +192,7 @@ def test_check_failure_is_recorded_not_raised():
 
 # every omega_identity norm overflows on lp:q=2000, so its estimate has no
 # finite value on the grid
-TINY = Profile("tiny", resolution=48, refine=2, radial=3, starts=4, steps=8, t_grid=5,
+TINY = Profile("tiny", resolution=48, refine=2, starts=4, steps=8, t_grid=5,
                t_refine=2, lemma_pairs=100, psi_samples=2, ball_resolution=24, ball_radial=3)
 
 
@@ -549,3 +549,19 @@ def test_isometry_invariance_runs_on_the_thorough_profile_only():
         ctx = _Context(PROFILES[profile] if isinstance(profile, str) else profile, 7)
         assert CHECKS["isometry_invariance"][1](ctx, l3) == []
     assert CHECKS["isometry_invariance"][1](_Context(thorough, 7), lp_space(3, 3)) == []
+
+
+@pytest.mark.parametrize("params", [{"constant": "rho"}, {}, {"t": 0.5}, {"p": 2.0},
+                                    {"constant": "james", "p": 2.0}])
+def test_isometry_invariance_refuses_params_it_does_not_read(params):
+    # only (p, t) and constant=james name a comparison; any other params
+    # would run James's and be recorded under params it never read
+    with pytest.raises(ValueError, match="needs params p and t, or constant=james"):
+        run_check("isometry_invariance", regular_polygon_space(6), params, profile=MINI)
+
+
+@pytest.mark.parametrize("pairs", [2.5, True, 0, -1])
+def test_lemma_ll_bounds_refuses_pairs_that_are_no_positive_integer(pairs):
+    # 2.5 would run 2 pairs and True 1, each recorded under the value given
+    with pytest.raises(ValueError, match="pairs must be a positive integer"):
+        run_check("lemma_ll_bounds", L2, {"pairs": pairs}, profile=MINI)
