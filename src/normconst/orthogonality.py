@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spaces import NormedSpace, _validated_rows
+from .spaces import NormedSpace, _guarded_norms, _validated_rows
 
 
 def iso_defect(space: NormedSpace, x: Sequence[float], y: Sequence[float]) -> float:
@@ -21,7 +21,7 @@ def iso_defect(space: NormedSpace, x: Sequence[float], y: Sequence[float]) -> fl
     xr = _validated_rows(space, x)[0]
     yr = _validated_rows(space, y)[0]
     both = np.stack([xr + yr, xr - yr])
-    s, d = space.norm_rows(both)
+    s, d = _guarded_norms(space, both)
     return float(s - d)
 
 

@@ -12,8 +12,11 @@ Three families are supported:
 Scalar helpers (:func:`norm`, :func:`unit_vector`) validate their input
 and accept any real coordinate sequence.  The ``norm_rows`` batch form
 used by the search engines operates on ``(n, dim)`` float arrays without
-per-call validation; the scalar path delegates to it so that both paths
-produce bit-identical values.
+per-call validation; the scalar path delegates to it, so both paths give
+the same bits wherever the batch form's power sum stays in the normal
+range.  A p-norm above ``_SCALED_Q`` is scaled by each row's largest
+entry, so it neither overflows nor underflows; below it, only the scalar
+helpers scale a row whose power sum leaves the normal range.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ TWO_PI = 2.0 * math.pi
 # Sign-vector enumeration of max-norm extreme points is exponential in the
 # dimension; refuse beyond this cap instead of silently exploding.
 MAX_SIGN_ENUM_DIM = 16
+
+# p-norms with q above this cut are scaled by each row's largest entry m.
+# At q <= 64 a row whose largest entry lies in [2^-15, 2^15] keeps its
+# plain power sum in the normal range: the largest power lies in
+# [2^-960, 2^960], and dim such powers sum below 2^1024 for dim < 2^64.
+# At q = 2000 a row as small as (2, 1) already overflows.
+_SCALED_Q = 64.0
 
 
 class Region(Enum):
@@ -82,12 +92,49 @@ class NormedSpace:
         two = self.dim == 2
         if q == math.inf:
             return np.maximum(A[..., 0], A[..., 1]) if two else A.max(axis=-1)
+        if q > _SCALED_Q:
+            return _scaled_norms(A, q)
         S = A if q == 1.0 else A * A if q == 2.0 else A ** q
         S = S[..., 0] + S[..., 1] if two else S.sum(axis=-1)
         return S if q == 1.0 else np.sqrt(S) if q == 2.0 else S ** (1.0 / q)
 
     def __str__(self) -> str:
         return descriptor(self)
+
+
+def _scaled_norms(A: np.ndarray, q: float) -> np.ndarray:
+    """p-norms of the rows of the non-negative array ``A`` scaled by each
+    row's largest entry m: m (1 + sum_{i != argmax} r_i^q)^(1/q), r_i =
+    A_i / m (Blue 1978, the ``dnrm2`` approach; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 27), computed as m times
+    the row sum of r_i^q to the power 1/q, the argmax's term exactly 1.
+    In 2-D the two columns are combined without a reduction call, as on
+    the plain path, with the reduction's bits.
+
+    Only a row with some r_i >= cut = (2^-53 / (dim - 1))^(1/q), i != argmax
+    (0.982 at q = 2000 in 2-D), computes its powers.  Every other row is
+    m, and at q >= 2 bit for bit what the formula gives it: its other
+    terms sum below 2^-53 (up to rounding), so the row sum rounds to 1, or
+    to 1 + 2^-52 where rounding tips it, and either to the power 1/q
+    rounds to 1.  A zero row (r = 0/0), a row with an infinite entry
+    (m = inf) and a row with a NaN (m = NaN) have no r_i >= cut, so they
+    are m, as they are on the plain path.
+    """
+    dim = A.shape[-1]
+    cut = (2.0 ** -53 / (dim - 1)) ** (1.0 / q)
+    if dim == 2:
+        m = np.maximum(A[..., 0], A[..., 1])
+        with np.errstate(invalid="ignore"):
+            r = np.minimum(A[..., 0], A[..., 1]) / m
+        big = r >= cut
+        m[big] *= (1.0 + r[big] ** q) ** (1.0 / q)
+        return m
+    m = A.max(axis=-1)
+    with np.errstate(invalid="ignore"):
+        R = A / m[..., None]
+    big = np.count_nonzero(R >= cut, axis=-1) > 1    # the argmax's r is 1
+    m[big] *= (R[big] ** q).sum(axis=-1) ** (1.0 / q)
+    return m
 
 
 def _poly_gauge_rows(space: NormedSpace, V: np.ndarray) -> np.ndarray:
@@ -234,15 +281,32 @@ def _validated_rows(space: NormedSpace, v: Sequence[float]) -> np.ndarray:
     return arr.reshape(1, -1)
 
 
+def _guarded_norms(space: NormedSpace, rows: np.ndarray) -> np.ndarray:
+    """``norm_rows`` of a few validated rows, except that at 1 < q <=
+    ``_SCALED_Q`` a nonzero row whose plain power sum is 0, subnormal or
+    inf takes the scaled path (at q = 1 the plain sum is the norm).  The
+    batch path keeps no such guard: per call it cost the search engines
+    10-25%, where on a few rows it costs nothing."""
+    q = space.q
+    if space.kind == "poly2d" or not 1.0 < q <= _SCALED_Q:
+        return space.norm_rows(rows)
+    A = np.abs(rows) * space._w if space.kind == "wlp" else np.abs(rows)
+    with np.errstate(over="ignore", under="ignore"):
+        out = space.norm_rows(rows)
+        S = (A ** q).sum(axis=-1)
+    off = ((S < np.finfo(float).tiny) | (S == math.inf)) & (A.max(axis=-1) > 0.0)
+    return np.where(off, _scaled_norms(A, q), out)
+
+
 def norm(space: NormedSpace, v: Sequence[float]) -> float:
-    """Norm of one vector, with input validation."""
-    return float(space.norm_rows(_validated_rows(space, v))[0])
+    """Norm of one vector, with input validation, at any finite scale."""
+    return float(_guarded_norms(space, _validated_rows(space, v))[0])
 
 
 def unit_vector(space: NormedSpace, v: Sequence[float]) -> Vector:
     """Rescale ``v`` onto the unit sphere of the space."""
     row = _validated_rows(space, v)
-    n = float(space.norm_rows(row)[0])
+    n = float(_guarded_norms(space, row)[0])
     if n == 0.0:
         raise SpaceError("cannot normalize the zero vector")
     return tuple(float(x) for x in row[0] / n)

@@ -67,6 +67,31 @@ def test_gamma_lq_closed_form_at_p_equal_q():
             assert est.value == pytest.approx(want, abs=1e-6)
 
 
+def _scaled_lq_norm(v, q):
+    # max |v_i| (sum_i (|v_i| / max)^q)^(1/q) in Python floats
+    m = max(abs(x) for x in v)
+    return m * sum((abs(x) / m) ** q for x in v) ** (1.0 / q) if m else 0.0
+
+
+def test_large_q_estimates_keep_their_closed_form_brackets_and_witnesses():
+    # gamma_2(l_inf) at t = 1/2 is 2.25; ||x||_inf <= ||x||_q <= 2^(1/q) ||x||_inf
+    # in the plane, so gamma_2(l_q) lies in [2^(-2/q), 2^(2/q)] 2.25, which is
+    # [2.2484, 2.2516] at q = 2000.  Each value is its objective at its witness under a scaled norm.
+    q = 2000.0
+    sp = nc.lp_space(q, 2)
+    lo, hi = 2.0 ** (-2.0 / q) * 2.25, 2.0 ** (2.0 / q) * 2.25
+    est = nc.gamma_p(sp, p=2.0, t=0.5)
+    assert lo - 4 * math.ulp(lo) <= est.value <= hi
+    x1, x2 = (np.array(w) for w in est.witness)
+    g = (_scaled_lq_norm(x1 + 0.5 * x2, q) ** 2 + _scaled_lq_norm(x1 - 0.5 * x2, q) ** 2) / 2.0
+    assert est.value == pytest.approx(g, rel=1e-14)
+    # the isosceles constant's floor (1 - alpha)^p + alpha^p, 0.625 at (1/4, 2)
+    iso = nc.cinj_iso(sp, 0.25, 2.0, "grid2d:res=256,refine=12")
+    assert iso.value >= 0.625
+    y1, y2 = (np.array(w) for w in iso.meta["iso_pair"])
+    assert _scaled_lq_norm(y1 + y2, q) == pytest.approx(_scaled_lq_norm(y1 - y2, q), rel=1e-12)
+
+
 def test_gamma_hexagon_frozen():
     # vertex-pair enumeration: adjacent-vertex configurations dominate,
     # giving norms (1 + t/2 + t/2) and 1, hence ((1+t)^2 + 1)/2 at p = 2

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from normconst.orthogonality import iso_defect
 from normconst.search import parse_strategy
 from normconst.spaces import (
+    _SCALED_Q,
     MAX_SIGN_ENUM_DIM,
     TWO_PI,
     SpaceError,
@@ -227,6 +229,8 @@ def _axis_reduction_norms(space, V):
     q = space.q
     if q == math.inf:
         return A.max(axis=-1)
+    if q > _SCALED_Q:
+        return _full_scaled_norms(A, q)
     if q == 1.0:
         return A.sum(axis=-1)
     if q == 2.0:
@@ -234,10 +238,20 @@ def _axis_reduction_norms(space, V):
     return (A ** q).sum(axis=-1) ** (1.0 / q)
 
 
-@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 50.0, 2000.0, math.inf])
+def _full_scaled_norms(A, q):
+    # the scaled formula with every power computed: m (sum_i (A_i / m)^q)^(1/q),
+    # m the row max, the argmax's term 1; a zero or infinite row is m
+    m = A.max(axis=-1)
+    with np.errstate(invalid="ignore"):
+        S = ((A / m[..., None]) ** q).sum(axis=-1)
+    return np.where((m == 0.0) | (m == math.inf), m, m * S ** (1.0 / q))
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 50.0, _SCALED_Q, 65.0, 2000.0, math.inf])
 def test_dimension_2_norm_rows_match_the_axis_reduction(q):
     # dimension 2 sums and maxes two columns without a reduction call; the
-    # bits must be the reduction's, over- and underflow included
+    # bits must be the reduction's, over- and underflow included, and above
+    # the scaled cut the bits of the scaled formula with every power computed
     rng = np.random.default_rng(int(q) if q < 1e9 else 9)
     special = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1.0,
                         -1.5, 1e150, 1e200, -1.7976931348623157e308])
@@ -250,6 +264,131 @@ def test_dimension_2_norm_rows_match_the_axis_reduction(q):
             for V in rows:
                 got = space.norm_rows(V)
                 assert got.tobytes() == _axis_reduction_norms(space, V).tobytes()
+
+
+# ------------------------------------------------ the scaled norms above the cut
+
+_LARGE_Q = st.one_of(st.sampled_from([65.0, 100.0, 2000.0, 1e4]),
+                     st.floats(_SCALED_Q, 1e5, exclude_min=True))
+# moderate entries, zero included: s v stays in the normal range for s in
+# [1e-300, 1e300]
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+def _rows(dim):
+    return st.lists(st.lists(_ENTRY, min_size=dim, max_size=dim), min_size=1,
+                    max_size=6).map(np.array)
+
+
+def _large_q_space(q, dim, weighted):
+    return weighted_lp_space(q, np.linspace(0.25, 4.0, dim)) if weighted else lp_space(q, dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LARGE_Q, st.integers(2, 8).flatmap(lambda d: st.tuples(st.just(d), _rows(d))),
+       st.booleans(), st.floats(1e-300, 1e300))
+@example(2000.0, (2, np.array([[2.0, 1.0], [1.0, 1.0]])), False, 1e300)
+@example(2000.0, (2, np.array([[1.0, 1.0]])), False, 1e-300)
+def test_large_q_norms_are_homogeneous_from_1e_300_to_1e300(q, dim_V, weighted, s):
+    _, V = dim_V
+    space = _large_q_space(q, V.shape[1], weighted)
+    want = s * space.norm_rows(V)
+    got = space.norm_rows(s * V)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda d: st.tuples(st.just(d), _rows(d))), st.booleans(),
+       st.lists(st.one_of(st.floats(1.0, 1e5), st.sampled_from([_SCALED_Q, 65.0])),
+                min_size=2, max_size=6))
+def test_norms_are_non_increasing_in_q_and_at_least_the_max_norm(dim_V, weighted, qs):
+    _, V = dim_V
+    qs = sorted(qs)
+    norms = [_large_q_space(q, V.shape[1], weighted).norm_rows(V) for q in qs]
+    top = _large_q_space(math.inf, V.shape[1], weighted).norm_rows(V)
+
+    def slack(q, n):
+        # relative: 4 ulps, and on the plain path the rounding of 1/q, which
+        # costs up to |ln S| 2^-53 for the power sum S = n^q
+        eps = np.finfo(float).eps
+        return 4 * eps + (q * np.abs(np.log(np.maximum(n, 1e-300))) * eps if q <= _SCALED_Q else 0)
+
+    for q0, q, hi, lo in zip(qs, qs[1:], norms, norms[1:]):
+        assert np.all(lo <= hi * (1 + slack(q0, hi) + slack(q, lo)))
+        # m (1 + sum)^(1/q) >= m exactly above the cut; the plain path's
+        # (m^q)^(1/q) may round below m
+        assert np.all(lo >= top) if q > _SCALED_Q else np.all(lo >= top * (1 - slack(q, lo)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LARGE_Q, st.integers(2, 8), st.booleans(), st.floats(1e-300, 1e300),
+       st.lists(st.tuples(st.integers(0, 7), st.floats(-0.05, 0.05), st.integers(-8, 8)),
+                min_size=1, max_size=24),
+       st.integers(0, 2 ** 32 - 1))
+def test_the_power_skip_is_exact_on_ratios_that_straddle_the_cut(q, dim, weighted, m, picks,
+                                                                 seed):
+    # entries m r with r within 5% (and 8 ulps) of 2^(-53/q) or of the
+    # dimension's cut (2^-53 / (dim - 1))^(1/q): bitwise the formula with
+    # every power computed
+    space = _large_q_space(q, dim, weighted)
+    cuts = (2.0 ** (-53.0 / q), (2.0 ** -53 / (dim - 1)) ** (1.0 / q))
+    rng = np.random.default_rng(seed)
+    V = np.full((len(picks), dim), m)
+    for row, (col, rel, ulps) in zip(V, picks):
+        r = cuts[col % 2] * (1.0 + rel) + ulps * math.ulp(cuts[col % 2])
+        row[col % dim:] *= min(r, 1.0)
+        row *= rng.choice([-1.0, 1.0], dim)
+        rng.shuffle(row)
+    A = np.abs(V) * (space._w if weighted else 1.0)
+    assert space.norm_rows(V).tobytes() == _full_scaled_norms(A, q).tobytes()
+
+
+def test_the_power_skip_counts_every_term_in_high_dimension():
+    # 199 ratios just below 2^(-53/q) sum to about 93 ulps of 1, which the
+    # power 1/q does not round away: the dimension's cut computes them
+    q = 65.0
+    V = np.full((1, 200), 0.999 * 2.0 ** (-53.0 / q))
+    V[0, 0] = 1.0
+    full = _full_scaled_norms(V, q)
+    assert full[0] > 1.0
+    assert lp_space(q, 200).norm_rows(V).tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_large_q_norms_keep_the_plain_paths_zero_inf_and_nan_rows(dim):
+    # a row of zeros, ones, infinities and NaNs has the plain path's norm:
+    # 0, (count of ones)^(1/q), inf or NaN
+    specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(dim)
+    V = specials[rng.integers(0, specials.size, (400, dim))]
+    V[:specials.size] = specials[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = (np.abs(V) ** 2000.0).sum(axis=-1) ** (1.0 / 2000.0)
+    assert lp_space(2000, dim).norm_rows(V).tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("space", [lp_space(1.5, 2), lp_space(2, 2), lp_space(3, 3),
+                                   lp_space(50, 4), weighted_lp_space(2, (0.5, 3.0))],
+                         ids=descriptor)
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+def test_scalar_entry_points_take_the_scaled_path_at_extreme_scales(space, s):
+    # where the plain power sum S stays normal, the rounding of 1/q costs
+    # up to |ln S| 2^-53 relative: 2.6e-14 at q = 1.5, s = 1e200
+    v = np.linspace(1.0, 2.0, space.dim)
+    assert norm(space, s * v) == pytest.approx(s * norm(space, v), rel=1e-13)
+    assert unit_vector(space, s * v) == pytest.approx(unit_vector(space, v), rel=1e-15)
+    w = np.roll(v, 1) * -0.5
+    assert iso_defect(space, s * v, s * w) == pytest.approx(s * iso_defect(space, v, w), rel=1e-13)
+
+
+def test_scalar_norms_that_the_batch_path_under_or_overflows():
+    assert norm(lp_space(2, 2), (1e-200,) * 2) == pytest.approx(math.sqrt(2) * 1e-200, rel=1e-15)
+    assert norm(lp_space(3, 2), (1e200,) * 2) == pytest.approx(2 ** (1 / 3) * 1e200, rel=1e-15)
+    with np.errstate(over="ignore", under="ignore"):
+        assert lp_space(2, 2).norm_rows(np.full((1, 2), 1e-200))[0] == 0.0
+        assert lp_space(3, 2).norm_rows(np.full((1, 2), 1e200))[0] == math.inf
+    assert norm(lp_space(2000, 2), (2.0, 1.0)) == 2.0
 
 
 # ------------------------------------------------ the polygon gauge's gather

@@ -190,14 +190,23 @@ def test_check_failure_is_recorded_not_raised():
     assert isinstance(res.passed, bool)
 
 
-# every omega_identity norm overflows on lp:q=2000, so its estimate has no
-# finite value on the grid
 TINY = Profile("tiny", resolution=48, refine=2, starts=4, steps=8, t_grid=5,
                t_refine=2, lemma_pairs=100, psi_samples=2, ball_resolution=24, ball_radial=3)
 
 
-def test_suite_records_a_check_error_as_a_failure():
-    space = lp_space(2000, 2)
+def _omega_without_finite_values(monkeypatch):
+    # omega_prime's objective is NaN on every pair, so its estimate has no
+    # finite value on the grid
+    def nowhere_finite(space):
+        return search.Objective(lambda X1, X2: np.full(X1.shape[0], np.nan), convex_flag=True,
+                                name="omega_prime", isometry_invariant=True)
+
+    monkeypatch.setattr(cns, "_omega_objective", nowhere_finite)
+
+
+def test_suite_records_a_check_error_as_a_failure(monkeypatch):
+    _omega_without_finite_values(monkeypatch)
+    space = L2
     with pytest.raises(ValueError, match="no finite value"):
         run_check("omega_identity", space, {}, profile=TINY)
     report = run_suite([space], profile=TINY)
@@ -209,12 +218,32 @@ def test_suite_records_a_check_error_as_a_failure():
     assert row["slack_used"] == "NaN"
 
 
+# the checks the lp:q=2000 suite still fails, each with its cause in CHANGES.md:
+# nonsquare_dichotomy at alpha in {0, 0.1}, p in {2, 3}: J = 1.99931 >= 1.9
+# sends this uniformly non-square space to the ``attains`` branch (1.99861
+# at alpha = 0, p = 2, against cap 2 with slack 1e-3); smoothness_limit:
+# slope 0.048 against a required 0.5
+_Q2000_KNOWN_FAILURES = {
+    ("nonsquare_dichotomy", (("alpha", a), ("p", p))) for a in (0.0, 0.1) for p in (2.0, 3.0)
+} | {("smoothness_limit", (("p", 2.0),))}
+
+
+def test_the_q2000_suite_fails_only_its_known_checks():
+    # a plain power sum overflows at q = 2000 on rows as small as (2, 1)
+    report = run_suite([lp_space(2000, 2)], profile=TINY)
+    failed = {(c.check_id, tuple(sorted(c.params.items()))) for c in report.checks
+              if not c.passed}
+    assert failed <= _Q2000_KNOWN_FAILURES
+    assert report.summary["total"] == 134
+
+
 def test_verify_cli_exits_1_on_a_check_error(monkeypatch, capsys):
     from normconst import verify
     from normconst.cli import main
 
     monkeypatch.setitem(verify.PROFILES, "fast", TINY)
-    assert main(["verify", "--space", "lp:q=2000,dim=2"]) == 1
+    _omega_without_finite_values(monkeypatch)
+    assert main(["verify", "--space", "lp:q=2,dim=2"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert any(c["check_id"] == "omega_identity" and not c["passed"] for c in doc["checks"])
 
@@ -411,15 +440,19 @@ def test_excess_keeps_nan_wherever_it_stands():
     assert math.copysign(1.0, _excess(-0.0)) == 1.0
 
 
-def test_psi_even_convex_fails_on_infinite_norms(monkeypatch):
+def _every_third_norm_inf(monkeypatch):
     norm_rows = NormedSpace.norm_rows
 
     def every_third_inf(self, V):
         out = norm_rows(self, V)
         return np.where(np.arange(out.size) % 3 == 0, np.inf, out)
 
-    assert run_check("psi_even_convex", L2, {"p": 2.0, "t": 0.5}, profile=MINI).passed
     monkeypatch.setattr(NormedSpace, "norm_rows", every_third_inf)
+
+
+def test_psi_even_convex_fails_on_infinite_norms(monkeypatch):
+    assert run_check("psi_even_convex", L2, {"p": 2.0, "t": 0.5}, profile=MINI).passed
+    _every_third_norm_inf(monkeypatch)
     res = run_check("psi_even_convex", L2, {"p": 2.0, "t": 0.5}, profile=MINI)
     assert not res.passed
     assert math.isnan(res.values["evenness_gap"]) and res.values["declared_slack"] == math.inf
@@ -429,9 +462,10 @@ def _no_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
-def test_report_json_is_strict_json_with_non_finite_values():
-    # q=2000 overflows the norm, so the check holds NaN and inf values
-    res = run_check("psi_even_convex", lp_space(2000, 2), {"p": 2.0, "t": 0.5})
+def test_report_json_is_strict_json_with_non_finite_values(monkeypatch):
+    # a third of the norms are inf, so the check holds NaN and inf values
+    _every_third_norm_inf(monkeypatch)
+    res = run_check("psi_even_convex", L2, {"p": 2.0, "t": 0.5})
     assert math.isnan(res.values["evenness_gap"])
     rep = SuiteReport(seed=7, profile="fast", config={}, checks=(res,),
                       summary={"passed": 0, "failed": 1, "total": 1})
