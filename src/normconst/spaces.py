@@ -109,7 +109,11 @@ def _scaled_norms(A: np.ndarray, q: float) -> np.ndarray:
     Stability of Numerical Algorithms*, section 27), computed as m times
     the row sum of r_i^q to the power 1/q, the argmax's term exactly 1.
     In 2-D the two columns are combined without a reduction call, as on
-    the plain path, with the reduction's bits.
+    the plain path, with the reduction's bits.  The d-D form gives the
+    same bits at dim = 2, but its row max and count over two columns cost
+    384 us per 4096 rows at q = 2000 against 29 us here, and ``gamma_p``
+    on ``lp:q=2000,dim=2`` 20.1 ms of CPU against 5.6 ms (interleaved,
+    best of 35 and of 7; 2-vCPU Xeon, numpy 2.4.6).
 
     Only a row with some r_i >= cut = (2^-53 / (dim - 1))^(1/q), i != argmax
     (0.982 at q = 2000 in 2-D), computes its powers.  Every other row is
@@ -283,19 +287,22 @@ def _validated_rows(space: NormedSpace, v: Sequence[float]) -> np.ndarray:
 
 def _guarded_norms(space: NormedSpace, rows: np.ndarray) -> np.ndarray:
     """``norm_rows`` of a few validated rows, except that at 1 < q <=
-    ``_SCALED_Q`` a nonzero row whose plain power sum is 0, subnormal or
-    inf takes the scaled path (at q = 1 the plain sum is the norm).  The
-    batch path keeps no such guard: per call it cost the search engines
-    10-25%, where on a few rows it costs nothing."""
+    ``_SCALED_Q`` a nonzero row whose plain power sum S is 0, subnormal or
+    inf takes the scaled path (at q = 1 the plain sum is the norm).  S <
+    tiny reads off the norm as norm < tiny^(1/q), up to rounding, and S =
+    inf as norm = inf.  The batch path keeps no such guard: per call it
+    cost the search engines 10-25%, where on a few rows it costs nothing."""
     q = space.q
     if space.kind == "poly2d" or not 1.0 < q <= _SCALED_Q:
         return space.norm_rows(rows)
-    A = np.abs(rows) * space._w if space.kind == "wlp" else np.abs(rows)
     with np.errstate(over="ignore", under="ignore"):
         out = space.norm_rows(rows)
-        S = (A ** q).sum(axis=-1)
-    off = ((S < np.finfo(float).tiny) | (S == math.inf)) & (A.max(axis=-1) > 0.0)
-    return np.where(off, _scaled_norms(A, q), out)
+    low = (out < np.finfo(float).tiny ** (1.0 / q)) & (rows != 0.0).any(axis=-1)
+    off = low | (out == math.inf)
+    if off.any():
+        A = np.abs(rows[off])
+        out[off] = _scaled_norms(A * space._w if space.kind == "wlp" else A, q)
+    return out
 
 
 def norm(space: NormedSpace, v: Sequence[float]) -> float:

@@ -391,6 +391,31 @@ def test_scalar_norms_that_the_batch_path_under_or_overflows():
     assert norm(lp_space(2000, 2), (2.0, 1.0)) == 2.0
 
 
+def test_scalar_entry_points_scale_only_the_rows_out_of_range(monkeypatch):
+    # rows whose power sum stays normal keep the batch path's bits and never
+    # reach the scaled path; of two rows only the one out of range is scaled
+    import normconst.spaces as spaces
+
+    space = weighted_lp_space(3, (0.5, 2.0, 1.0))
+    v = (1.0, -2.0, 3.0)
+    want = space.norm_rows(np.array([v]))[0]
+    scaled = spaces._scaled_norms
+    seen = []
+
+    def recording(A, q):
+        seen.append(A.copy())
+        return scaled(A, q)
+
+    monkeypatch.setattr(spaces, "_scaled_norms", recording)
+    assert norm(space, v) == want
+    assert norm(space, (0.0, 0.0, 0.0)) == 0.0
+    assert seen == []
+    got = spaces._guarded_norms(space, np.array([v, (1e-200, 0.0, -1e-200)]))
+    assert got[0] == want
+    assert got[1] == pytest.approx(1.125 ** (1 / 3) * 1e-200, rel=1e-15)
+    assert len(seen) == 1 and seen[0].tolist() == [[0.5e-200, 0.0, 1e-200]]
+
+
 # ------------------------------------------------ the polygon gauge's gather
 
 _GAUGE_SPACES = {
